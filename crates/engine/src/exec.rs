@@ -94,8 +94,9 @@ pub struct RuntimeStats {
     /// on both success and error paths, so EXPLAIN ANALYZE deltas are
     /// meaningful even when an expression raises.
     pub vm_ops_executed: u64,
-    /// Rows driven through the fused fixpoint transition (the splat-program
-    /// fast path that bypasses the per-node executor).
+    /// Rows the fused fixpoint transition kept (the splat-program fast path
+    /// that bypasses the per-node executor); a row its filter drops is not
+    /// counted.
     pub fused_transition_rows: u64,
     /// Batch-trampoline working-set counters (the `WITH RETIRE` driver).
     pub batch: crate::profile::BatchCounters,
@@ -1596,24 +1597,8 @@ fn exec_with(
                     let rows = exec(plan, env, rt)?;
                     rt.ctes.insert(index, Arc::new(rows));
                 }
-                CtePlan::Recursive {
-                    base,
-                    recursive,
-                    mode,
-                    union_all,
-                    tier,
-                    ..
-                } => {
-                    let rows = exec_recursive_cte(
-                        index,
-                        base,
-                        recursive,
-                        *mode,
-                        *union_all,
-                        tier.as_deref(),
-                        env,
-                        rt,
-                    )?;
+                CtePlan::Recursive { .. } => {
+                    let rows = exec_recursive_cte(cte, env, rt)?;
                     rt.ctes.insert(index, Arc::new(rows));
                 }
             }
@@ -2029,57 +2014,61 @@ pub(crate) fn pred_reads_below(e: &ExprIr, limit: usize) -> bool {
     }
 }
 
-/// Run one working row through the fused transition, updating it in place.
-/// Returns `false` when the filter drops the row.
+/// Run the fused transition's body and filter on one working row, leaving
+/// the row as it was. When the filter keeps it, the successor's values stay
+/// on the VM stack above the returned mark for [`write_successor`]; `None`
+/// when the filter drops the row.
 fn run_transition_row(
     t: &Transition<'_>,
-    row: &mut Row,
+    row: &Row,
     env: &EvalEnv<'_>,
     rt: &mut Runtime<'_>,
-) -> Result<bool> {
+) -> Result<Option<usize>> {
     let base = rt.vm_stack.len();
-    // Body first (matching Extend-then-Filter evaluation order), values
-    // parked on the VM stack; the row's own columns stay untouched.
-    let produced = {
-        let scopes = Scopes {
-            row,
-            parent: env.scopes,
-        };
-        crate::vm::run_splat(&t.prog, &env.with_row(&scopes), rt)?
+    let scopes = Scopes {
+        row,
+        parent: env.scopes,
     };
+    let inner = env.with_row(&scopes);
+    // Body first (matching Extend-then-Filter evaluation order), values
+    // parked on the VM stack.
+    crate::vm::run_splat(&t.prog, &inner, rt)?;
     let keep = match t.pred_slot {
         Some(i) => Ok(row[i].is_true()),
-        None => {
-            let scopes = Scopes {
-                row,
-                parent: env.scopes,
-            };
-            eval(t.pred, &env.with_row(&scopes), rt).map(|v| v.is_true())
-        }
+        None => eval(t.pred, &inner, rt).map(|v| v.is_true()),
     };
-    let keep = match keep {
-        Ok(v) => v,
+    match keep {
+        Ok(true) => Ok(Some(base)),
+        Ok(false) => {
+            rt.vm_stack.truncate(base);
+            Ok(None)
+        }
         Err(e) => {
             rt.vm_stack.truncate(base);
-            return Err(e);
+            Err(e)
         }
-    };
-    if !keep {
-        rt.vm_stack.truncate(base);
-        return Ok(false);
     }
-    if produced == t.width {
-        row.clear();
-        row.extend(rt.vm_stack.drain(base..));
+}
+
+/// Replace `out` with the successor [`run_transition_row`] left on the VM
+/// stack above `base`: `width` splatted values, or one record to unpack.
+fn write_successor(
+    t: &Transition<'_>,
+    base: usize,
+    out: &mut Row,
+    rt: &mut Runtime<'_>,
+) -> Result<()> {
+    if rt.vm_stack.len() - base == t.width {
+        out.clear();
+        out.extend(rt.vm_stack.drain(base..));
     } else {
-        debug_assert_eq!(produced, 1);
+        debug_assert_eq!(rt.vm_stack.len() - base, 1);
         let v = rt.vm_stack.pop().unwrap();
         let rec = take_record(v, t.width)?;
-        row.clear();
-        row.extend(rec.iter().take(t.width).cloned());
+        out.clear();
+        out.extend(rec.iter().take(t.width).cloned());
     }
-    rt.stats.fused_transition_rows += 1;
-    Ok(true)
+    Ok(())
 }
 
 /// Push one working row through the pipeline. `None` when a filter drops it.
@@ -2132,7 +2121,7 @@ fn run_pipeline_row(
     Ok(Some(row))
 }
 
-pub(crate) fn iteration_limit_error(mode: RecursionMode, limit: u64) -> Error {
+fn iteration_limit_error(mode: RecursionMode, limit: u64) -> Error {
     Error::exec(format!(
         "{} CTE exceeded {} iterations (possible infinite recursion)",
         match mode {
@@ -2144,325 +2133,394 @@ pub(crate) fn iteration_limit_error(mode: RecursionMode, limit: u64) -> Error {
     ))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_recursive_cte(
-    index: usize,
-    base: &PlanNode,
-    recursive: &PlanNode,
-    mode: RecursionMode,
-    union_all: bool,
-    tier: Option<&crate::tier::TierProgram>,
-    env: &EvalEnv<'_>,
-    rt: &mut Runtime<'_>,
-) -> Result<Vec<Row>> {
+// ---------------------------------------------------------------------------
+// Fixpoint driver
+
+/// A working-row cell of one execution tier: [`Value`] in the VM, `TCell`
+/// in the mono tier ([`crate::tier`]).
+pub(crate) trait FixCell: Sized {
+    /// The `call?` flag test: does this cell hold `true`?
+    fn is_true(&self) -> bool;
+    /// Copy a row out of the tier into the fixpoint result.
+    fn to_row(row: &[Self]) -> Row;
+    /// Move a retiring row into the fixpoint result. Copying (the default)
+    /// leaves the working set intact for a demoted iteration to re-run.
+    fn retire(row: &mut Vec<Self>) -> Row {
+        Self::to_row(row)
+    }
+}
+
+impl FixCell for Value {
+    fn is_true(&self) -> bool {
+        Value::is_true(self)
+    }
+    fn to_row(row: &[Value]) -> Row {
+        row.to_vec()
+    }
+    /// The VM never re-runs an iteration, so a retiring row moves out whole.
+    fn retire(row: &mut Row) -> Row {
+        std::mem::take(row)
+    }
+}
+
+/// A fixpoint's row buffers in one tier's cell type. An iteration consumes
+/// `cur` and produces `next`; `prev` holds the last consumed working set
+/// (kept only by `WITH ITERATE`), and `pool` recycles spent rows as output
+/// buffers. Rows rotate between the four instead of being copied.
+pub(crate) struct Rotation<C> {
+    pub(crate) cur: Vec<Vec<C>>,
+    pub(crate) next: Vec<Vec<C>>,
+    pub(crate) prev: Vec<Vec<C>>,
+    pub(crate) pool: Vec<Vec<C>>,
+}
+
+impl<C> Rotation<C> {
+    pub(crate) fn new(cur: Vec<Vec<C>>) -> Self {
+        Rotation {
+            cur,
+            next: Vec::new(),
+            prev: Vec::new(),
+            pool: Vec::new(),
+        }
+    }
+}
+
+/// What a fixpoint keeps of each iteration: its [`RecursionMode`], as the
+/// one policy both execution tiers run under.
+pub(crate) enum Retention {
+    /// `WITH RECURSIVE`: every iteration's output joins the result.
+    Accumulate(Tuplestore),
+    /// `WITH ITERATE`: only the last working set the fixpoint consumed
+    /// survives, kept by rotating buffers.
+    IterateOnly,
+    /// `WITH RETIRE`: a working row that fails the filter leaves the
+    /// working set into the result instead of being discarded. The batch
+    /// trampoline leans on this: one in-flight activation per input row,
+    /// each leaving the moment its own iteration count is up.
+    Retire { retired: Vec<Row>, union_all: bool },
+}
+
+impl Retention {
+    fn new(mode: RecursionMode, union_all: bool, base: &[Row], work_mem: usize) -> Self {
+        match mode {
+            RecursionMode::Accumulate => {
+                let mut store = Tuplestore::new(work_mem);
+                store.extend(base.iter().cloned());
+                Retention::Accumulate(store)
+            }
+            RecursionMode::IterateOnly => Retention::IterateOnly,
+            RecursionMode::Retire => Retention::Retire {
+                retired: Vec::new(),
+                union_all,
+            },
+        }
+    }
+
+    /// Run one iteration's working rows through `apply`, which returns a
+    /// row's successor (built in place or in a buffer from the pool) when
+    /// the filter keeps it; successors go to `bufs.next`. Under `Retire` a
+    /// row the filter drops retires instead of vanishing, and with a slot
+    /// predicate (the `call?` flag) two shortcuts apply: a row whose flag
+    /// is already false retires without paying one more transition, and
+    /// under UNION ALL a successor whose flag the transition just cleared
+    /// retires at once rather than being re-scanned next pass (plain UNION
+    /// must first pass it through the dedup set). Returns how many rows
+    /// `apply` kept. An error takes back the iteration's output and
+    /// retirements.
+    pub(crate) fn step_rows<C: FixCell, E>(
+        &mut self,
+        bufs: &mut Rotation<C>,
+        pred_slot: Option<usize>,
+        mut apply: impl FnMut(&mut Vec<C>, &mut Vec<Vec<C>>) -> std::result::Result<Option<Vec<C>>, E>,
+    ) -> std::result::Result<u64, E> {
+        let (mut retired, pre, post) = match self {
+            Retention::Retire { retired, union_all } => {
+                (Some(retired), pred_slot, pred_slot.filter(|_| *union_all))
+            }
+            _ => (None, None, None),
+        };
+        let mark = retired.as_ref().map_or(0, |r| r.len());
+        let mut kept = 0;
+        for row in &mut bufs.cur {
+            if let (Some(i), Some(r)) = (pre, retired.as_deref_mut()) {
+                if !row[i].is_true() {
+                    r.push(C::retire(row));
+                    continue;
+                }
+            }
+            match apply(row, &mut bufs.pool) {
+                Ok(Some(mut out)) => {
+                    kept += 1;
+                    match (post, retired.as_deref_mut()) {
+                        (Some(i), Some(r)) if !out[i].is_true() => {
+                            r.push(C::retire(&mut out));
+                            bufs.pool.push(out);
+                        }
+                        _ => bufs.next.push(out),
+                    }
+                }
+                Ok(None) => {
+                    if let Some(r) = retired.as_deref_mut() {
+                        r.push(C::retire(row));
+                    }
+                }
+                Err(e) => {
+                    if let Some(r) = retired {
+                        r.truncate(mark);
+                    }
+                    bufs.pool.append(&mut bufs.next);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(kept)
+    }
+
+    /// Hand an iteration's output to the policy, then rotate: the output
+    /// becomes the next working set.
+    pub(crate) fn keep<C: FixCell>(&mut self, bufs: &mut Rotation<C>) {
+        match self {
+            Retention::IterateOnly => {
+                bufs.pool.append(&mut bufs.prev);
+                std::mem::swap(&mut bufs.prev, &mut bufs.cur);
+            }
+            _ => {
+                if let Retention::Accumulate(store) = self {
+                    store.extend(bufs.next.iter().map(|r| C::to_row(r)));
+                }
+                bufs.pool.append(&mut bufs.cur);
+            }
+        }
+        // The next iteration draws at most one buffer per working row.
+        bufs.pool.truncate(bufs.next.len());
+        std::mem::swap(&mut bufs.cur, &mut bufs.next);
+    }
+
+    /// The fixpoint's result; `last` is the last consumed working set.
+    fn finish(self, last: Vec<Row>, peak: usize, rt: &mut Runtime<'_>) -> Vec<Row> {
+        match self {
+            Retention::Accumulate(store) => store.finish(rt.buffers),
+            Retention::IterateOnly => last,
+            Retention::Retire { retired, .. } => {
+                let batch = &mut rt.stats.batch;
+                batch.batch_rows_in_flight = batch.batch_rows_in_flight.max(peak as u64);
+                batch.batch_rows_retired += retired.len() as u64;
+                retired
+            }
+        }
+    }
+}
+
+/// The recursive arm as the VM runs it, chosen once per fixpoint.
+enum Arm<'p> {
+    /// A row-at-a-time pipeline over the working table, with the fused
+    /// transition as its fast path.
+    Rows {
+        steps: Vec<Step<'p>>,
+        trans: Option<Transition<'p>>,
+    },
+    /// The general plan over the whole working table (joins, sub-query
+    /// self-references, ...): PostgreSQL's algorithm. The working-table
+    /// `Arc` is recycled when sole owner.
+    Plan {
+        plan: &'p PlanNode,
+        index: usize,
+        slot: Arc<Vec<Row>>,
+    },
+}
+
+impl Arm<'_> {
+    /// Run one VM iteration from `bufs.cur` into `bufs.next`. Returns the
+    /// rows the fused transition kept.
+    fn step(
+        &mut self,
+        bufs: &mut Rotation<Value>,
+        retention: &mut Retention,
+        env: &EvalEnv<'_>,
+        rt: &mut Runtime<'_>,
+    ) -> Result<u64> {
+        match self {
+            Arm::Rows { steps, trans } => {
+                // ITERATE keeps every input row as its last iteration, so a
+                // successor goes to a recycled buffer; otherwise the fused
+                // transition overwrites its input in place. The row pipeline
+                // consumes its input, so RETIRE, which may retire that
+                // input, needs a copy too.
+                let keep_last = matches!(retention, Retention::IterateOnly);
+                let copy_input = !matches!(retention, Retention::Accumulate(_));
+                let trans = trans.as_ref();
+                let kept =
+                    retention.step_rows(bufs, trans.and_then(|t| t.pred_slot), |row, pool| {
+                        match trans {
+                            Some(t) if row.len() == t.src => {
+                                let Some(base) = run_transition_row(t, row, env, rt)? else {
+                                    return Ok(None);
+                                };
+                                if !keep_last {
+                                    write_successor(t, base, row, rt)?;
+                                    return Ok(Some(std::mem::take(row)));
+                                }
+                                let mut out = pool.pop().unwrap_or_default();
+                                write_successor(t, base, &mut out, rt)?;
+                                Ok(Some(out))
+                            }
+                            _ => {
+                                let input = if copy_input {
+                                    let mut input = pool.pop().unwrap_or_default();
+                                    input.clone_from(row);
+                                    input
+                                } else {
+                                    std::mem::take(row)
+                                };
+                                run_pipeline_row(steps, input, env, rt)
+                            }
+                        }
+                    })?;
+                // Only the fused transition counts the rows it kept.
+                Ok(if trans.is_some() { kept } else { 0 })
+            }
+            Arm::Plan { plan, index, slot } => {
+                match Arc::get_mut(slot) {
+                    Some(buf) => {
+                        buf.clear();
+                        buf.append(&mut bufs.cur);
+                    }
+                    None => *slot = Arc::new(std::mem::take(&mut bufs.cur)),
+                }
+                rt.working.insert(*index, Arc::clone(slot));
+                let next = exec(plan, env, rt);
+                rt.working.remove(index);
+                bufs.next = next?;
+                if matches!(retention, Retention::IterateOnly) {
+                    // ITERATE keeps the consumed working table as its last
+                    // iteration. Nothing here draws on the row pool.
+                    bufs.cur = match Arc::get_mut(slot) {
+                        Some(buf) => std::mem::take(buf),
+                        None => slot.to_vec(),
+                    };
+                    bufs.pool.clear();
+                }
+                Ok(0)
+            }
+        }
+    }
+}
+
+/// Run a recursive CTE to its fixpoint, one loop for every recursion mode
+/// and tier. Each iteration stops on an empty working set, offers the tier
+/// gate its promotion, counts itself against `max_recursive_iterations`,
+/// tracks the working-set peak, runs one step (the mono step once
+/// promoted, else the VM's [`Arm`]), deduplicates under UNION, hands its
+/// output to the [`Retention`] policy, and ticks hotness.
+fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Vec<Row>> {
+    let CtePlan::Recursive {
+        index,
+        base,
+        recursive,
+        mode,
+        union_all,
+        tier,
+    } = cte
+    else {
+        unreachable!("only recursive CTEs reach the fixpoint driver");
+    };
+    let (index, mode, union_all) = (*index, *mode, *union_all);
     let mut working = exec(base, env, rt)?;
     let mut seen: std::collections::HashSet<Row> = std::collections::HashSet::new();
     if !union_all {
         working.retain(|r| seen.insert(r.clone()));
     }
-    let limit = rt.config.max_recursive_iterations;
-    let steps = pipeline_steps(recursive, index);
-    let mut iters: u64 = 0;
-    // Working-set high-water mark across every driver shape, reported by
-    // EXPLAIN ANALYZE (and folded into the batch counters for Retire).
-    let mut peak: usize = working.len();
-    // Tier gate: owns the VM→mono promotion decision for this execution.
-    // The catalog reference is copied out so the gate's borrows stay
-    // disjoint from the runtime's mutable state.
-    let catalog = rt.catalog;
-    let mut gate = crate::tier::TierGate::new(tier, rt.config, catalog);
-
-    let result = match (mode, steps) {
-        (RecursionMode::Accumulate, Some(steps)) => {
-            // Fused driver: rows flow through the pipeline by value; the
-            // drained buffer is recycled as next iteration's output buffer.
-            let trans = try_transition(&steps);
-            let mut store = Tuplestore::new(rt.config.work_mem_bytes);
-            store.extend(working.iter().cloned());
-            let mut next: Vec<Row> = Vec::new();
-            loop {
-                // The fixpoint may already be drained (the threshold can be
-                // crossed on the very pass the VM emptied the set); promoting
-                // then would run mono over nothing and, for ITERATE, clobber
-                // the surviving iteration.
-                if working.is_empty() {
-                    break;
-                }
-                gate.try_promote(env, iters, rt.stats);
-                if let Some((prog, bound)) = gate.mono() {
-                    let mut cx = crate::tier::MonoCx {
-                        iters: &mut iters,
-                        peak: &mut peak,
-                        limit,
-                        mode,
-                        stats: rt.stats,
-                    };
-                    match crate::tier::run_mono_accumulate(
-                        prog,
-                        bound,
-                        &mut cx,
-                        &mut working,
-                        &mut store,
-                    )? {
-                        crate::tier::MonoOutcome::Finished => {}
-                        crate::tier::MonoOutcome::Demoted => gate.demote(),
-                    }
-                }
-                if working.is_empty() {
-                    break;
-                }
-                iters += 1;
-                if iters > limit {
-                    return Err(iteration_limit_error(mode, limit));
-                }
-                peak = peak.max(working.len());
-                for mut row in working.drain(..) {
-                    match &trans {
-                        Some(t) if row.len() == t.src => {
-                            if run_transition_row(t, &mut row, env, rt)? {
-                                next.push(row);
-                            }
-                        }
-                        _ => {
-                            if let Some(out) = run_pipeline_row(&steps, row, env, rt)? {
-                                next.push(out);
-                            }
-                        }
-                    }
-                }
-                if !union_all {
-                    next.retain(|r| seen.insert(r.clone()));
-                }
-                store.extend(next.iter().cloned());
-                std::mem::swap(&mut working, &mut next);
-                gate.tick();
-            }
-            store.finish(rt.buffers)
-        }
-        (RecursionMode::IterateOnly, Some(steps)) => {
-            // WITH ITERATE: only the final iteration survives. The previous
-            // working table is kept by swap, not by cloning it wholesale.
-            let trans = try_transition(&steps);
-            let mut prev: Vec<Row> = Vec::new();
-            loop {
-                // The fixpoint may already be drained (the threshold can be
-                // crossed on the very pass the VM emptied the set); promoting
-                // then would run mono over nothing and, for ITERATE, clobber
-                // the surviving iteration.
-                if working.is_empty() {
-                    break;
-                }
-                gate.try_promote(env, iters, rt.stats);
-                if let Some((prog, bound)) = gate.mono() {
-                    let mut cx = crate::tier::MonoCx {
-                        iters: &mut iters,
-                        peak: &mut peak,
-                        limit,
-                        mode,
-                        stats: rt.stats,
-                    };
-                    match crate::tier::run_mono_iterate(
-                        prog,
-                        bound,
-                        &mut cx,
-                        &mut working,
-                        &mut prev,
-                    )? {
-                        crate::tier::MonoOutcome::Finished => {}
-                        crate::tier::MonoOutcome::Demoted => gate.demote(),
-                    }
-                }
-                if working.is_empty() {
-                    break;
-                }
-                iters += 1;
-                if iters > limit {
-                    return Err(iteration_limit_error(mode, limit));
-                }
-                peak = peak.max(working.len());
-                let mut next = Vec::with_capacity(working.len());
-                for row in &working {
-                    let mut row = row.clone();
-                    match &trans {
-                        Some(t) if row.len() == t.src => {
-                            if run_transition_row(t, &mut row, env, rt)? {
-                                next.push(row);
-                            }
-                        }
-                        _ => {
-                            if let Some(out) = run_pipeline_row(&steps, row, env, rt)? {
-                                next.push(out);
-                            }
-                        }
-                    }
-                }
-                if !union_all {
-                    next.retain(|r| seen.insert(r.clone()));
-                }
-                prev = std::mem::replace(&mut working, next);
-                gate.tick();
-            }
-            prev
-        }
-        (RecursionMode::Retire, Some(steps)) => {
-            // WITH RETIRE: no trace, and a working row that fails the
-            // recursive arm's filter is *retired* into the final result
-            // instead of being discarded. The batch trampoline leans on
-            // this: one in-flight activation per input row, all driven by
-            // this single fixpoint, each leaving the working set the
-            // moment its own iteration count is up — never re-scanned.
-            let trans = try_transition(&steps);
-            let mut retired: Vec<Row> = Vec::new();
-            let mut next: Vec<Row> = Vec::new();
-            loop {
-                // The fixpoint may already be drained (the threshold can be
-                // crossed on the very pass the VM emptied the set); promoting
-                // then would run mono over nothing and, for ITERATE, clobber
-                // the surviving iteration.
-                if working.is_empty() {
-                    break;
-                }
-                gate.try_promote(env, iters, rt.stats);
-                if let Some((prog, bound)) = gate.mono() {
-                    let mut cx = crate::tier::MonoCx {
-                        iters: &mut iters,
-                        peak: &mut peak,
-                        limit,
-                        mode,
-                        stats: rt.stats,
-                    };
-                    match crate::tier::run_mono_retire(
-                        prog,
-                        bound,
-                        &mut cx,
-                        &mut working,
-                        &mut retired,
-                    )? {
-                        crate::tier::MonoOutcome::Finished => {}
-                        crate::tier::MonoOutcome::Demoted => gate.demote(),
-                    }
-                }
-                if working.is_empty() {
-                    break;
-                }
-                iters += 1;
-                if iters > limit {
-                    return Err(iteration_limit_error(mode, limit));
-                }
-                peak = peak.max(working.len());
-                for mut row in working.drain(..) {
-                    match &trans {
-                        Some(t) if row.len() == t.src => {
-                            // Test the `call?` flag before running the
-                            // body: finished activations retire without
-                            // paying one more transition evaluation.
-                            if let Some(i) = t.pred_slot {
-                                if !row[i].is_true() {
-                                    retired.push(row);
-                                    continue;
-                                }
-                            }
-                            if run_transition_row(t, &mut row, env, rt)? {
-                                // Retire a just-finished activation now
-                                // rather than re-scanning it next pass:
-                                // with a slot predicate, "fails the filter
-                                // next iteration" is visible the moment
-                                // the transition writes the flag. (Under
-                                // plain UNION the row must still pass
-                                // through the dedup set first.)
-                                match t.pred_slot {
-                                    Some(i) if union_all && !row[i].is_true() => retired.push(row),
-                                    _ => next.push(row),
-                                }
-                            } else {
-                                retired.push(row);
-                            }
-                        }
-                        _ => {
-                            // General pipeline: the retirement rule is on
-                            // the *input* row — the activation as it last
-                            // left the working set, not a half-transformed
-                            // intermediate.
-                            let orig = row.clone();
-                            match run_pipeline_row(&steps, row, env, rt)? {
-                                Some(out) => next.push(out),
-                                None => retired.push(orig),
-                            }
-                        }
-                    }
-                }
-                if !union_all {
-                    next.retain(|r| seen.insert(r.clone()));
-                }
-                std::mem::swap(&mut working, &mut next);
-                gate.tick();
-            }
-            let batch = &mut rt.stats.batch;
-            batch.batch_rows_in_flight = batch.batch_rows_in_flight.max(peak as u64);
-            batch.batch_rows_retired += retired.len() as u64;
-            retired
-        }
-        (RecursionMode::Retire, None) => {
+    let mut arm = match pipeline_steps(recursive, index) {
+        Some(steps) => Arm::Rows {
+            trans: try_transition(&steps),
+            steps,
+        },
+        None if mode == RecursionMode::Retire => {
             return Err(Error::exec(
                 "WITH RETIRE requires a pipeline-shaped recursive arm \
                  (a single scan of the working table; joins and sub-query \
                  self-references cannot retire individual rows)",
             ));
         }
-        (RecursionMode::Accumulate, None) => {
-            // General driver (joins, sub-query self-references, ...):
-            // PostgreSQL's algorithm, every iteration appends to the result
-            // tuplestore. The working-table Arc is recycled when sole owner.
-            let mut store = Tuplestore::new(rt.config.work_mem_bytes);
-            store.extend(working.iter().cloned());
-            let mut slot: Arc<Vec<Row>> = Arc::new(Vec::new());
-            while !working.is_empty() {
-                iters += 1;
-                if iters > limit {
-                    return Err(iteration_limit_error(mode, limit));
-                }
-                peak = peak.max(working.len());
-                match Arc::get_mut(&mut slot) {
-                    Some(buf) => {
-                        buf.clear();
-                        buf.append(&mut working);
-                    }
-                    None => slot = Arc::new(std::mem::take(&mut working)),
-                }
-                rt.working.insert(index, Arc::clone(&slot));
-                let exec_result = exec(recursive, env, rt);
-                rt.working.remove(&index);
-                let mut next = exec_result?;
-                if !union_all {
-                    next.retain(|r| seen.insert(r.clone()));
-                }
-                store.extend(next.iter().cloned());
-                working = next;
-            }
-            store.finish(rt.buffers)
-        }
-        (RecursionMode::IterateOnly, None) => {
-            let mut last: Vec<Row> = Vec::new();
-            while !working.is_empty() {
-                iters += 1;
-                if iters > limit {
-                    return Err(iteration_limit_error(mode, limit));
-                }
-                peak = peak.max(working.len());
-                let cur = Arc::new(std::mem::take(&mut working));
-                rt.working.insert(index, Arc::clone(&cur));
-                let exec_result = exec(recursive, env, rt);
-                rt.working.remove(&index);
-                let mut next = exec_result?;
-                if !union_all {
-                    next.retain(|r| seen.insert(r.clone()));
-                }
-                last = Arc::try_unwrap(cur).unwrap_or_else(|a| (*a).clone());
-                working = next;
-            }
-            last
-        }
+        None => Arm::Plan {
+            plan: recursive,
+            index,
+            slot: Arc::new(Vec::new()),
+        },
     };
+    let limit = rt.config.max_recursive_iterations;
+    let mut retention = Retention::new(mode, union_all, &working, rt.config.work_mem_bytes);
+    // Working-set high-water mark, reported by EXPLAIN ANALYZE (and folded
+    // into the batch counters for Retire).
+    let mut peak = working.len();
+    let mut vm = Rotation::new(working);
+    // The typed working set, while the mono tier runs the fixpoint.
+    let mut mono: Option<crate::tier::MonoRows> = None;
+    let mut iters: u64 = 0;
+    // Tier gate: owns the VM→mono promotion decision for this execution.
+    // The catalog reference is copied out so the gate's borrows stay
+    // disjoint from the runtime's mutable state.
+    let catalog = rt.catalog;
+    let mut gate = crate::tier::TierGate::new(tier.as_deref(), rt.config, catalog);
+    loop {
+        let len = mono.as_ref().map_or(vm.cur.len(), |m| m.bufs.cur.len());
+        // Stop before promoting: the threshold can be crossed on the very
+        // pass that drained the set, and mono has nothing to run then.
+        if len == 0 {
+            break;
+        }
+        if mono.is_none() {
+            gate.try_promote(env, iters, rt.stats);
+            if let Some((prog, _)) = gate.mono() {
+                // A working row outside the typed domain demotes at once.
+                mono = crate::tier::MonoRows::enter(prog, &mut vm);
+                if mono.is_none() {
+                    gate.demote();
+                }
+            }
+        }
+        iters += 1;
+        if iters > limit {
+            return Err(iteration_limit_error(mode, limit));
+        }
+        peak = peak.max(len);
+        let kept = match mono.as_mut() {
+            Some(m) => {
+                let (prog, bound) = gate.mono().expect("typed rows imply a promoted gate");
+                let Ok(kept) = m.step(prog, bound, &mut retention, rt.stats) else {
+                    // Demoted: the iteration is not counted; the VM re-runs
+                    // it, and the fixpoint never re-promotes.
+                    iters -= 1;
+                    if let Some(m) = mono.take() {
+                        m.leave(&mut vm);
+                    }
+                    gate.demote();
+                    continue;
+                };
+                retention.keep(&mut m.bufs);
+                kept
+            }
+            None => {
+                let kept = arm.step(&mut vm, &mut retention, env, rt)?;
+                if !union_all {
+                    vm.next.retain(|r| seen.insert(r.clone()));
+                }
+                retention.keep(&mut vm);
+                kept
+            }
+        };
+        // Rows the transition kept, counted once for whichever tier ran it.
+        let counter = match mono {
+            Some(_) => &mut rt.stats.tier.tier_mono_rows,
+            None => &mut rt.stats.fused_transition_rows,
+        };
+        *counter += kept;
+        gate.tick();
+    }
+    if let Some(m) = mono {
+        m.leave(&mut vm);
+    }
+    let result = retention.finish(std::mem::take(&mut vm.prev), peak, rt);
     rt.stats.recursive_iterations += iters;
     if let Some(state) = rt.analyze.as_deref_mut() {
         let retired = match mode {

@@ -37,7 +37,8 @@ pub struct BatchCounters {
 pub struct TierCounters {
     /// Transitions promoted VM → mono (per promotion event, not per row).
     pub tier_promotions: u64,
-    /// Rows executed through the monomorphized typed pipeline.
+    /// Rows the monomorphized typed transition kept: the mono tier's
+    /// counterpart of `RuntimeStats::fused_transition_rows`.
     pub tier_mono_rows: u64,
 }
 

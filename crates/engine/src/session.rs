@@ -1425,15 +1425,23 @@ mod tests {
 
     #[test]
     fn with_iterate_keeps_only_final_rows() {
-        let mut s = Session::default();
-        let r = s
-            .run(
-                "WITH ITERATE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c WHERE x < 5) \
-                 SELECT x FROM c",
-            )
-            .unwrap();
-        // Only the final working table (x = 5) survives.
-        assert_eq!(r.rows, vec![vec![Value::Int(5)]]);
+        // Only the last non-empty working table survives: for a pipeline
+        // arm, for a self-join arm (the general plan over the whole working
+        // table), and under UNION, whose dedup drops the repeat that closes
+        // the cycle 1 → 2 → 3 → 1.
+        for (arm, last) in [
+            ("UNION ALL SELECT x + 1 FROM c WHERE x < 5", 5),
+            ("UNION ALL SELECT c.x + d.x FROM c, c AS d WHERE c.x < 8", 8),
+            ("UNION SELECT (x % 3) + 1 FROM c", 3),
+        ] {
+            let mut s = Session::default();
+            let r = s
+                .run(&format!(
+                    "WITH ITERATE c(x) AS (SELECT 1 {arm}) SELECT x FROM c"
+                ))
+                .unwrap();
+            assert_eq!(r.rows, vec![vec![Value::Int(last)]], "{arm}");
+        }
     }
 
     #[test]
@@ -1441,30 +1449,37 @@ mod tests {
         // Three activations with different lifetimes: each leaves the
         // working set the iteration its own filter fails, and the final
         // result is the union of the retired rows — not just the last
-        // working table.
-        let mut s = Session::default();
-        s.run("CREATE TABLE seeds (id int, lim int)").unwrap();
-        s.run("INSERT INTO seeds VALUES (1, 1), (2, 3), (3, 5)")
-            .unwrap();
-        let r = s
-            .run(
-                "WITH RETIRE c(id, lim, x) AS (SELECT id, lim, 0 FROM seeds \
-                 UNION ALL SELECT id, lim, x + 1 FROM c WHERE x < lim) \
-                 SELECT id, x FROM c ORDER BY id",
-            )
-            .unwrap();
-        assert_eq!(
-            r.rows,
-            vec![
-                vec![Value::Int(1), Value::Int(1)],
-                vec![Value::Int(2), Value::Int(3)],
-                vec![Value::Int(3), Value::Int(5)],
-            ]
-        );
-        // The retire driver's working-set accounting saw all three in
-        // flight at the high-water mark, and all three retire.
-        assert_eq!(s.stats.batch.batch_rows_in_flight, 3);
-        assert_eq!(s.stats.batch.batch_rows_retired, 3);
+        // working table. Under UNION the duplicate seed (3, 5) is
+        // deduplicated before the first iteration, so the same three
+        // activations run.
+        for (seeds, union) in [
+            ("(1, 1), (2, 3), (3, 5)", "UNION ALL"),
+            ("(1, 1), (2, 3), (3, 5), (3, 5)", "UNION"),
+        ] {
+            let mut s = Session::default();
+            s.run("CREATE TABLE seeds (id int, lim int)").unwrap();
+            s.run(&format!("INSERT INTO seeds VALUES {seeds}")).unwrap();
+            let r = s
+                .run(&format!(
+                    "WITH RETIRE c(id, lim, x) AS (SELECT id, lim, 0 FROM seeds \
+                     {union} SELECT id, lim, x + 1 FROM c WHERE x < lim) \
+                     SELECT id, x FROM c ORDER BY id"
+                ))
+                .unwrap();
+            assert_eq!(
+                r.rows,
+                vec![
+                    vec![Value::Int(1), Value::Int(1)],
+                    vec![Value::Int(2), Value::Int(3)],
+                    vec![Value::Int(3), Value::Int(5)],
+                ],
+                "{union}"
+            );
+            // The retire driver's working-set accounting saw all three in
+            // flight at the high-water mark, and all three retire.
+            assert_eq!(s.stats.batch.batch_rows_in_flight, 3, "{union}");
+            assert_eq!(s.stats.batch.batch_rows_retired, 3, "{union}");
+        }
     }
 
     #[test]

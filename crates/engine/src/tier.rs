@@ -17,6 +17,11 @@
 //! `tier_mode = ForceOn / ForceOff` pins either tier for the differential
 //! harness and the benchmarks.
 //!
+//! The tier owns no loop of its own. The one fixpoint driver
+//! (`exec_recursive_cte`) runs every iteration, and once the `TierGate`
+//! promotes, it runs each one as a `MonoRows::step` over typed rows
+//! under the same retention policy (`Retention`) as the VM.
+//!
 //! Fallback is total: any situation the typed tier cannot reproduce
 //! bit-for-bit — a float or record cell, integer overflow, division by
 //! zero, a scalar error, more than one probe match — raises [`Demote`],
@@ -28,15 +33,14 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use plaway_common::{Result, SessionRng, Value};
+use plaway_common::{SessionRng, Value};
 use plaway_sql::ast::BinOp;
 
 use crate::catalog::{Catalog, Index, Row};
 use crate::config::{EngineConfig, TierMode};
-use crate::exec::{iteration_limit_error, EvalEnv, RuntimeStats};
+use crate::exec::{EvalEnv, FixCell, Retention, Rotation, RuntimeStats};
 use crate::functions::{eval_scalar, like_match};
-use crate::ir::{ExprIr, PlanNode, RecursionMode};
-use crate::tuplestore::Tuplestore;
+use crate::ir::{ExprIr, PlanNode};
 use crate::vm::{chain_flattenable, chain_shape, plan_free_scopes};
 
 /// Let-chain register ceiling; compiled kernels use a handful of cells.
@@ -132,7 +136,6 @@ impl<'a> TFrames<'a> {
 /// does its own counting.
 #[derive(Debug, Clone, Copy, Default)]
 struct TierRowStats {
-    rows: u64,
     subplan_evals: u64,
     index_probes: u64,
     rows_scanned: u64,
@@ -1465,41 +1468,63 @@ impl<'p, 'c> TierGate<'p, 'c> {
 }
 
 // ---------------------------------------------------------------------------
-// Mono drivers (one per recursion mode)
+// The mono step
 
-/// How a mono phase ended.
-pub(crate) enum MonoOutcome {
-    /// Working set drained; the fixpoint is complete.
-    Finished,
-    /// Typed execution bailed; `working` holds the restored row set and the
-    /// same iteration re-runs in the VM.
-    Demoted,
+impl FixCell for TCell {
+    fn is_true(&self) -> bool {
+        matches!(self, TCell::Bool(true))
+    }
+    fn to_row(row: &[TCell]) -> Row {
+        row_of(row)
+    }
 }
 
-/// Loop bookkeeping shared with the VM driver in `exec_recursive_cte`.
-pub(crate) struct MonoCx<'a> {
-    pub iters: &'a mut u64,
-    pub peak: &'a mut usize,
-    pub limit: u64,
-    pub mode: RecursionMode,
-    pub stats: &'a mut RuntimeStats,
+/// A promoted fixpoint's typed working set: the mono tier's row buffers and
+/// let-chain register scratch, kept across iterations so rows stay typed
+/// from promotion until the fixpoint drains or demotes.
+pub(crate) struct MonoRows {
+    pub(crate) bufs: Rotation<TCell>,
+    scratch: Vec<TRegs>,
 }
 
-impl MonoCx<'_> {
-    fn begin_iteration(&mut self, working: usize) -> Result<()> {
-        *self.iters += 1;
-        if *self.iters > self.limit {
-            return Err(iteration_limit_error(self.mode, self.limit));
-        }
-        *self.peak = (*self.peak).max(working);
-        Ok(())
+impl MonoRows {
+    /// Take over the VM's working set. `None` (a float or record cell)
+    /// leaves it with the VM.
+    pub(crate) fn enter(prog: &TierProgram, vm: &mut Rotation<Value>) -> Option<MonoRows> {
+        let cur = to_typed(&vm.cur, prog.width)?;
+        vm.cur.clear();
+        Some(MonoRows {
+            bufs: Rotation::new(cur),
+            scratch: chain_scratch(&prog.produce),
+        })
     }
 
-    fn commit(&mut self, local: &TierRowStats) {
-        self.stats.subplan_evals += local.subplan_evals;
-        self.stats.index_probes += local.index_probes;
-        self.stats.rows_scanned += local.rows_scanned;
-        self.stats.tier.tier_mono_rows += local.rows;
+    /// Hand the working set and the last consumed iteration back to the
+    /// VM: on demotion, or once the fixpoint drains.
+    pub(crate) fn leave(self, vm: &mut Rotation<Value>) {
+        vm.cur = self.bufs.cur.iter().map(|r| row_of(r)).collect();
+        vm.prev = self.bufs.prev.iter().map(|r| row_of(r)).collect();
+    }
+
+    /// Run one iteration in the typed tier under the retention policy and
+    /// return the rows the transition kept. `Err(Demote)` leaves the working
+    /// set as it was, for the VM to re-run the iteration.
+    pub(crate) fn step(
+        &mut self,
+        prog: &TierProgram,
+        bound: &TierBound<'_>,
+        retention: &mut Retention,
+        stats: &mut RuntimeStats,
+    ) -> std::result::Result<u64, Demote> {
+        let mut local = TierRowStats::default();
+        let scratch = &mut self.scratch;
+        let kept = retention.step_rows(&mut self.bufs, prog.pred_slot, |row, pool| {
+            mono_row(prog, bound, row, pool, &mut local, scratch)
+        })?;
+        stats.subplan_evals += local.subplan_evals;
+        stats.index_probes += local.index_probes;
+        stats.rows_scanned += local.rows_scanned;
+        Ok(kept)
     }
 }
 
@@ -1513,7 +1538,6 @@ fn mono_row(
     local: &mut TierRowStats,
     scratch: &mut [TRegs],
 ) -> std::result::Result<Option<TRow>, Demote> {
-    local.rows += 1;
     let frames = TFrames {
         cur: FrameRef::Typed(trow),
         parent: None,
@@ -1550,175 +1574,6 @@ fn mono_row(
         return Err(Demote);
     }
     Ok(Some(out))
-}
-
-/// `WITH ITERATE` mono phase: only the final iteration survives. On
-/// completion `prev` holds it; on demotion `working` (and `prev`) are
-/// restored for the VM to continue.
-pub(crate) fn run_mono_iterate(
-    prog: &TierProgram,
-    bound: &TierBound<'_>,
-    cx: &mut MonoCx<'_>,
-    working: &mut Vec<Row>,
-    prev: &mut Vec<Row>,
-) -> Result<MonoOutcome> {
-    if working.is_empty() {
-        return Ok(MonoOutcome::Finished);
-    }
-    let Some(mut tcur) = to_typed(working, prog.width) else {
-        return Ok(MonoOutcome::Demoted);
-    };
-    working.clear();
-    let mut tprev: Vec<TRow> = Vec::new();
-    let mut tnext: Vec<TRow> = Vec::new();
-    let mut pool: Vec<TRow> = Vec::new();
-    let mut scratch = chain_scratch(&prog.produce);
-    loop {
-        if tcur.is_empty() {
-            *prev = tprev.iter().map(|r| row_of(r)).collect();
-            return Ok(MonoOutcome::Finished);
-        }
-        cx.begin_iteration(tcur.len())?;
-        let mut local = TierRowStats::default();
-        let mut demoted = false;
-        for trow in &tcur {
-            match mono_row(prog, bound, trow, &mut pool, &mut local, &mut scratch) {
-                Ok(Some(out)) => tnext.push(out),
-                Ok(None) => {}
-                Err(Demote) => {
-                    demoted = true;
-                    break;
-                }
-            }
-        }
-        if demoted {
-            // Roll back the uncommitted iteration: the VM re-runs it and
-            // counts it itself.
-            *cx.iters -= 1;
-            *working = tcur.iter().map(|r| row_of(r)).collect();
-            *prev = tprev.iter().map(|r| row_of(r)).collect();
-            return Ok(MonoOutcome::Demoted);
-        }
-        cx.commit(&local);
-        // Rotate the three buffers instead of reallocating: prev's rows
-        // recycle into the pool, cur becomes prev, next becomes cur, and
-        // the emptied vec is next iteration's output buffer.
-        pool.append(&mut tprev);
-        std::mem::swap(&mut tprev, &mut tcur);
-        std::mem::swap(&mut tcur, &mut tnext);
-    }
-}
-
-/// `WITH RECURSIVE` (UNION ALL) mono phase: every committed iteration's
-/// rows are appended to the accounting tuplestore, exactly like the VM
-/// driver.
-pub(crate) fn run_mono_accumulate(
-    prog: &TierProgram,
-    bound: &TierBound<'_>,
-    cx: &mut MonoCx<'_>,
-    working: &mut Vec<Row>,
-    store: &mut Tuplestore,
-) -> Result<MonoOutcome> {
-    let Some(mut tcur) = to_typed(working, prog.width) else {
-        return Ok(MonoOutcome::Demoted);
-    };
-    working.clear();
-    let mut tnext: Vec<TRow> = Vec::new();
-    let mut pool: Vec<TRow> = Vec::new();
-    let mut scratch = chain_scratch(&prog.produce);
-    loop {
-        if tcur.is_empty() {
-            return Ok(MonoOutcome::Finished);
-        }
-        cx.begin_iteration(tcur.len())?;
-        let mut local = TierRowStats::default();
-        let mut demoted = false;
-        for trow in &tcur {
-            match mono_row(prog, bound, trow, &mut pool, &mut local, &mut scratch) {
-                Ok(Some(out)) => tnext.push(out),
-                Ok(None) => {}
-                Err(Demote) => {
-                    demoted = true;
-                    break;
-                }
-            }
-        }
-        if demoted {
-            *cx.iters -= 1;
-            *working = tcur.iter().map(|r| row_of(r)).collect();
-            return Ok(MonoOutcome::Demoted);
-        }
-        cx.commit(&local);
-        store.extend(tnext.iter().map(|r| row_of(r)));
-        pool.append(&mut tcur);
-        std::mem::swap(&mut tcur, &mut tnext);
-    }
-}
-
-/// `WITH RETIRE` mono phase: rows failing the transition filter leave the
-/// working set into `retired`. Mirrors the VM driver's early-retire
-/// shortcuts on the `call?` slot, both before the body (input row already
-/// done) and after it (output row provably finished).
-pub(crate) fn run_mono_retire(
-    prog: &TierProgram,
-    bound: &TierBound<'_>,
-    cx: &mut MonoCx<'_>,
-    working: &mut Vec<Row>,
-    retired: &mut Vec<Row>,
-) -> Result<MonoOutcome> {
-    let Some(mut tcur) = to_typed(working, prog.width) else {
-        return Ok(MonoOutcome::Demoted);
-    };
-    working.clear();
-    let mut tnext: Vec<TRow> = Vec::new();
-    let mut pool: Vec<TRow> = Vec::new();
-    let mut scratch = chain_scratch(&prog.produce);
-    let mut iter_retired: Vec<Row> = Vec::new();
-    loop {
-        if tcur.is_empty() {
-            return Ok(MonoOutcome::Finished);
-        }
-        cx.begin_iteration(tcur.len())?;
-        let mut local = TierRowStats::default();
-        let mut demoted = false;
-        for trow in &tcur {
-            if let Some(i) = prog.pred_slot {
-                // Finished activation: retire without paying one more
-                // transition evaluation (the VM driver's pre-check).
-                if !matches!(trow[i], TCell::Bool(true)) {
-                    local.rows += 1;
-                    iter_retired.push(row_of(trow));
-                    continue;
-                }
-            }
-            match mono_row(prog, bound, trow, &mut pool, &mut local, &mut scratch) {
-                Ok(Some(out)) => match prog.pred_slot {
-                    // Recognition requires UNION ALL, so a freshly written
-                    // false `call?` flag retires the output row now.
-                    Some(i) if !matches!(out[i], TCell::Bool(true)) => {
-                        iter_retired.push(row_of(&out));
-                        pool.push(out);
-                    }
-                    _ => tnext.push(out),
-                },
-                Ok(None) => iter_retired.push(row_of(trow)),
-                Err(Demote) => {
-                    demoted = true;
-                    break;
-                }
-            }
-        }
-        if demoted {
-            // Roll back the whole iteration, including its retirements.
-            *cx.iters -= 1;
-            *working = tcur.iter().map(|r| row_of(r)).collect();
-            return Ok(MonoOutcome::Demoted);
-        }
-        cx.commit(&local);
-        retired.append(&mut iter_retired);
-        pool.append(&mut tcur);
-        std::mem::swap(&mut tcur, &mut tnext);
-    }
 }
 
 #[cfg(test)]
@@ -1767,14 +1622,44 @@ mod tests {
         }
     }
 
-    fn cx<'a>(iters: &'a mut u64, peak: &'a mut usize, stats: &'a mut RuntimeStats) -> MonoCx<'a> {
-        MonoCx {
-            iters,
-            peak,
-            limit: 1_000,
-            mode: RecursionMode::IterateOnly,
-            stats,
-        }
+    /// How a mono run ended.
+    enum MonoOutcome {
+        /// The working set drained.
+        Finished,
+        /// A row demoted; the VM holds the restored working set.
+        Demoted,
+    }
+
+    /// Drive the mono step under `WITH ITERATE` the way the fixpoint
+    /// driver does (one step per iteration, kept rows counted as
+    /// `tier_mono_rows`) until the working set drains or a row demotes.
+    /// Returns the outcome plus the VM's working set and last iteration
+    /// after the hand-back.
+    fn drive_iterate(
+        prog: &TierProgram,
+        working: Vec<Row>,
+        iters: &mut u64,
+        stats: &mut RuntimeStats,
+    ) -> (MonoOutcome, Vec<Row>, Vec<Row>) {
+        let bound = empty_bound();
+        let mut vm = Rotation::new(working);
+        let mut retention = Retention::IterateOnly;
+        let Some(mut mono) = MonoRows::enter(prog, &mut vm) else {
+            return (MonoOutcome::Demoted, vm.cur, vm.prev);
+        };
+        let outcome = loop {
+            if mono.bufs.cur.is_empty() {
+                break MonoOutcome::Finished;
+            }
+            let Ok(kept) = mono.step(prog, &bound, &mut retention, stats) else {
+                break MonoOutcome::Demoted;
+            };
+            retention.keep(&mut mono.bufs);
+            *iters += 1;
+            stats.tier.tier_mono_rows += kept;
+        };
+        mono.leave(&mut vm);
+        (outcome, vm.cur, vm.prev)
     }
 
     #[test]
@@ -1808,43 +1693,31 @@ mod tests {
     #[test]
     fn mono_iterate_runs_the_counter_to_its_fixpoint() {
         let prog = recognized();
-        let bound = empty_bound();
-        let mut working: Vec<Row> = vec![vec![Value::Int(0), Value::Bool(true)]];
-        let mut prev: Vec<Row> = Vec::new();
-        let (mut iters, mut peak, mut stats) = (0u64, 1usize, RuntimeStats::default());
-        let outcome = run_mono_iterate(
+        let (mut iters, mut stats) = (0u64, RuntimeStats::default());
+        let (outcome, working, prev) = drive_iterate(
             &prog,
-            &bound,
-            &mut cx(&mut iters, &mut peak, &mut stats),
-            &mut working,
-            &mut prev,
-        )
-        .unwrap();
+            vec![vec![Value::Int(0), Value::Bool(true)]],
+            &mut iters,
+            &mut stats,
+        );
         assert!(matches!(outcome, MonoOutcome::Finished));
         // 0→1→…→10 keeps the flag true; row [11, false] fails the filter
         // next pass, so the last surviving iteration holds it.
         assert_eq!(prev, vec![vec![Value::Int(11), Value::Bool(false)]]);
         assert!(working.is_empty());
         assert_eq!(iters, 12);
-        assert_eq!(stats.tier.tier_mono_rows, 12);
+        // The transition kept 11 rows; the row the filter drops on the
+        // last iteration is not counted, exactly like the VM's
+        // `fused_transition_rows`.
+        assert_eq!(stats.tier.tier_mono_rows, 11);
     }
 
     #[test]
     fn unconvertible_rows_demote_without_consuming_the_working_set() {
         let prog = recognized();
-        let bound = empty_bound();
-        let mut working: Vec<Row> = vec![vec![Value::Float(0.5), Value::Bool(true)]];
-        let snapshot = working.clone();
-        let mut prev: Vec<Row> = Vec::new();
-        let (mut iters, mut peak, mut stats) = (0u64, 1usize, RuntimeStats::default());
-        let outcome = run_mono_iterate(
-            &prog,
-            &bound,
-            &mut cx(&mut iters, &mut peak, &mut stats),
-            &mut working,
-            &mut prev,
-        )
-        .unwrap();
+        let snapshot: Vec<Row> = vec![vec![Value::Float(0.5), Value::Bool(true)]];
+        let (mut iters, mut stats) = (0u64, RuntimeStats::default());
+        let (outcome, working, _) = drive_iterate(&prog, snapshot.clone(), &mut iters, &mut stats);
         assert!(matches!(outcome, MonoOutcome::Demoted));
         assert_eq!(working, snapshot);
         assert_eq!(iters, 0, "no iteration committed");
@@ -1863,18 +1736,13 @@ mod tests {
             ExprIr::Const(Value::Bool(true)),
         ]);
         let prog = recognize(0, &transition_plan(body, ExprIr::slot(1)), true).unwrap();
-        let bound = empty_bound();
-        let mut working: Vec<Row> = vec![vec![Value::Int(1), Value::Bool(true)]];
-        let mut prev: Vec<Row> = Vec::new();
-        let (mut iters, mut peak, mut stats) = (0u64, 1usize, RuntimeStats::default());
-        let outcome = run_mono_iterate(
+        let (mut iters, mut stats) = (0u64, RuntimeStats::default());
+        let (outcome, working, _) = drive_iterate(
             &prog,
-            &bound,
-            &mut cx(&mut iters, &mut peak, &mut stats),
-            &mut working,
-            &mut prev,
-        )
-        .unwrap();
+            vec![vec![Value::Int(1), Value::Bool(true)]],
+            &mut iters,
+            &mut stats,
+        );
         assert!(matches!(outcome, MonoOutcome::Demoted));
         // Iteration 1 committed ([1+MAX] overflows? No: 1 + MAX overflows
         // immediately), so nothing committed and the input row survives.
@@ -1896,18 +1764,13 @@ mod tests {
             right: Box::new(ExprIr::slot(1)),
         };
         let prog = recognize(0, &transition_plan(counter_body(), pred), true).unwrap();
-        let bound = empty_bound();
-        let mut working: Vec<Row> = vec![vec![Value::Int(0), Value::Null]];
-        let mut prev: Vec<Row> = Vec::new();
-        let (mut iters, mut peak, mut stats) = (0u64, 1usize, RuntimeStats::default());
-        let outcome = run_mono_iterate(
+        let (mut iters, mut stats) = (0u64, RuntimeStats::default());
+        let (outcome, _, prev) = drive_iterate(
             &prog,
-            &bound,
-            &mut cx(&mut iters, &mut peak, &mut stats),
-            &mut working,
-            &mut prev,
-        )
-        .unwrap();
+            vec![vec![Value::Int(0), Value::Null]],
+            &mut iters,
+            &mut stats,
+        );
         assert!(matches!(outcome, MonoOutcome::Finished));
         // The single row is dropped by the NULL predicate on iteration 1
         // (AND with NULL is NULL, not an error), so the last *consumed*

@@ -362,12 +362,27 @@ mod failure_injection {
 
     #[test]
     fn runaway_recursive_cte_is_stopped() {
-        let mut s = Session::new(EngineConfig::raw());
-        s.config.max_recursive_iterations = 1_000;
-        let err = s
-            .run("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) SELECT count(*) FROM c")
-            .unwrap_err();
-        assert!(err.to_string().contains("iterations"), "{err}");
+        // Every fixpoint shape: a pipeline arm in each recursion mode, and
+        // a self-join arm (the general plan) under RECURSIVE and ITERATE.
+        const PIPELINE: &str = "SELECT x + 1 FROM c";
+        const JOIN: &str = "SELECT c.x + d.x FROM c, c AS d";
+        for (mode, arm, word) in [
+            ("RECURSIVE", PIPELINE, "recursive"),
+            ("ITERATE", PIPELINE, "iterative"),
+            ("RETIRE", PIPELINE, "retiring"),
+            ("RECURSIVE", JOIN, "recursive"),
+            ("ITERATE", JOIN, "iterative"),
+        ] {
+            let mut s = Session::new(EngineConfig::raw());
+            s.config.max_recursive_iterations = 50;
+            let err = s
+                .run(&format!(
+                    "WITH {mode} c(x) AS (SELECT 1 UNION ALL {arm}) SELECT count(*) FROM c"
+                ))
+                .unwrap_err();
+            let want = format!("{word} CTE exceeded 50 iterations (possible infinite recursion)");
+            assert!(err.to_string().contains(&want), "{mode} {arm}: {err}");
+        }
     }
 
     #[test]

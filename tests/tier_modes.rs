@@ -104,7 +104,8 @@ fn tier_modes_are_bit_identical_on_generated_programs() {
 /// from `random()` — a volatile transition the recognizer must refuse —
 /// so its sessions are re-seeded before every run; `checked` unwinds
 /// RAISE through EXCEPTION arms per iteration and must likewise stay in
-/// the VM while still matching bit for bit.
+/// the VM while still matching bit for bit. Iteration counts and kept
+/// transition rows must match too, whichever tier ran each iteration.
 #[test]
 fn tier_modes_are_bit_identical_on_all_kernels() {
     use plaway_bench::{
@@ -123,7 +124,7 @@ fn tier_modes_are_bit_identical_on_all_kernels() {
     ];
     for (setup, args) in kernels {
         for options in [CompileOptions::default(), CompileOptions::iterate()] {
-            let mut reference: Option<String> = None;
+            let mut reference: Option<(String, [u64; 4])> = None;
             let mut name = "";
             for mode in MODES {
                 let mut config = EngineConfig::postgres_like();
@@ -133,16 +134,24 @@ fn tier_modes_are_bit_identical_on_all_kernels() {
                 name = b.fn_name;
                 let compiled = b.compile(options).unwrap();
                 b.session.set_seed(1);
+                let before = b.session.stats;
                 let got = compiled
                     .run(&mut b.session, &args)
                     .unwrap_or_else(|e| panic!("{name} tier {mode:?} cte {options:?}: {e}"));
                 let rendering = format!("{got:?}");
+                let counters = tier_free_counters(&b.session, &before);
                 match &reference {
-                    None => reference = Some(rendering),
-                    Some(want) => assert_eq!(
-                        &rendering, want,
-                        "{name} cte {options:?}: {mode:?} diverged from ForceOff"
-                    ),
+                    None => reference = Some((rendering, counters)),
+                    Some((want, want_counters)) => {
+                        assert_eq!(
+                            &rendering, want,
+                            "{name} cte {options:?}: {mode:?} diverged from ForceOff"
+                        );
+                        assert_eq!(
+                            &counters, want_counters,
+                            "{name} cte {options:?}: {mode:?} counters diverged from ForceOff"
+                        );
+                    }
                 }
                 match mode {
                     TierMode::ForceOff => assert_eq!(
@@ -255,5 +264,111 @@ fn explain_analyze_renders_the_executing_tier() {
             !fixpoint.contains(forbidden),
             "{mode:?}: fixpoint line must not report {forbidden:?}: {fixpoint}"
         );
+    }
+}
+
+/// The fixpoint counters that must not depend on the executing tier: the
+/// iteration count, the batch working-set counters, and the rows the
+/// transition kept — counted by the VM as `fused_transition_rows` and by
+/// the mono tier as `tier_mono_rows`, so under `Auto` (which switches
+/// tiers mid-run) only their sum is tier-independent.
+fn tier_free_counters(session: &Session, before: &plsql_away::engine::RuntimeStats) -> [u64; 4] {
+    let d = session.stats.delta_since(before);
+    [
+        d.recursive_iterations,
+        d.batch.batch_rows_retired,
+        d.batch.batch_rows_in_flight,
+        d.fused_transition_rows + d.tier.tier_mono_rows,
+    ]
+}
+
+/// The batch trampoline (under `CteMode::Iterate`, one `WITH RETIRE`
+/// fixpoint over a whole input table) under every tier policy: fibonacci
+/// must promote under `ForceOn` and reach the mono retire path, while
+/// `checked`, whose transition unwinds RAISE, must stay in the VM. Results
+/// are bit-identical and the fixpoint counters equal across policies.
+#[test]
+fn batch_trampoline_is_bit_identical_across_tiers() {
+    use plaway_bench::{checked_args, setup_checked, setup_fib};
+    let fib_calls: Vec<Vec<Value>> = (1..=8).map(|n| vec![Value::Int(n)]).collect();
+    let checked_calls: Vec<Vec<Value>> = (1..=6).map(checked_args).collect();
+    type Case<'a> = (
+        fn(EngineConfig) -> plaway_bench::BenchSetup,
+        &'a [Vec<Value>],
+        Option<[u64; 4]>,
+    );
+    let cases: [Case; 2] = [
+        // fib over 1..=8: 9 iterations, all 8 activations in flight at the
+        // start and all 8 retired, 44 transition rows kept in total.
+        (setup_fib, &fib_calls, Some([9, 8, 8, 44])),
+        (setup_checked, &checked_calls, None),
+    ];
+    for (setup, calls, expected) in cases {
+        let mut reference: Option<(String, [u64; 4])> = None;
+        for mode in MODES {
+            let mut config = EngineConfig::postgres_like();
+            config.tier_mode = mode;
+            config.tier_promote_threshold = 4;
+            let mut b = setup(config);
+            let name = b.fn_name;
+            let compiled = b.compile(CompileOptions::iterate()).unwrap();
+            let before = b.session.stats;
+            let got = compiled
+                .run_batch(&mut b.session, calls)
+                .unwrap_or_else(|e| panic!("{name} batch tier {mode:?}: {e}"));
+            let counters = tier_free_counters(&b.session, &before);
+            let promotions = b.session.metrics.tier_promotions;
+            match (name, mode) {
+                ("fibonacci", TierMode::ForceOn) => {
+                    assert!(promotions > 0, "fibonacci batch: ForceOn never promoted")
+                }
+                ("checked", _) | (_, TierMode::ForceOff) => {
+                    assert_eq!(promotions, 0, "{name} batch tier {mode:?} promoted")
+                }
+                _ => {}
+            }
+            let rendering = format!("{got:?}");
+            match &reference {
+                None => reference = Some((rendering, counters)),
+                Some((want, want_counters)) => {
+                    assert_eq!(&rendering, want, "{name} batch: {mode:?} diverged");
+                    assert_eq!(
+                        &counters, want_counters,
+                        "{name} batch: {mode:?} counters diverged"
+                    );
+                }
+            }
+            if let Some(want) = expected {
+                assert_eq!(counters, want, "{name} batch tier {mode:?}");
+            }
+        }
+    }
+}
+
+/// The iteration limit holds in the mono tier exactly as in the VM, with
+/// the VM's error text.
+#[test]
+fn mono_tier_enforces_the_iteration_limit() {
+    use plaway_bench::{fib_args, setup_fib};
+    for (options, word) in [
+        (CompileOptions::default(), "recursive"),
+        (CompileOptions::iterate(), "iterative"),
+    ] {
+        for mode in MODES {
+            let mut config = EngineConfig::postgres_like();
+            config.tier_mode = mode;
+            config.max_recursive_iterations = 10;
+            let mut b = setup_fib(config);
+            let compiled = b.compile(options).unwrap();
+            let err = compiled.run(&mut b.session, &fib_args(20)).unwrap_err();
+            let want = format!("{word} CTE exceeded 10 iterations (possible infinite recursion)");
+            assert!(
+                err.to_string().contains(&want),
+                "tier {mode:?} cte {options:?}: {err}"
+            );
+            if mode == TierMode::ForceOn {
+                assert!(b.session.metrics.tier_promotions > 0, "cte {options:?}");
+            }
+        }
     }
 }
