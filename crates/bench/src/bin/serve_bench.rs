@@ -13,11 +13,11 @@
 //! * **mixed** — 4 reader threads (scalar calls through plans prepared
 //!   once per session, every 8th request a batch-mode `fibonacci` over a
 //!   worker-private staging table) racing one writer that churns the
-//!   catalog with `CREATE OR REPLACE` and DML. Every commit bumps the
-//!   catalog version and invalidates the shared plan cache; the batch
-//!   path re-prepares through it, so this phase measures serving under
-//!   churn — correctness (results still verified per request) and tail
-//!   latency, not peak throughput.
+//!   catalog with `CREATE OR REPLACE` and DML. Each `CREATE OR REPLACE`
+//!   bumps the schema version and invalidates the shared plan cache (DML
+//!   leaves it valid); the batch path re-prepares through it, so this
+//!   phase measures serving under churn — correctness (results still
+//!   verified per request) and tail latency, not peak throughput.
 //!
 //! Phase 1 also reports `serve.cache.warm_hit_rate_x100`: the plan-cache
 //! hit-rate over the read phase alone, measured as a counter delta after
@@ -90,10 +90,10 @@ fn read_loop(db: &Arc<Database>, kernels: &[ServeKernel], requests: usize) -> Th
 /// session (a serving session keeps its statements prepared; it does not
 /// re-plan an unchanged query per request), with every 8th request a
 /// batch-mode fibonacci staged through this worker's private
-/// `batch#fib_w<id>` table. The batch path commits, so it re-plans
-/// through the shared cache against whatever catalog version the churn
-/// writer has reached — that is where the re-planning cost of this phase
-/// is measured, not in the scalar stream.
+/// `batch#fib_w<id>` table. The batch path re-prepares through the shared
+/// cache, so it re-plans whenever the churn writer's `CREATE OR REPLACE`
+/// has moved the schema version on — that is where the re-planning cost
+/// of this phase is measured, not in the scalar stream.
 fn mixed_loop(
     db: &Arc<Database>,
     kernels: &[ServeKernel],
@@ -137,8 +137,9 @@ fn mixed_loop(
 }
 
 /// The churn writer: redefines a noise function and rewrites the `churn`
-/// table until told to stop. Every commit invalidates the shared plan
-/// cache, so the readers constantly re-plan.
+/// table until told to stop. Every redefinition is DDL and invalidates
+/// the shared plan cache, so the readers keep re-planning; the `churn`
+/// DML between them leaves cached plans valid.
 fn churn_writer(db: &Arc<Database>, stop: &AtomicBool) -> u64 {
     let mut session = db.session();
     let mut commits = 0u64;

@@ -199,10 +199,11 @@ impl Compiled {
 
     /// Run the whole batch of invocations — one argument vector per input
     /// row — through a *single* fixpoint, returning one result per row in
-    /// input order. The batch pays one executor lifecycle total (via
-    /// [`Session::execute_batch`]), instead of one per call; under
-    /// [`CteMode::Iterate`] the fixpoint is `WITH RETIRE`, so each
-    /// activation leaves the working set the moment it finishes.
+    /// input order. The batch pays one executor lifecycle total, instead
+    /// of one per call, and its plan is cached across batches (staging is
+    /// a data commit); under [`CteMode::Iterate`] the fixpoint is
+    /// `WITH RETIRE`, so each activation leaves the working set the moment
+    /// it finishes.
     pub fn run_batch(&self, session: &mut Session, calls: &[Vec<Value>]) -> Result<Vec<Value>> {
         let plan = self.prepare_batch(session, calls)?;
         let result = session.execute_prepared(&plan, Vec::new())?;
@@ -238,7 +239,9 @@ impl Compiled {
     /// query: the setup half of [`Compiled::run_batch`], split out so
     /// harnesses can time the single fixpoint by itself (input table
     /// loaded, plan cached) — the paper's scenario of applying a UDF to a
-    /// table that already exists.
+    /// table that already exists. The session is left on the snapshot its
+    /// staging commit installed, so executing the plan next reads these
+    /// rows even when other sessions stage the same table concurrently.
     pub fn prepare_batch(
         &self,
         session: &mut Session,
@@ -260,7 +263,7 @@ impl Compiled {
         }
         self.ensure_batch_table(session)?;
         session.replace_rows(&self.batch_table, rows)?;
-        session.prepare(&self.batch_sql, &ParamScope::new(Vec::new()))
+        session.prepare_in_snapshot(&self.batch_sql, &ParamScope::new(Vec::new()))
     }
 
     /// Create [`Compiled::batch_table`] if the database does not have it

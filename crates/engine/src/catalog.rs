@@ -296,8 +296,10 @@ pub struct FunctionDef {
 pub struct Catalog {
     tables: HashMap<String, Table>,
     functions: HashMap<String, Arc<FunctionDef>>,
-    /// Bumped on every DDL / DML that can invalidate cached plans.
+    /// Bumped by every mutation, DDL and DML alike: snapshot identity.
     pub version: u64,
+    /// Bumped by DDL only; see [`Catalog::schema_version`].
+    schema_version: u64,
 }
 
 impl Catalog {
@@ -305,16 +307,28 @@ impl Catalog {
         Catalog::default()
     }
 
+    /// The stamp every cache of compiled artefacts checks: shared plans,
+    /// SQL-UDF body plans and the interpreter's compiled functions. Only
+    /// the five DDL methods bump it, so data commits keep those caches
+    /// (and the tier hotness stored in plans). That is safe because no
+    /// plan holds data: scans and probes look tables up by name in the
+    /// executing snapshot. The one data-dependent planning choice, the
+    /// `Auto` range estimate, picks between two access paths whose
+    /// outputs are byte-identical, so a stale estimate can cost speed but
+    /// never change an answer.
+    pub fn schema_version(&self) -> u64 {
+        self.schema_version
+    }
+
+    /// Called by every DDL method; DML bumps `version` alone.
+    fn bump_schema(&mut self) {
+        self.version += 1;
+        self.schema_version += 1;
+    }
+
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables
             .get(name)
-            .ok_or_else(|| Error::plan(format!("relation {name:?} does not exist")))
-    }
-
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        self.version += 1;
-        self.tables
-            .get_mut(name)
             .ok_or_else(|| Error::plan(format!("relation {name:?} does not exist")))
     }
 
@@ -326,7 +340,7 @@ impl Catalog {
         if self.tables.contains_key(name) {
             return Err(Error::plan(format!("relation {name:?} already exists")));
         }
-        self.version += 1;
+        self.bump_schema();
         self.tables.insert(
             name.to_string(),
             Table {
@@ -340,7 +354,7 @@ impl Catalog {
     }
 
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<()> {
-        self.version += 1;
+        self.bump_schema();
         if self.tables.remove(name).is_none() && !if_exists {
             return Err(Error::plan(format!("relation {name:?} does not exist")));
         }
@@ -354,7 +368,7 @@ impl Catalog {
         column: &str,
         kind: IndexKind,
     ) -> Result<()> {
-        self.version += 1;
+        self.bump_schema();
         let t = self
             .tables
             .get_mut(table)
@@ -403,13 +417,13 @@ impl Catalog {
                 def.name
             )));
         }
-        self.version += 1;
+        self.bump_schema();
         self.functions.insert(def.name.clone(), Arc::new(def));
         Ok(())
     }
 
     pub fn drop_function(&mut self, name: &str, if_exists: bool) -> Result<()> {
-        self.version += 1;
+        self.bump_schema();
         if self.functions.remove(name).is_none() && !if_exists {
             return Err(Error::plan(format!("function {name:?} does not exist")));
         }
@@ -680,13 +694,35 @@ mod tests {
     }
 
     #[test]
-    fn version_bumps_on_ddl() {
+    fn version_counts_every_mutation_and_schema_version_only_ddl() {
+        fn step(cat: &mut Catalog, ddl: bool, f: impl FnOnce(&mut Catalog) -> Result<()>) {
+            let (v, s) = (cat.version, cat.schema_version());
+            f(cat).unwrap();
+            assert_eq!(cat.version, v + 1);
+            assert_eq!(cat.schema_version(), s + u64::from(ddl), "ddl={ddl}");
+        }
+        let def = FunctionDef {
+            name: "f".into(),
+            params: vec![("a".into(), Type::Int)],
+            returns: Type::Int,
+            language: Language::Sql,
+            body: "SELECT a".into(),
+        };
         let mut cat = Catalog::new();
-        let v0 = cat.version;
-        cat.create_table("t", cols(&[("a", Type::Int)])).unwrap();
-        assert!(cat.version > v0);
-        let v1 = cat.version;
-        cat.bulk_insert("t", vec![vec![Value::Int(1)]]).unwrap();
-        assert!(cat.version > v1);
+        step(&mut cat, true, |c| {
+            c.create_table("t", cols(&[("a", Type::Int)]))
+        });
+        step(&mut cat, true, |c| {
+            c.create_index("t_a", "t", "a", IndexKind::Btree)
+        });
+        step(&mut cat, false, |c| {
+            c.bulk_insert("t", vec![vec![Value::Int(1)]]).map(drop)
+        });
+        step(&mut cat, false, |c| {
+            c.replace_rows("t", vec![vec![Value::Int(2)]])
+        });
+        step(&mut cat, true, |c| c.create_function(def, false));
+        step(&mut cat, true, |c| c.drop_function("f", false));
+        step(&mut cat, true, |c| c.drop_table("t", false));
     }
 }

@@ -12,9 +12,11 @@
 //! gives DDL/DML statement-level atomicity for free.
 //!
 //! The plan cache is keyed by statement text (plus parameter-scope shape)
-//! and shared across sessions; entries carry the catalog version they were
-//! planned against, so any commit — DDL in *another* session included —
-//! invalidates them on next lookup rather than serving a stale plan.
+//! and shared across sessions; entries carry the
+//! [`Catalog::schema_version`] they were planned against, so any DDL
+//! commit — in *another* session included — invalidates them on next
+//! lookup rather than serving a stale plan. Data commits keep them: no
+//! plan holds rows.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +31,7 @@ use crate::planner::PreparedPlan;
 use crate::session::Session;
 
 /// Soft cap on shared plan-cache entries; on overflow, entries planned
-/// against superseded catalog versions are evicted first.
+/// against superseded schema versions are evicted first.
 const PLAN_CACHE_CAP: usize = 4096;
 
 /// Shared, thread-safe database state. See the module docs for the
@@ -43,7 +45,7 @@ pub struct Database {
     /// latest committed state (no lost updates between concurrent commits).
     writer: Mutex<()>,
     /// Statement text (+ param scope) -> prepared plan, shared by all
-    /// sessions. Entries are validated against the catalog version at
+    /// sessions. Entries are validated against the schema version at
     /// lookup time.
     plans: RwLock<HashMap<String, Arc<PreparedPlan>>>,
     plan_cache_hits: AtomicU64,
@@ -93,23 +95,31 @@ impl Database {
     /// Run a copy-on-write commit: `f` gets a private clone of the latest
     /// committed catalog; if it succeeds the clone becomes the committed
     /// state, if it errs nothing changes. Writers are serialized; readers
-    /// are only blocked for the final pointer swap.
-    pub fn commit<R>(&self, f: impl FnOnce(&mut Catalog) -> Result<R>) -> Result<R> {
+    /// are only blocked for the final pointer swap. Returns `f`'s result
+    /// and the snapshot this commit installed: a concurrent writer may
+    /// already have superseded it, so a session that must read its own
+    /// commit keeps this `Arc` rather than re-reading the committed
+    /// pointer.
+    pub fn commit<R>(
+        &self,
+        f: impl FnOnce(&mut Catalog) -> Result<R>,
+    ) -> Result<(R, Arc<Catalog>)> {
         let _writer: MutexGuard<'_, ()> = lock(&self.writer);
         let mut next: Catalog = (*self.snapshot()).clone();
         let out = f(&mut next)?;
-        *write_lock(&self.state) = Arc::new(next);
+        let next = Arc::new(next);
+        *write_lock(&self.state) = Arc::clone(&next);
         self.metrics.record_commit();
-        Ok(out)
+        Ok((out, next))
     }
 
     /// Look up a cached plan. Returns it only if it was planned against
-    /// `catalog_version`; a stale entry counts as a miss (the caller
+    /// `schema_version`; a stale entry counts as a miss (the caller
     /// replans and [`Database::store_plan`] replaces it).
-    pub fn cached_plan(&self, key: &str, catalog_version: u64) -> Option<Arc<PreparedPlan>> {
+    pub fn cached_plan(&self, key: &str, schema_version: u64) -> Option<Arc<PreparedPlan>> {
         let hit = read_lock(&self.plans)
             .get(key)
-            .filter(|p| p.catalog_version == catalog_version)
+            .filter(|p| p.schema_version == schema_version)
             .map(Arc::clone);
         match hit {
             Some(p) => {
@@ -128,8 +138,8 @@ impl Database {
         let mut plans = write_lock(&self.plans);
         if plans.len() >= PLAN_CACHE_CAP && !plans.contains_key(&key) {
             let before = plans.len();
-            let live = plan.catalog_version;
-            plans.retain(|_, p| p.catalog_version == live);
+            let live = plan.schema_version;
+            plans.retain(|_, p| p.schema_version == live);
             if plans.len() >= PLAN_CACHE_CAP {
                 plans.clear();
             }
@@ -221,8 +231,10 @@ mod tests {
         db.commit(|cat| cat.create_table("t", vec![int_col("a")]))
             .unwrap();
         let before = db.snapshot();
-        db.commit(|cat| cat.bulk_insert("t", vec![vec![Value::Int(1)]]))
+        let (_, installed) = db
+            .commit(|cat| cat.bulk_insert("t", vec![vec![Value::Int(1)]]))
             .unwrap();
+        assert!(Arc::ptr_eq(&installed, &db.snapshot()));
         // The old snapshot still sees zero rows; the new one sees the insert.
         assert_eq!(before.table("t").unwrap().rows.len(), 0);
         assert_eq!(db.snapshot().table("t").unwrap().rows.len(), 1);
@@ -235,7 +247,7 @@ mod tests {
         db.commit(|cat| cat.create_table("t", vec![int_col("a")]))
             .unwrap();
         let v = db.snapshot().version;
-        let err: Result<()> = db.commit(|cat| {
+        let err: Result<((), _)> = db.commit(|cat| {
             cat.bulk_insert("t", vec![vec![Value::Int(7)]])?;
             Err(Error::exec("boom"))
         });
@@ -273,8 +285,8 @@ mod tests {
             );
         }
         assert_eq!(db.plan_cache_len(), PLAN_CACHE_CAP);
-        // Everything in the cache is stale relative to version 2, so the
-        // next insert sweeps the lot.
+        // Everything in the cache is stale relative to schema version 2,
+        // so the next insert sweeps the lot.
         db.store_plan(
             "fresh".into(),
             Arc::new(PreparedPlan::test_stub("fresh", 2)),

@@ -166,11 +166,12 @@ impl RuntimeStats {
     }
 }
 
-/// Cache of lazily planned SQL UDF bodies (name -> prepared body plan).
+/// Cache of lazily planned SQL UDF bodies (name -> prepared body plan),
+/// valid for one [`Catalog::schema_version`].
 #[derive(Default)]
 pub struct FnPlanCache {
     plans: HashMap<String, Arc<PreparedPlan>>,
-    catalog_version: u64,
+    schema_version: u64,
 }
 
 impl FnPlanCache {
@@ -213,9 +214,10 @@ pub struct Runtime<'s> {
 
 impl<'s> Runtime<'s> {
     fn fn_plan(&mut self, name: &str) -> Result<Arc<PreparedPlan>> {
-        if self.fn_plans.catalog_version != self.catalog.version {
+        let schema = self.catalog.schema_version();
+        if self.fn_plans.schema_version != schema {
             self.fn_plans.invalidate();
-            self.fn_plans.catalog_version = self.catalog.version;
+            self.fn_plans.schema_version = schema;
         }
         if let Some(p) = self.fn_plans.plans.get(name) {
             return Ok(Arc::clone(p));

@@ -15,7 +15,7 @@
 //! int caller's rows. Each site's entries are bounded by `work_mem` in the
 //! tuplestore's byte accounting; a full site stops inserting and keeps
 //! serving what it has. A site whose keys never repeat goes *cold* (see
-//! [`COLD_MISSES`]) and stops memoizing for the rest of the execution.
+//! `COLD_MISSES`) and stops memoizing for the rest of the execution.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

@@ -24,7 +24,7 @@ pub const LATENCY_BUCKETS: usize = 64;
 /// Shared plan-cache counters, cumulative across all sessions.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups served from the shared cache at the current catalog version.
+    /// Lookups served from the shared cache at the current schema version.
     pub hits: u64,
     /// Lookups that missed (including stale-version entries).
     pub misses: u64,

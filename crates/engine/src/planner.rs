@@ -55,23 +55,24 @@ pub struct PreparedPlan {
     /// Output column names.
     pub columns: Vec<String>,
     pub param_names: Vec<String>,
-    /// Catalog version at plan time; mismatches invalidate the cache entry.
-    pub catalog_version: u64,
+    /// [`Catalog::schema_version`] at plan time; a mismatch invalidates
+    /// the cache entry. Data commits leave it valid: see there.
+    pub schema_version: u64,
     /// Number of CTE slots this plan allocates.
     pub cte_count: usize,
 }
 
 impl PreparedPlan {
     /// Minimal plan for cache-mechanics tests: a zero-row values scan
-    /// tagged with the given text and catalog version.
+    /// tagged with the given text and schema version.
     #[cfg(test)]
-    pub(crate) fn test_stub(sql: &str, catalog_version: u64) -> PreparedPlan {
+    pub(crate) fn test_stub(sql: &str, schema_version: u64) -> PreparedPlan {
         PreparedPlan {
             sql: sql.to_string(),
             plan: PlanNode::Values { rows: Vec::new() },
             columns: Vec::new(),
             param_names: Vec::new(),
-            catalog_version,
+            schema_version,
             cte_count: 0,
         }
     }
@@ -182,7 +183,7 @@ pub fn plan_query(
         plan,
         columns: scope.names(),
         param_names: params.map(|ps| ps.names.clone()).unwrap_or_default(),
-        catalog_version: catalog.version,
+        schema_version: catalog.schema_version(),
         cte_count: p.next_cte_index,
     })
 }
@@ -1022,8 +1023,10 @@ impl<'a> Planner<'a> {
     /// extractable; a range scan is taken when its estimated row count —
     /// exact when the bounds are literals (read off the ordered index at
     /// plan time), 1/3 (one bound) or 1/4 (two bounds) of the table
-    /// otherwise — stays at or under half the table. `ForceOn` skips the
-    /// estimate, `ForceOff` disables extraction entirely.
+    /// otherwise — stays at or under half the table. The cached plan keeps
+    /// that choice until the next DDL, whatever the data does meanwhile.
+    /// `ForceOn` skips the estimate, `ForceOff` disables extraction
+    /// entirely.
     fn plan_where(
         &mut self,
         plan: PlanNode,

@@ -143,7 +143,7 @@ impl QueryPhaseStats {
 /// A database session: private execution state over a shared [`Database`].
 ///
 /// The catalog itself lives in the `Database`; the session holds an
-/// `Arc` *snapshot* of it, refreshed at statement boundaries (prepare,
+/// `Arc` *snapshot* of it, replaced at statement boundaries (prepare,
 /// commit), so every read call site keeps working off `&self.catalog`
 /// while concurrent sessions commit freely. Everything else — RNG,
 /// profiler, buffer/runtime stats, UDF plan cache — is session-private,
@@ -154,8 +154,9 @@ pub struct Session {
     /// Database-unique session id; trace events are tagged with it.
     pub id: u64,
     /// Snapshot of the committed catalog this session's statements read.
-    /// Refreshed by [`Session::refresh`] (called from `prepare` and after
-    /// every commit); immutable in between — a concurrent writer swaps the
+    /// Refreshed by [`Session::refresh`] (called from `prepare`) and, after
+    /// each of this session's commits, set to the snapshot that commit
+    /// installed; immutable in between — a concurrent writer swaps the
     /// committed pointer but can never mutate rows this snapshot holds.
     pub catalog: Arc<Catalog>,
     pub config: EngineConfig,
@@ -232,17 +233,23 @@ impl Session {
     }
 
     /// Run a copy-on-write commit against the shared database (see
-    /// [`Database::commit`]) and refresh this session's snapshot to the
-    /// newly committed state. On error nothing is committed and the
-    /// snapshot is left untouched.
+    /// [`Database::commit`]) and move this session's snapshot to the state
+    /// that commit installed — not to the latest committed state, which a
+    /// concurrent writer may already have moved past. On error nothing is
+    /// committed and the snapshot is left untouched.
     pub fn commit<R>(&mut self, f: impl FnOnce(&mut Catalog) -> Result<R>) -> Result<R> {
         let db = Arc::clone(&self.db);
-        let out = db.commit(f)?;
-        self.refresh();
+        let (out, snapshot) = db.commit(f)?;
+        self.committed(snapshot);
+        Ok(out)
+    }
+
+    /// Adopt the snapshot this session's own commit installed.
+    fn committed(&mut self, snapshot: Arc<Catalog>) {
+        self.catalog = snapshot;
         if self.config.trace {
             self.emit_trace("commit", "");
         }
-        Ok(out)
     }
 
     pub fn set_seed(&mut self, seed: u64) {
@@ -487,7 +494,7 @@ impl Session {
         // source query sees the same catalog state the insert lands in and
         // a failing row leaves the table untouched.
         let db = Arc::clone(&self.db);
-        let n = db.commit(|cat| {
+        let (n, snapshot) = db.commit(|cat| {
             let prepared = plan_query(cat, &query, None, self.config.index_mode)?;
             let rows = {
                 let mut rt = self.runtime_for(cat);
@@ -535,10 +542,7 @@ impl Session {
             }
             cat.bulk_insert(table, shaped)
         })?;
-        self.refresh();
-        if self.config.trace {
-            self.emit_trace("commit", "");
-        }
+        self.committed(snapshot);
         Ok(QueryResult {
             columns: vec!["inserted".into()],
             rows: vec![vec![Value::Int(n as i64)]],
@@ -578,7 +582,7 @@ impl Session {
         // evaluated against are exactly the rows being replaced, even with
         // concurrent writers.
         let db = Arc::clone(&self.db);
-        let updated = db.commit(|cat| {
+        let (updated, snapshot) = db.commit(|cat| {
             let t = cat.table(table)?;
             let set_positions: Vec<usize> = sets
                 .iter()
@@ -616,10 +620,7 @@ impl Session {
             cat.replace_rows(table, new_rows)?;
             Ok(updated)
         })?;
-        self.refresh();
-        if self.config.trace {
-            self.emit_trace("commit", "");
-        }
+        self.committed(snapshot);
         Ok(QueryResult {
             columns: vec!["updated".into()],
             rows: vec![vec![Value::Int(updated as i64)]],
@@ -632,7 +633,7 @@ impl Session {
         where_: Option<&plaway_sql::ast::Expr>,
     ) -> Result<QueryResult> {
         let db = Arc::clone(&self.db);
-        let deleted = db.commit(|cat| {
+        let (deleted, snapshot) = db.commit(|cat| {
             let keep: Vec<bool> = match where_ {
                 None => vec![false; cat.table(table)?.rows.len()],
                 Some(w) => {
@@ -667,10 +668,7 @@ impl Session {
             cat.replace_rows(table, new_rows)?;
             Ok(deleted)
         })?;
-        self.refresh();
-        if self.config.trace {
-            self.emit_trace("commit", "");
-        }
+        self.committed(snapshot);
         Ok(QueryResult {
             columns: vec!["deleted".into()],
             rows: vec![vec![Value::Int(deleted as i64)]],
@@ -687,27 +685,20 @@ impl Session {
     /// invalidated with DDL is re-planned here rather than served stale.
     pub fn prepare(&mut self, sql: &str, params: &ParamScope) -> Result<Arc<PreparedPlan>> {
         self.refresh();
-        let key = cache_key(sql, params, self.config.index_mode, self.config.tier_mode);
-        if let Some(p) = self.db.cached_plan(&key, self.catalog.version) {
-            self.plan_cache_hits += 1;
-            if self.config.trace {
-                self.emit_trace("prepare", "\"cache\":\"hit\"");
-            }
-            return Ok(p);
-        }
-        self.plan_cache_misses += 1;
-        let query = plaway_sql::parse_query(sql)?;
-        let prepared = Arc::new(plan_query(
-            &self.catalog,
-            &query,
-            Some(params),
-            self.config.index_mode,
-        )?);
-        self.db.store_plan(key, Arc::clone(&prepared));
-        if self.config.trace {
-            self.emit_trace("prepare", "\"cache\":\"miss\"");
-        }
-        Ok(prepared)
+        self.prepare_in_snapshot(sql, params)
+    }
+
+    /// [`Session::prepare`] without the refresh: plan against the snapshot
+    /// this session already holds. A caller that has just committed its
+    /// own input and executes next (the batch trampoline stages its rows
+    /// this way) reads exactly the state its commit installed, never a
+    /// later one in which another session replaced those rows.
+    pub fn prepare_in_snapshot(
+        &mut self,
+        sql: &str,
+        params: &ParamScope,
+    ) -> Result<Arc<PreparedPlan>> {
+        self.cached_or_planned(sql, None, params)
     }
 
     fn prepare_query_text(
@@ -717,8 +708,20 @@ impl Session {
         params: &ParamScope,
     ) -> Result<Arc<PreparedPlan>> {
         self.refresh();
-        let key = cache_key(key, params, self.config.index_mode, self.config.tier_mode);
-        if let Some(p) = self.db.cached_plan(&key, self.catalog.version) {
+        self.cached_or_planned(key, Some(query), params)
+    }
+
+    /// The shared-cache lookup behind every prepare: a hit needs a plan
+    /// stamped with this snapshot's schema version; a miss plans `query`
+    /// (parsed from `text` when not given) and publishes it.
+    fn cached_or_planned(
+        &mut self,
+        text: &str,
+        query: Option<&plaway_sql::ast::Query>,
+        params: &ParamScope,
+    ) -> Result<Arc<PreparedPlan>> {
+        let key = cache_key(text, params, self.config.index_mode, self.config.tier_mode);
+        if let Some(p) = self.db.cached_plan(&key, self.catalog.schema_version()) {
             self.plan_cache_hits += 1;
             if self.config.trace {
                 self.emit_trace("prepare", "\"cache\":\"hit\"");
@@ -726,6 +729,14 @@ impl Session {
             return Ok(p);
         }
         self.plan_cache_misses += 1;
+        let parsed;
+        let query = match query {
+            Some(q) => q,
+            None => {
+                parsed = plaway_sql::parse_query(text)?;
+                &parsed
+            }
+        };
         let prepared = Arc::new(plan_query(
             &self.catalog,
             query,
@@ -784,24 +795,6 @@ impl Session {
             columns: prepared.columns.clone(),
             rows: rows?,
         })
-    }
-
-    /// The batch entry point: load `rows` into `input_table` wholesale and
-    /// execute `sql` once. However many logical invocations the input rows
-    /// encode, the statement pays exactly one executor lifecycle — one
-    /// Start penalty, one End penalty — which is what amortizes the paper's
-    /// bold `f→Qi` dispatch cost to ~zero per call. (Replacing the input
-    /// rows bumps the catalog version, so the plan cache re-plans once per
-    /// batch; that cost is also amortized over the whole batch.)
-    pub fn execute_batch(
-        &mut self,
-        input_table: &str,
-        rows: Vec<Row>,
-        sql: &str,
-    ) -> Result<QueryResult> {
-        self.commit(|cat| cat.replace_rows(input_table, rows))?;
-        let plan = self.prepare(sql, &ParamScope::new(Vec::new()))?;
-        self.execute_prepared(&plan, Vec::new())
     }
 
     // ------------------------------------------------- catalog mutation

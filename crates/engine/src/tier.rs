@@ -7,7 +7,7 @@
 //! module removes both for the common *typed* shape: at prepare time
 //! [`recognize`] inspects the recursive arm and, when it matches, compiles
 //! the whole per-row transition into statically-typed Rust closures over
-//! [`TCell`] — a four-variant cell (NULL / bool / int / text) with no
+//! `TCell` — a four-variant cell (NULL / bool / int / text) with no
 //! float, no record, and no per-op dispatch loop.
 //!
 //! Promotion is execution-count tiered (see `DESIGN.md` §7): transitions
@@ -24,7 +24,7 @@
 //!
 //! Fallback is total: any situation the typed tier cannot reproduce
 //! bit-for-bit — a float or record cell, integer overflow, division by
-//! zero, a scalar error, more than one probe match — raises [`Demote`],
+//! zero, a scalar error, more than one probe match — raises `Demote`,
 //! the in-flight iteration is discarded, and the *same* iteration re-runs
 //! in the VM, which reproduces the exact value or error. A demoted
 //! transition stays in the VM for the rest of the statement.

@@ -1,11 +1,14 @@
 //! Plan-cache correctness: a plan prepared once and executed N times must
 //! behave exactly like N fresh prepares — including across catalog
-//! mutation, where the cache must invalidate and re-plan rather than serve
-//! stale plans. These tests pin down the `Arc`-shared executor-state
-//! redesign (ExecutorStart no longer deep-copies the plan tree).
+//! mutation, where DDL must invalidate and re-plan rather than serve stale
+//! plans, and DML must keep the plan without changing any answer. These
+//! tests pin down the `Arc`-shared executor-state redesign (ExecutorStart
+//! no longer deep-copies the plan tree).
+
+use std::sync::Arc;
 
 use plaway_common::Value;
-use plaway_engine::{Database, EngineConfig, ParamScope, QueryResult, Session};
+use plaway_engine::{Database, EngineConfig, IndexMode, ParamScope, QueryResult, Session};
 
 fn seeded_session() -> Session {
     let mut s = Session::default();
@@ -77,7 +80,7 @@ fn plan_cache_hits_are_counted_and_reused() {
 }
 
 #[test]
-fn catalog_mutation_invalidates_and_replans() {
+fn dml_keeps_the_plan_and_ddl_replans() {
     let mut s = seeded_session();
     let ps = ParamScope::default();
     let sql = "SELECT count(*) FROM kv";
@@ -87,10 +90,16 @@ fn catalog_mutation_invalidates_and_replans() {
         Value::Int(4)
     );
 
-    // DML bumps the catalog version: the cache must re-plan, and the new
-    // plan must see the new rows (same as a fresh prepare).
+    // DML leaves the schema version alone: the re-prepare is a hit on the
+    // very same plan, which reads the new rows from the new snapshot.
     s.run("INSERT INTO kv VALUES (5, 50)").unwrap();
+    let misses = s.plan_cache_misses;
     let after = s.prepare(sql, &ps).unwrap();
+    assert!(
+        Arc::ptr_eq(&before, &after),
+        "DML must keep the cached plan"
+    );
+    assert_eq!(s.plan_cache_misses, misses, "DML must not cost a re-plan");
     assert_eq!(
         s.execute_prepared(&after, vec![]).unwrap().rows[0][0],
         Value::Int(5)
@@ -103,7 +112,9 @@ fn catalog_mutation_invalidates_and_replans() {
     let scan_plan = s.prepare(point, &ps_n).unwrap();
     let scan_result = s.execute_prepared(&scan_plan, vec![Value::Int(3)]).unwrap();
     s.run("CREATE INDEX kv_k ON kv (k)").unwrap();
+    let misses = s.plan_cache_misses;
     let index_plan = s.prepare(point, &ps_n).unwrap();
+    assert_eq!(s.plan_cache_misses, misses + 1, "CREATE INDEX must re-plan");
     assert!(
         index_plan.plan.explain().contains("IndexLookup"),
         "re-plan after CREATE INDEX must use the index:\n{}",
@@ -143,7 +154,7 @@ fn create_or_replace_in_one_session_invalidates_the_other() {
     assert_eq!((b.plan_cache_hits, b.plan_cache_misses), (1, 1));
 
     // Session A redefines f. Session B's next prepare must miss (the
-    // cached plan was built against the old catalog version) and the
+    // cached plan was built against the old schema version) and the
     // re-planned query must see the new body.
     a.run("CREATE OR REPLACE FUNCTION f(x int) RETURNS int AS $$ SELECT x * 10 $$ LANGUAGE SQL")
         .unwrap();
@@ -253,7 +264,7 @@ fn create_index_invalidates_shared_cache_and_modes_key_separately() {
         "re-prepare before DDL must be a pure hit"
     );
 
-    // CREATE INDEX commits a new catalog version: the cached plan is stale,
+    // CREATE INDEX commits a new schema version: the cached plan is stale,
     // so the next prepare must MISS and re-plan into an index probe — with
     // identical results.
     a.run("CREATE INDEX t_k ON t (k)").unwrap();
@@ -296,4 +307,87 @@ fn create_index_invalidates_shared_cache_and_modes_key_separately() {
     off.prepare(sql, &ps).unwrap();
     let b3 = db.plan_cache_stats();
     assert_eq!((b3.hits, b3.misses), (b2.hits + 1, b2.misses));
+}
+
+/// Build a btree-indexed `t(k)` holding `keys` and prepare a range query
+/// on it twice, around bulk-inserting `rows`. The second prepare must hit
+/// the first plan, whose access path (`path`) was chosen on the old data;
+/// its `count` rows must equal those of a session in `twin` mode, which
+/// ignores the estimate. Only DDL re-plans, and on the new data the
+/// estimate then picks the other path.
+fn stale_estimate_keeps_answers(
+    keys: impl Iterator<Item = i64>,
+    path: &str,
+    rows: Vec<Vec<Value>>,
+    count: usize,
+    twin: IndexMode,
+) {
+    let db = Database::new(EngineConfig::raw());
+    let mut s = db.session();
+    s.run("CREATE TABLE t (k int)").unwrap();
+    s.run("CREATE INDEX t_k ON t (k)").unwrap();
+    s.bulk_insert("t", keys.map(|k| vec![Value::Int(k)]).collect())
+        .unwrap();
+
+    let sql = "SELECT k FROM t WHERE k >= 3 AND k <= 4";
+    let ps = ParamScope::default();
+    let planned = s.prepare(sql, &ps).unwrap();
+    assert!(
+        planned.plan.explain().contains(path),
+        "expected {path} on the original data:\n{}",
+        planned.plan.explain()
+    );
+    s.bulk_insert("t", rows).unwrap();
+    let misses = s.plan_cache_misses;
+    let kept = s.prepare(sql, &ps).unwrap();
+    assert!(Arc::ptr_eq(&planned, &kept), "DML must keep the plan");
+    assert_eq!(s.plan_cache_misses, misses);
+    let got = s.execute_prepared(&kept, vec![]).unwrap();
+    assert_eq!(got.rows.len(), count);
+
+    let mut other = db.session();
+    other.config.index_mode = twin;
+    let twin_plan = other.prepare(sql, &ps).unwrap();
+    assert!(!twin_plan.plan.explain().contains(path));
+    let want = other.execute_prepared(&twin_plan, vec![]).unwrap();
+    assert_eq!(got, want, "a stale estimate must not change the answer");
+
+    s.run("CREATE TABLE unrelated (x int)").unwrap();
+    let replanned = s.prepare(sql, &ps).unwrap();
+    assert!(
+        !replanned.plan.explain().contains(path),
+        "after DDL the estimate must see the new data:\n{}",
+        replanned.plan.explain()
+    );
+    assert_eq!(s.execute_prepared(&replanned, vec![]).unwrap(), want);
+}
+
+/// The `Auto` range estimate is read at plan time, and a data commit does
+/// not re-plan: a range chosen as selective stays an index range after
+/// the data makes it unselective, with the seq scan's rows in its order.
+#[test]
+fn stale_selective_estimate_keeps_index_range_answers() {
+    stale_estimate_keeps_answers(
+        0..10,
+        "IndexRange",
+        vec![vec![Value::Int(3)]; 1000],
+        1002,
+        IndexMode::ForceOff,
+    );
+}
+
+/// The reverse: a range planned as a seq scan (it covered the whole
+/// table) stays one after inserts make it selective, and matches the
+/// index range a `ForceOn` session runs.
+#[test]
+fn stale_unselective_estimate_keeps_seq_scan_answers() {
+    stale_estimate_keeps_answers(
+        std::iter::repeat_n(3, 10),
+        "SeqScan",
+        (0..1000)
+            .map(|i| vec![Value::Int(if i % 10 == 0 { 4 } else { 100 + i })])
+            .collect(),
+        110,
+        IndexMode::ForceOn,
+    );
 }

@@ -37,6 +37,7 @@ enum Flow {
 /// The PL/pgSQL interpreter. Holds a per-function compilation cache (like
 /// PostgreSQL's plpgsql function cache) and collects `RAISE` output.
 pub struct Interpreter {
+    /// Function name -> (schema version compiled against, compilation).
     compiled: HashMap<String, (u64, Arc<PlCompiled>)>,
     /// Messages produced by `RAISE NOTICE` etc. (drained by the caller).
     pub notices: Vec<String>,
@@ -65,10 +66,13 @@ impl Interpreter {
         self.run_compiled(session, &compiled, args)
     }
 
-    /// Compile (with caching) a catalog function.
+    /// Compile (with caching) a catalog function. A compilation stays
+    /// valid until the next DDL: it holds no data, only slots, simple
+    /// expressions and the text of its embedded queries.
     pub fn compiled_for(&mut self, session: &mut Session, name: &str) -> Result<Arc<PlCompiled>> {
+        let schema = session.catalog.schema_version();
         if let Some((version, c)) = self.compiled.get(name) {
-            if *version == session.catalog.version {
+            if *version == schema {
                 return Ok(Arc::clone(c));
             }
         }
@@ -96,10 +100,8 @@ impl Interpreter {
         };
         let parsed = plaway_plsql::parse_function(&cf)?;
         let compiled = Arc::new(compile::compile(session, &parsed)?);
-        self.compiled.insert(
-            name.to_string(),
-            (session.catalog.version, Arc::clone(&compiled)),
-        );
+        self.compiled
+            .insert(name.to_string(), (schema, Arc::clone(&compiled)));
         Ok(compiled)
     }
 
@@ -835,12 +837,30 @@ mod tests {
     }
 
     #[test]
-    fn compiled_cache_invalidated_by_ddl() {
+    fn compiled_cache_survives_dml_and_recompiles_on_ddl() {
         let (mut s, mut i) = setup();
         install(&mut s, "BEGIN RETURN (SELECT count(*) FROM kv); END");
         assert_eq!(call(&mut s, &mut i, 0), Value::Int(3));
+        let compiled = i.compiled_for(&mut s, "f").unwrap();
+
+        // DML: the same compilation, and its embedded query hits the plan
+        // cache yet reads the new row.
         s.run("INSERT INTO kv VALUES (4, 400)").unwrap();
+        assert!(Arc::ptr_eq(
+            &compiled,
+            &i.compiled_for(&mut s, "f").unwrap()
+        ));
+        let (hits, misses) = (s.plan_cache_hits, s.plan_cache_misses);
         assert_eq!(call(&mut s, &mut i, 0), Value::Int(4));
+        assert_eq!((s.plan_cache_hits, s.plan_cache_misses), (hits + 1, misses));
+
+        // DDL: a new body must be recompiled and run.
+        install(&mut s, "BEGIN RETURN (SELECT count(*) FROM kv) * 10; END");
+        assert!(!Arc::ptr_eq(
+            &compiled,
+            &i.compiled_for(&mut s, "f").unwrap()
+        ));
+        assert_eq!(call(&mut s, &mut i, 0), Value::Int(40));
     }
 
     #[test]

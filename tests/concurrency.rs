@@ -73,8 +73,10 @@ fn differential_reader(
     requests
 }
 
-/// DDL/DML churn until stopped: every commit invalidates the shared plan
-/// cache and publishes a new catalog snapshot under the readers.
+/// DDL/DML churn until stopped: every commit publishes a new catalog
+/// snapshot under the readers, and every `CREATE OR REPLACE` also
+/// invalidates the shared plan cache, while the DML keeps the readers'
+/// plans (and their tier hotness) across snapshots.
 fn churn(db: &Arc<Database>, stop: &AtomicBool) -> u64 {
     let mut session = db.session();
     let mut i = 0i64;
@@ -492,5 +494,50 @@ fn index_and_seq_scan_visibility_is_atomic() {
         let via_seq = s.run("SELECT count(*) FROM t WHERE t.k + 0 = 5").unwrap();
         assert_eq!(via_index.rows[0][0], Value::Int(4 + committed));
         assert_eq!(via_index.rows[0], via_seq.rows[0]);
+    });
+}
+
+/// Sessions sharing one `Compiled` stage their batches into the same
+/// `batch#fibonacci` table, each with inputs of its own but all of one
+/// length. Every batch must run over the rows its own staging commit
+/// installed: a session that re-read the latest committed catalog between
+/// staging and executing would compute another session's inputs and
+/// scatter their results into its own, with no error raised. The race
+/// window is a few instructions wide, so this is a stress test: with the
+/// re-read in place, a release build on a 2-vCPU machine hit it within
+/// each session's first 300 batches.
+#[test]
+fn concurrent_batches_run_on_their_own_staged_rows() {
+    const ROWS: usize = 64;
+    let batches = if cfg!(debug_assertions) { 300 } else { 3_000 };
+    let (db, _) = fib_database();
+    let compiled = compile_sql(
+        &db.snapshot(),
+        &fib::fib_workload().source,
+        CompileOptions::iterate(),
+    )
+    .unwrap();
+    let start = std::sync::Barrier::new(READER_THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..READER_THREADS {
+            let db = &db;
+            let compiled = &compiled;
+            let start = &start;
+            scope.spawn(move || {
+                let mut s = db.session();
+                let mut stream = Stream::new(0xBA7C, t);
+                start.wait();
+                for b in 0..batches {
+                    let ns: Vec<i64> = (0..ROWS).map(|_| (stream.next() % 30) as i64).collect();
+                    let calls: Vec<Vec<Value>> = ns.iter().map(|&n| vec![Value::Int(n)]).collect();
+                    let want: Vec<Value> = ns
+                        .iter()
+                        .map(|&n| Value::Int(fib::fib_reference(n)))
+                        .collect();
+                    let got = compiled.run_batch(&mut s, &calls).unwrap();
+                    assert_eq!(got, want, "session {t}, batch {b}: wrong input rows");
+                }
+            });
+        }
     });
 }

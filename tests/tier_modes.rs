@@ -283,10 +283,14 @@ fn tier_free_counters(session: &Session, before: &plsql_away::engine::RuntimeSta
 }
 
 /// The batch trampoline (under `CteMode::Iterate`, one `WITH RETIRE`
-/// fixpoint over a whole input table) under every tier policy: fibonacci
-/// must promote under `ForceOn` and reach the mono retire path, while
-/// `checked`, whose transition unwinds RAISE, must stay in the VM. Results
-/// are bit-identical and the fixpoint counters equal across policies.
+/// fixpoint over a whole input table) under every tier policy, three
+/// statements per session: fibonacci must promote under `ForceOn` and
+/// reach the mono retire path, while `checked`, whose transition unwinds
+/// RAISE, must stay in the VM. Staging a batch is a data commit, so
+/// statements 2 and 3 hit the plan statement 1 cached, and under `Auto`
+/// the hotness stored in that plan carries fibonacci into mono before
+/// statement 2's first transition. Results are bit-identical and the
+/// fixpoint counters equal across policies, statement by statement.
 #[test]
 fn batch_trampoline_is_bit_identical_across_tiers() {
     use plaway_bench::{checked_args, setup_checked, setup_fib};
@@ -304,7 +308,7 @@ fn batch_trampoline_is_bit_identical_across_tiers() {
         (setup_checked, &checked_calls, None),
     ];
     for (setup, calls, expected) in cases {
-        let mut reference: Option<(String, [u64; 4])> = None;
+        let mut reference: Option<Vec<(String, [u64; 4])>> = None;
         for mode in MODES {
             let mut config = EngineConfig::postgres_like();
             config.tier_mode = mode;
@@ -312,11 +316,34 @@ fn batch_trampoline_is_bit_identical_across_tiers() {
             let mut b = setup(config);
             let name = b.fn_name;
             let compiled = b.compile(CompileOptions::iterate()).unwrap();
-            let before = b.session.stats;
-            let got = compiled
-                .run_batch(&mut b.session, calls)
-                .unwrap_or_else(|e| panic!("{name} batch tier {mode:?}: {e}"));
-            let counters = tier_free_counters(&b.session, &before);
+            let mut statements = Vec::new();
+            for stmt in 1..=3 {
+                let s = &mut b.session;
+                let before = s.stats;
+                let hits = s.plan_cache_hits;
+                let got = compiled
+                    .run_batch(s, calls)
+                    .unwrap_or_else(|e| panic!("{name} batch tier {mode:?} #{stmt}: {e}"));
+                let counters = tier_free_counters(s, &before);
+                if stmt > 1 {
+                    assert_eq!(
+                        s.plan_cache_hits,
+                        hits + 1,
+                        "{name} batch tier {mode:?} #{stmt}: staging must not re-plan"
+                    );
+                }
+                if (name, mode, stmt) == ("fibonacci", TierMode::Auto, 2) {
+                    let d = s.stats.delta_since(&before);
+                    assert!(
+                        d.tier.tier_promotions > 0 && d.fused_transition_rows == 0,
+                        "fibonacci batch #2: Auto must start in mono ({d:?})"
+                    );
+                }
+                if let Some(want) = expected {
+                    assert_eq!(counters, want, "{name} batch tier {mode:?} #{stmt}");
+                }
+                statements.push((format!("{got:?}"), counters));
+            }
             let promotions = b.session.metrics.tier_promotions;
             match (name, mode) {
                 ("fibonacci", TierMode::ForceOn) => {
@@ -327,19 +354,12 @@ fn batch_trampoline_is_bit_identical_across_tiers() {
                 }
                 _ => {}
             }
-            let rendering = format!("{got:?}");
             match &reference {
-                None => reference = Some((rendering, counters)),
-                Some((want, want_counters)) => {
-                    assert_eq!(&rendering, want, "{name} batch: {mode:?} diverged");
-                    assert_eq!(
-                        &counters, want_counters,
-                        "{name} batch: {mode:?} counters diverged"
-                    );
-                }
-            }
-            if let Some(want) = expected {
-                assert_eq!(counters, want, "{name} batch tier {mode:?}");
+                None => reference = Some(statements),
+                Some(want) => assert_eq!(
+                    &statements, want,
+                    "{name} batch: {mode:?} results or counters diverged"
+                ),
             }
         }
     }
