@@ -425,15 +425,39 @@ impl Value {
 
     /// Render as a SQL literal that re-parses to the same value.
     pub fn to_sql_literal(&self) -> String {
+        let mut out = String::new();
+        self.write_sql_literal(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// [`Value::to_sql_literal`], written into `out` without building the
+    /// literal first.
+    pub fn write_sql_literal(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
         match self {
-            Value::Null => "NULL".into(),
-            Value::Bool(b) => if *b { "true" } else { "false" }.into(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => format_float(*f),
-            Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
+            Value::Null => out.write_str("NULL"),
+            Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => write!(out, "{i}"),
+            Value::Float(f) => out.write_str(&format_float(*f)),
+            Value::Text(s) => {
+                out.write_char('\'')?;
+                for (i, part) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        out.write_str("''")?;
+                    }
+                    out.write_str(part)?;
+                }
+                out.write_char('\'')
+            }
             Value::Record(fs) => {
-                let inner: Vec<String> = fs.iter().map(Value::to_sql_literal).collect();
-                format!("ROW({})", inner.join(", "))
+                out.write_str("ROW(")?;
+                for (i, f) in fs.iter().enumerate() {
+                    if i > 0 {
+                        out.write_str(", ")?;
+                    }
+                    f.write_sql_literal(out)?;
+                }
+                out.write_char(')')
             }
         }
     }

@@ -17,6 +17,7 @@ use plaway_sql::ast::Expr;
 
 use crate::cfg::{BlockId, Term};
 use crate::ssa::SsaProgram;
+use crate::subst::{subst_expr, Lookup};
 
 /// Tail position of an ANF body: nested conditionals bottoming out in tail
 /// calls or returns.
@@ -55,16 +56,29 @@ impl AnfTail {
     /// All calls in this tail (they are the only calls in the program —
     /// tail position by construction).
     pub fn calls(&self) -> Vec<(usize, &[Expr])> {
+        let mut v = Vec::new();
+        self.for_each_call(&mut |target, args| v.push((target, args)));
+        v
+    }
+
+    /// Visit every call in this tail, in order, without collecting them.
+    pub fn for_each_call<'a>(&'a self, f: &mut impl FnMut(usize, &'a [Expr])) {
         match self {
             AnfTail::If { then_, else_, .. } => {
-                let mut v = then_.calls();
-                v.extend(else_.calls());
-                v
+                then_.for_each_call(f);
+                else_.for_each_call(f);
             }
-            AnfTail::LetChain { body, .. } => body.calls(),
-            AnfTail::Call { target, args } => vec![(*target, args.as_slice())],
-            AnfTail::Ret(_) => vec![],
+            AnfTail::LetChain { body, .. } => body.for_each_call(f),
+            AnfTail::Call { target, args } => f(*target, args),
+            AnfTail::Ret(_) => {}
         }
+    }
+
+    /// How many calls to `target` this tail makes.
+    pub fn calls_to(&self, target: usize) -> usize {
+        let mut n = 0;
+        self.for_each_call(&mut |t, _| n += usize::from(t == target));
+        n
     }
 
     /// All base-case result expressions in this tail.
@@ -95,6 +109,19 @@ pub struct AnfFunction {
     pub lets: Vec<(String, Expr)>,
     /// The function's tail position.
     pub tail: AnfTail,
+}
+
+impl AnfFunction {
+    /// An empty function that holds a slot while the real one is moved out.
+    fn placeholder() -> AnfFunction {
+        AnfFunction {
+            name: String::new(),
+            params: Vec::new(),
+            phi_params: 0,
+            lets: Vec::new(),
+            tail: AnfTail::Ret(Expr::null()),
+        }
+    }
 }
 
 /// The whole program: mutually tail-recursive block functions plus the entry
@@ -146,17 +173,15 @@ pub fn from_ssa(prog: &SsaProgram) -> Result<AnfProgram> {
             let mut defined: HashSet<&str> = phi_params[b].iter().map(|s| s.as_str()).collect();
             let mut need: Vec<String> = Vec::new();
             let uses = |e: &Expr, defined: &HashSet<&str>, need: &mut Vec<String>| {
-                let mut names = Vec::new();
-                crate::ssa::collect_free_names(e, &mut names);
-                for name in names {
-                    if is_var(&name)
-                        && !fn_param_names.contains(&name)
-                        && !defined.contains(name.as_str())
-                        && !need.contains(&name)
+                crate::ssa::for_each_free_name(e, &mut |name| {
+                    if is_var(name)
+                        && !fn_param_names.contains(name)
+                        && !defined.contains(name)
+                        && !need.iter().any(|n| n == name)
                     {
-                        need.push(name);
+                        need.push(name.to_owned());
                     }
-                }
+                })
             };
             for (v, e) in &block.stmts {
                 uses(e, &defined, &mut need);
@@ -282,42 +307,28 @@ pub fn from_ssa(prog: &SsaProgram) -> Result<AnfProgram> {
     Ok(anf)
 }
 
-/// Substitute expressions for parameter names inside a tail.
-fn subst_tail(
-    tail: &AnfTail,
-    map: &crate::subst::Subst,
-    catalog: &plaway_engine::Catalog,
-) -> AnfTail {
+/// Substitute expressions for parameter names inside a tail, in place.
+fn subst_tail(tail: &mut AnfTail, lookup: Lookup, catalog: &plaway_engine::Catalog) {
     match tail {
-        AnfTail::If { cond, then_, else_ } => AnfTail::If {
-            cond: crate::subst::subst_expr(cond.clone(), map, catalog, &[]),
-            then_: Box::new(subst_tail(then_, map, catalog)),
-            else_: Box::new(subst_tail(else_, map, catalog)),
-        },
+        AnfTail::If { cond, then_, else_ } => {
+            subst_expr(cond, lookup, catalog);
+            subst_tail(then_, lookup, catalog);
+            subst_tail(else_, lookup, catalog);
+        }
         AnfTail::LetChain { lets, body } => {
-            // Let-bound names are globally unique SSA names: the map's keys
-            // (callee parameters) can never collide with them.
-            AnfTail::LetChain {
-                lets: lets
-                    .iter()
-                    .map(|(v, e)| {
-                        (
-                            v.clone(),
-                            crate::subst::subst_expr(e.clone(), map, catalog, &[]),
-                        )
-                    })
-                    .collect(),
-                body: Box::new(subst_tail(body, map, catalog)),
+            // Let-bound names are globally unique SSA names: the lookup's
+            // names (callee parameters) can never collide with them.
+            for (_, e) in lets {
+                subst_expr(e, lookup, catalog);
+            }
+            subst_tail(body, lookup, catalog);
+        }
+        AnfTail::Call { args, .. } => {
+            for a in args {
+                subst_expr(a, lookup, catalog);
             }
         }
-        AnfTail::Call { target, args } => AnfTail::Call {
-            target: *target,
-            args: args
-                .iter()
-                .map(|a| crate::subst::subst_expr(a.clone(), map, catalog, &[]))
-                .collect(),
-        },
-        AnfTail::Ret(e) => AnfTail::Ret(crate::subst::subst_expr(e.clone(), map, catalog, &[])),
+        AnfTail::Ret(e) => subst_expr(e, lookup, catalog),
     }
 }
 
@@ -329,49 +340,41 @@ fn tail_size(tail: &AnfTail) -> usize {
     }
 }
 
+/// Inline every call to `target` in `tail`, in place: each becomes the
+/// callee's body (under its lets) with the call's arguments substituted for
+/// the callee's parameters.
 fn replace_calls(
-    tail: &AnfTail,
+    tail: &mut AnfTail,
     target: usize,
     callee: &AnfFunction,
     catalog: &plaway_engine::Catalog,
-) -> AnfTail {
+) {
     match tail {
-        AnfTail::If { cond, then_, else_ } => AnfTail::If {
-            cond: cond.clone(),
-            then_: Box::new(replace_calls(then_, target, callee, catalog)),
-            else_: Box::new(replace_calls(else_, target, callee, catalog)),
-        },
-        AnfTail::LetChain { lets, body } => AnfTail::LetChain {
-            lets: lets.clone(),
-            body: Box::new(replace_calls(body, target, callee, catalog)),
-        },
-        AnfTail::Call { target: t, args } if *t == target => {
-            let map: crate::subst::Subst = callee
-                .params
-                .iter()
-                .cloned()
-                .zip(args.iter().cloned())
-                .collect();
-            let inlined = subst_tail(&callee.tail, &map, catalog);
-            if callee.lets.is_empty() {
-                inlined
-            } else {
-                AnfTail::LetChain {
-                    lets: callee
-                        .lets
-                        .iter()
-                        .map(|(v, e)| {
-                            (
-                                v.clone(),
-                                crate::subst::subst_expr(e.clone(), &map, catalog, &[]),
-                            )
-                        })
-                        .collect(),
-                    body: Box::new(inlined),
-                }
-            }
+        AnfTail::If { then_, else_, .. } => {
+            replace_calls(then_, target, callee, catalog);
+            replace_calls(else_, target, callee, catalog);
         }
-        other => other.clone(),
+        AnfTail::LetChain { body, .. } => replace_calls(body, target, callee, catalog),
+        AnfTail::Call { target: t, args } if *t == target => {
+            let arg = |name: &str| {
+                let i = callee.params.iter().position(|p| p == name)?;
+                args.get(i).cloned()
+            };
+            let mut inlined = callee.tail.clone();
+            subst_tail(&mut inlined, &arg, catalog);
+            if !callee.lets.is_empty() {
+                let mut lets = callee.lets.clone();
+                for (_, e) in &mut lets {
+                    subst_expr(e, &arg, catalog);
+                }
+                inlined = AnfTail::LetChain {
+                    lets,
+                    body: Box::new(inlined),
+                };
+            }
+            *tail = inlined;
+        }
+        AnfTail::Call { .. } | AnfTail::Ret(_) => {}
     }
 }
 
@@ -421,20 +424,18 @@ fn is_release_call(e: &Expr) -> bool {
 /// literal? Such arguments can be substituted into a callee that mentions a
 /// parameter more than once without duplicating work.
 fn all_call_args_simple(prog: &AnfProgram, idx: usize, reachable: &[bool]) -> bool {
-    let simple = |args: &[Expr]| {
-        args.iter()
-            .all(|a| matches!(a, Expr::Column { .. } | Expr::Literal(_)))
-    };
-    prog.funcs
-        .iter()
-        .enumerate()
-        .filter(|(j, _)| reachable[*j] && *j != idx)
-        .all(|(_, g)| {
-            g.tail
-                .calls()
-                .iter()
-                .all(|(t, args)| *t != idx || simple(args))
-        })
+    let mut simple = true;
+    for (j, g) in prog.funcs.iter().enumerate() {
+        if reachable[j] && j != idx {
+            g.tail.for_each_call(&mut |t, args| {
+                simple &= t != idx
+                    || args
+                        .iter()
+                        .all(|a| matches!(a, Expr::Column { .. } | Expr::Literal(_)));
+            });
+        }
+    }
+    simple
 }
 
 /// Inline trivial block functions (no `let`s, small tails, not
@@ -458,7 +459,7 @@ pub fn inline_trivial(prog: &mut AnfProgram, catalog: &plaway_engine::Catalog) {
         for idx in 0..prog.funcs.len() {
             let reachable = prog.reachable();
             let f = &prog.funcs[idx];
-            if !reachable[idx] || f.tail.calls().iter().any(|(t, _)| *t == idx) {
+            if !reachable[idx] || f.tail.calls_to(idx) > 0 {
                 continue;
             }
             // Three inlining shapes:
@@ -470,23 +471,22 @@ pub fn inline_trivial(prog: &mut AnfProgram, catalog: &plaway_engine::Catalog) {
             //      (column/literal) arguments at every call site — the
             //      handled-block join/increment shape. Duplicating pure
             //      lets is safe and buys one CTE iteration per loop pass.
+            let entry_calls = prog.entry.calls_to(idx);
             let call_sites: usize = prog
                 .funcs
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| reachable[*j] && *j != idx)
-                .map(|(_, g)| g.tail.calls().iter().filter(|(t, _)| *t == idx).count())
+                .map(|(_, g)| g.tail.calls_to(idx))
                 .sum::<usize>()
-                + prog.entry.calls().iter().filter(|(t, _)| *t == idx).count();
+                + entry_calls;
             let trivial = f.lets.is_empty() && tail_size(&f.tail) <= 8;
-            let single_use = call_sites == 1
-                && tail_size(&f.tail) <= 16
-                && !prog.entry.calls().iter().any(|(t, _)| *t == idx);
+            let single_use = call_sites == 1 && tail_size(&f.tail) <= 16 && entry_calls == 0;
             let small_pure = (2..=4).contains(&call_sites)
                 && f.lets.len() <= 2
                 && tail_size(&f.tail) <= 8
                 && f.lets.iter().all(|(_, e)| crate::opt::is_pure_expr(e))
-                && !prog.entry.calls().iter().any(|(t, _)| *t == idx)
+                && entry_calls == 0
                 && all_call_args_simple(prog, idx, &reachable);
             // (d) the row-loop exit-block shape: only `snapshot_release`
             //     lets and a small tail. Inlining it at every exit edge
@@ -497,29 +497,27 @@ pub fn inline_trivial(prog: &mut AnfProgram, catalog: &plaway_engine::Catalog) {
                 && !f.lets.is_empty()
                 && f.lets.iter().all(|(_, e)| is_release_call(e))
                 && tail_size(&f.tail) <= 8
-                && !prog.entry.calls().iter().any(|(t, _)| *t == idx)
+                && entry_calls == 0
                 && all_call_args_simple(prog, idx, &reachable);
             if !(trivial || single_use || small_pure || release_block) {
                 continue;
             }
-            let callee = prog.funcs[idx].clone();
-            for j in 0..prog.funcs.len() {
-                if j == idx {
-                    continue;
-                }
-                if prog.funcs[j].tail.calls().iter().any(|(t, _)| *t == idx) {
-                    prog.funcs[j].tail = replace_calls(&prog.funcs[j].tail, idx, &callee, catalog);
+            // Lift the callee out while its callers are rewritten (it is
+            // not self-recursive, so none of them is the callee itself).
+            let callee = std::mem::replace(&mut prog.funcs[idx], AnfFunction::placeholder());
+            for (j, g) in prog.funcs.iter_mut().enumerate() {
+                if j != idx && g.tail.calls_to(idx) > 0 {
+                    replace_calls(&mut g.tail, idx, &callee, catalog);
                     any = true;
                 }
             }
             // The program entry must remain a bare call (the original
             // invocation); only forwarders may be inlined there.
-            if matches!(callee.tail, AnfTail::Call { .. })
-                && prog.entry.calls().iter().any(|(t, _)| *t == idx)
-            {
-                prog.entry = replace_calls(&prog.entry, idx, &callee, catalog);
+            if matches!(callee.tail, AnfTail::Call { .. }) && entry_calls > 0 {
+                replace_calls(&mut prog.entry, idx, &callee, catalog);
                 any = true;
             }
+            prog.funcs[idx] = callee;
         }
         if !any {
             break;
@@ -531,17 +529,18 @@ impl AnfProgram {
     /// Functions reachable from the entry call.
     pub fn reachable(&self) -> Vec<bool> {
         let mut seen = vec![false; self.funcs.len()];
-        let mut stack: Vec<usize> = self.entry.calls().iter().map(|(t, _)| *t).collect();
-        for &s in &stack {
-            seen[s] = true;
-        }
-        while let Some(f) = stack.pop() {
-            for (t, _) in self.funcs[f].tail.calls() {
-                if !seen[t] {
-                    seen[t] = true;
-                    stack.push(t);
-                }
+        let mut stack: Vec<usize> = Vec::new();
+        let mut visit = |t: usize, stack: &mut Vec<usize>| {
+            if !seen[t] {
+                seen[t] = true;
+                stack.push(t);
             }
+        };
+        self.entry.for_each_call(&mut |t, _| visit(t, &mut stack));
+        while let Some(f) = stack.pop() {
+            self.funcs[f]
+                .tail
+                .for_each_call(&mut |t, _| visit(t, &mut stack));
         }
         seen
     }

@@ -111,12 +111,13 @@ impl Cfg {
 
 impl Term {
     /// The blocks this terminator can transfer control to.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Term::Jump(t) => vec![*t],
-            Term::Branch { then_, else_, .. } => vec![*then_, *else_],
-            Term::Return(_) | Term::Unfinished => vec![],
-        }
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match self {
+            Term::Jump(t) => (Some(*t), None),
+            Term::Branch { then_, else_, .. } => (Some(*then_), Some(*else_)),
+            Term::Return(_) | Term::Unfinished => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Rewrite successor ids.
@@ -277,20 +278,20 @@ impl<'f> Lowering<'f> {
     /// names (capture-aware; uses an empty catalog because at this stage we
     /// only rename, and renaming maps source names to fresh names that
     /// cannot collide with columns the original expression resolved).
-    fn rename_expr(&self, e: Expr) -> Expr {
-        let mut map = crate::subst::Subst::new();
-        for scope in &self.scopes {
-            for (src, unique) in scope {
-                if src != unique {
-                    map.insert(src.clone(), Expr::col(unique.clone()));
-                }
-            }
-        }
-        if map.is_empty() {
-            return e;
-        }
+    fn rename_expr(&self, mut e: Expr) -> Expr {
         // Renaming must respect column capture exactly like later passes.
-        crate::subst::subst_expr(e, &map, self.catalog, &[])
+        crate::subst::subst_expr(&mut e, &|name| self.renamed(name), self.catalog);
+        e
+    }
+
+    /// The uniquified name a source variable reference renames to: the
+    /// innermost scope that maps it to a different name decides.
+    fn renamed(&self, name: &str) -> Option<Expr> {
+        self.scopes
+            .iter()
+            .rev()
+            .find_map(|s| s.get(name).filter(|unique| *unique != name))
+            .map(|unique| Expr::col(unique.clone()))
     }
 
     /// Lower statements starting in `cur`; returns the open block control
@@ -890,20 +891,9 @@ impl<'f> Lowering<'f> {
 
     /// Rewrite variable references inside a whole query to their uniquified
     /// names (the query counterpart of [`Lowering::rename_expr`]).
-    fn rename_query(&self, q: Query) -> Query {
-        let mut map = crate::subst::Subst::new();
-        for scope in &self.scopes {
-            for (src, unique) in scope {
-                if src != unique {
-                    map.insert(src.clone(), Expr::col(unique.clone()));
-                }
-            }
-        }
-        if map.is_empty() {
-            q
-        } else {
-            crate::subst::subst_query(q, &map, self.catalog, &[])
-        }
+    fn rename_query(&self, mut q: Query) -> Query {
+        crate::subst::subst_query(&mut q, &|name| self.renamed(name), self.catalog);
+        q
     }
 
     /// Append `snapshot_release(handle)` to a block (bound to a throwaway

@@ -25,6 +25,8 @@
 //! keeps only the final iteration and therefore needs no trace space
 //! (Table 2).
 
+use std::collections::HashMap;
+
 use plaway_common::{Error, Result, Type};
 use plaway_engine::Catalog;
 use plaway_sql::ast::{
@@ -32,7 +34,7 @@ use plaway_sql::ast::{
 };
 
 use crate::anf::AnfProgram;
-use crate::subst::{subst_expr, Subst};
+use crate::subst::{subst_expr, subst_query};
 use crate::udf::{build_case, LeafStyle, UdfProgram};
 
 /// How the recursive CTE carries the argument vector.
@@ -150,7 +152,7 @@ fn build_query_impl(
             rid: batch_input.map(|_| Expr::qcol("r", BATCH_RID)),
         },
     )?;
-    let mut map = Subst::new();
+    let mut map = HashMap::new();
     map.insert("fn".to_string(), Expr::qcol("r", "fn"));
     match layout {
         ArgsLayout::Flattened => {
@@ -182,7 +184,8 @@ fn build_query_impl(
             }
         }
     }
-    let body = subst_expr(encoded, &map, catalog, &[]);
+    let mut body = encoded;
+    subst_expr(&mut body, &|name| map.get(name).cloned(), catalog);
 
     // ---- base arm: the original invocation (Figure 8 line 3). In batch
     // mode there is one seed row per input row: parameters come from the
@@ -206,14 +209,15 @@ fn build_query_impl(
     });
     let mut base_from: Vec<TableRef> = Vec::new();
     if let Some(input) = batch_input {
-        let mut inp_map = Subst::new();
-        for (p, _) in &udf.fn_params {
-            inp_map.insert(p.clone(), Expr::qcol("inp", p.clone()));
+        let input_column = |name: &str| {
+            udf.fn_params
+                .iter()
+                .any(|(p, _)| p == name)
+                .then(|| Expr::qcol("inp", name))
+        };
+        for e in &mut base_items {
+            subst_expr(e, &input_column, catalog);
         }
-        base_items = base_items
-            .into_iter()
-            .map(|e| subst_expr(e, &inp_map, catalog, &[]))
-            .collect();
         base_items.insert(0, Expr::qcol("inp", BATCH_RID));
         base_from.push(TableRef::Table {
             name: input.into(),
@@ -402,12 +406,13 @@ pub fn bind_args(
             args.len()
         )));
     }
-    let map: Subst = param_names
-        .iter()
-        .cloned()
-        .zip(args.iter().cloned())
-        .collect();
-    Ok(crate::subst::subst_query(query.clone(), &map, catalog, &[]))
+    let arg = |name: &str| {
+        let i = param_names.iter().position(|p| p == name)?;
+        Some(args[i].clone())
+    };
+    let mut bound = query.clone();
+    subst_query(&mut bound, &arg, catalog);
+    Ok(bound)
 }
 
 fn cast_type_name(ty: &Type) -> String {

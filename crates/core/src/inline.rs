@@ -14,14 +14,28 @@ use crate::cte::bind_args;
 use crate::pipeline::Compiled;
 
 /// Inline all calls to `compiled`'s function inside `query`.
-pub fn inline_into_query(query: Query, compiled: &Compiled, catalog: &Catalog) -> Result<Query> {
-    rewrite_query(query, &mut |e| match e {
-        Expr::Func { name, args } if name == compiled.source.name => {
-            let bound = bind_args(&compiled.query, &compiled.param_names, &args, catalog)?;
-            Ok(Expr::Subquery(Box::new(bound)))
+pub fn inline_into_query(
+    mut query: Query,
+    compiled: &Compiled,
+    catalog: &Catalog,
+) -> Result<Query> {
+    let mut failure = None;
+    rewrite_query(&mut query, &mut |e| {
+        let Expr::Func { name, args } = e else {
+            return;
+        };
+        if *name != compiled.source.name {
+            return;
         }
-        other => Ok(other),
-    })
+        match bind_args(&compiled.query, &compiled.param_names, args, catalog) {
+            Ok(bound) => *e = Expr::Subquery(Box::new(bound)),
+            Err(err) => failure = Some(err),
+        }
+    });
+    match failure {
+        Some(err) => Err(err),
+        None => Ok(query),
+    }
 }
 
 /// Inline into any statement (queries, INSERT ... SELECT, etc.).
@@ -46,219 +60,81 @@ pub fn inline_into_stmt(stmt: Stmt, compiled: &Compiled, catalog: &Catalog) -> R
     })
 }
 
-/// Structural expression rewriter over a whole query, bottom-up, descending
-/// into subqueries, FROM items, CTEs and set-operation arms.
-fn rewrite_query(q: Query, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Query> {
-    // Expr::rewrite is infallible; carry errors out-of-band.
-    let mut failure: Option<plaway_common::Error> = None;
-    let out = rewrite_query_infallible(q, &mut |e| match f(e) {
-        Ok(e) => e,
-        Err(err) => {
-            failure = Some(err);
-            Expr::null()
+/// Structural expression rewriter over a whole query, bottom-up and in
+/// place, descending into subqueries, FROM items, CTEs and set-operation
+/// arms.
+fn rewrite_query(q: &mut Query, f: &mut impl FnMut(&mut Expr)) {
+    if let Some(with) = &mut q.with {
+        for cte in &mut with.ctes {
+            rewrite_query(&mut cte.query, f);
         }
-    });
-    match failure {
-        Some(err) => Err(err),
-        None => Ok(out),
+    }
+    rewrite_set_expr(&mut q.body, f);
+    for oi in &mut q.order_by {
+        rewrite_expr(&mut oi.expr, f);
+    }
+    for e in q.limit.iter_mut().chain(&mut q.offset) {
+        rewrite_expr(e, f);
     }
 }
 
-fn rewrite_query_infallible(mut q: Query, f: &mut impl FnMut(Expr) -> Expr) -> Query {
-    if let Some(with) = q.with.take() {
-        q.with = Some(plaway_sql::ast::With {
-            recursive: with.recursive,
-            iterate: with.iterate,
-            retire: with.retire,
-            ctes: with
-                .ctes
-                .into_iter()
-                .map(|mut cte| {
-                    cte.query = rewrite_query_infallible(cte.query, f);
-                    cte
-                })
-                .collect(),
-        });
-    }
-    q.body = rewrite_set_expr(q.body, f);
-    q.order_by = q
-        .order_by
-        .into_iter()
-        .map(|mut oi| {
-            oi.expr = rewrite_expr(oi.expr, f);
-            oi
-        })
-        .collect();
-    q.limit = q.limit.map(|e| rewrite_expr(e, f));
-    q.offset = q.offset.map(|e| rewrite_expr(e, f));
-    q
-}
-
-fn rewrite_set_expr(body: SetExpr, f: &mut impl FnMut(Expr) -> Expr) -> SetExpr {
+fn rewrite_set_expr(body: &mut SetExpr, f: &mut impl FnMut(&mut Expr)) {
     match body {
-        SetExpr::Select(sel) => SetExpr::Select(Box::new(rewrite_select(*sel, f))),
-        SetExpr::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => SetExpr::SetOp {
-            op,
-            all,
-            left: Box::new(rewrite_set_expr(*left, f)),
-            right: Box::new(rewrite_set_expr(*right, f)),
-        },
-        SetExpr::Values(rows) => SetExpr::Values(
-            rows.into_iter()
-                .map(|row| row.into_iter().map(|e| rewrite_expr(e, f)).collect())
-                .collect(),
-        ),
-        SetExpr::Query(q) => SetExpr::Query(Box::new(rewrite_query_infallible(*q, f))),
+        SetExpr::Select(sel) => rewrite_select(sel, f),
+        SetExpr::SetOp { left, right, .. } => {
+            rewrite_set_expr(left, f);
+            rewrite_set_expr(right, f);
+        }
+        SetExpr::Values(rows) => {
+            for e in rows.iter_mut().flatten() {
+                rewrite_expr(e, f);
+            }
+        }
+        SetExpr::Query(q) => rewrite_query(q, f),
     }
 }
 
-fn rewrite_select(sel: Select, f: &mut impl FnMut(Expr) -> Expr) -> Select {
-    Select {
-        distinct: sel.distinct,
-        items: sel
-            .items
-            .into_iter()
-            .map(|item| match item {
-                SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                    expr: rewrite_expr(expr, f),
-                    alias,
-                },
-                other => other,
-            })
-            .collect(),
-        from: sel
-            .from
-            .into_iter()
-            .map(|t| rewrite_table_ref(t, f))
-            .collect(),
-        where_: sel.where_.map(|e| rewrite_expr(e, f)),
-        group_by: sel
-            .group_by
-            .into_iter()
-            .map(|e| rewrite_expr(e, f))
-            .collect(),
-        having: sel.having.map(|e| rewrite_expr(e, f)),
-        windows: sel.windows,
+fn rewrite_select(sel: &mut Select, f: &mut impl FnMut(&mut Expr)) {
+    for item in &mut sel.items {
+        if let SelectItem::Expr { expr, .. } = item {
+            rewrite_expr(expr, f);
+        }
+    }
+    for t in &mut sel.from {
+        rewrite_table_ref(t, f);
+    }
+    for e in sel
+        .where_
+        .iter_mut()
+        .chain(&mut sel.group_by)
+        .chain(&mut sel.having)
+    {
+        rewrite_expr(e, f);
     }
 }
 
-fn rewrite_table_ref(t: TableRef, f: &mut impl FnMut(Expr) -> Expr) -> TableRef {
+fn rewrite_table_ref(t: &mut TableRef, f: &mut impl FnMut(&mut Expr)) {
     match t {
-        TableRef::Table { .. } => t,
-        TableRef::Derived {
-            lateral,
-            query,
-            alias,
-        } => TableRef::Derived {
-            lateral,
-            query: Box::new(rewrite_query_infallible(*query, f)),
-            alias,
-        },
+        TableRef::Table { .. } => {}
+        TableRef::Derived { query, .. } => rewrite_query(query, f),
         TableRef::Join {
-            left,
-            right,
-            kind,
-            lateral,
-            on,
-        } => TableRef::Join {
-            left: Box::new(rewrite_table_ref(*left, f)),
-            right: Box::new(rewrite_table_ref(*right, f)),
-            kind,
-            lateral,
-            on: on.map(|e| rewrite_expr(e, f)),
-        },
+            left, right, on, ..
+        } => {
+            rewrite_table_ref(left, f);
+            rewrite_table_ref(right, f);
+            if let Some(e) = on {
+                rewrite_expr(e, f);
+            }
+        }
     }
 }
 
-/// Bottom-up expression rewrite sharing one closure with the query walker
-/// (Expr::rewrite would need two independent closures).
-fn rewrite_expr(e: Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-    let e = match e {
-        Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) | Expr::CountStar => e,
-        Expr::Unary { op, expr } => Expr::Unary {
-            op,
-            expr: Box::new(rewrite_expr(*expr, f)),
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(rewrite_expr(*left, f)),
-            right: Box::new(rewrite_expr(*right, f)),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            low: Box::new(rewrite_expr(*low, f)),
-            high: Box::new(rewrite_expr(*high, f)),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            list: list.into_iter().map(|i| rewrite_expr(i, f)).collect(),
-            negated,
-        },
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            query: Box::new(rewrite_query_infallible(*query, f)),
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            pattern: Box::new(rewrite_expr(*pattern, f)),
-            negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_,
-        } => Expr::Case {
-            operand: operand.map(|o| Box::new(rewrite_expr(*o, f))),
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| (rewrite_expr(w, f), rewrite_expr(t, f)))
-                .collect(),
-            else_: else_.map(|e| Box::new(rewrite_expr(*e, f))),
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name,
-            args: args.into_iter().map(|a| rewrite_expr(a, f)).collect(),
-        },
-        Expr::WindowFunc { name, args, window } => Expr::WindowFunc {
-            name,
-            args: args.into_iter().map(|a| rewrite_expr(a, f)).collect(),
-            window,
-        },
-        Expr::Subquery(q) => Expr::Subquery(Box::new(rewrite_query_infallible(*q, f))),
-        Expr::Exists(q) => Expr::Exists(Box::new(rewrite_query_infallible(*q, f))),
-        Expr::Row(items) => Expr::Row(items.into_iter().map(|i| rewrite_expr(i, f)).collect()),
-        Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(rewrite_expr(*expr, f)),
-            ty,
-        },
-    };
-    f(e)
+/// [`Expr::rewrite`] with `f`, descending into subqueries with `f` too.
+fn rewrite_expr(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
+    e.rewrite(&mut |node| {
+        if let Expr::Subquery(q) | Expr::Exists(q) | Expr::InSubquery { query: q, .. } = node {
+            rewrite_query(q, f);
+        }
+        f(node)
+    })
 }

@@ -16,7 +16,7 @@
 //! * strength reduction (`x * 2^k` → shifts are pointless in SQL, but
 //!   `x * 1`, `x + 0`, `x::τ` of τ-typed literals and friends are folded).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use plaway_common::Value;
 use plaway_engine::Catalog;
@@ -24,7 +24,7 @@ use plaway_sql::ast::{BinOp, Expr, UnOp};
 
 use crate::cfg::Term;
 use crate::ssa::{PhiArg, SsaProgram};
-use crate::subst::{subst_expr, Subst};
+use crate::subst::subst_expr;
 
 /// Statistics of one optimization run (used in tests and EXPLAIN output).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -195,125 +195,101 @@ pub(crate) fn const_value(e: &Expr) -> Option<Value> {
     }
 }
 
-/// Bottom-up folding with algebraic identities.
-fn fold_expr(e: Expr, n_folded: &mut usize) -> Expr {
-    e.rewrite(
-        &mut |e| {
-            if matches!(e, Expr::Literal(_)) {
-                return e;
-            }
-            if let Some(v) = const_value(&e) {
+/// Bottom-up folding with algebraic identities, in place. Subqueries are
+/// opaque here and left untouched.
+fn fold_expr(e: &mut Expr, n_folded: &mut usize) {
+    e.rewrite(&mut |e| {
+        if matches!(e, Expr::Literal(_)) {
+            return;
+        }
+        if let Some(v) = const_value(e) {
+            *n_folded += 1;
+            *e = Expr::Literal(v);
+            return;
+        }
+        match e {
+            // x + 0, 0 + x, x - 0, x * 1, 1 * x, x / 1 (pure x only —
+            // dropping an impure duplicate would lose effects).
+            Expr::Binary { op, left, right } => {
+                let lit = |e: &Expr| match e {
+                    Expr::Literal(v) => Some(v.clone()),
+                    _ => None,
+                };
+                // Which operand the whole expression reduces to, if any.
+                let keep_left = match (*op, lit(left), lit(right)) {
+                    (BinOp::Add, Some(Value::Int(0)), _) if is_pure_expr(right) => false,
+                    (BinOp::Add, _, Some(Value::Int(0))) | (BinOp::Sub, _, Some(Value::Int(0)))
+                        if is_pure_expr(left) =>
+                    {
+                        true
+                    }
+                    (BinOp::Mul, Some(Value::Int(1)), _) if is_pure_expr(right) => false,
+                    (BinOp::Mul, _, Some(Value::Int(1))) | (BinOp::Div, _, Some(Value::Int(1)))
+                        if is_pure_expr(left) =>
+                    {
+                        true
+                    }
+                    // true AND x -> x ; false OR x -> x (x boolean).
+                    (BinOp::And, Some(Value::Bool(true)), _) => false,
+                    (BinOp::And, _, Some(Value::Bool(true))) => true,
+                    (BinOp::Or, Some(Value::Bool(false)), _) => false,
+                    (BinOp::Or, _, Some(Value::Bool(false))) => true,
+                    _ => return,
+                };
                 *n_folded += 1;
-                return Expr::Literal(v);
+                *e = take(if keep_left { left } else { right });
             }
-            match e {
-                // x + 0, 0 + x, x - 0, x * 1, 1 * x, x / 1 (pure x only —
-                // dropping an impure duplicate would lose effects).
-                Expr::Binary { op, left, right } => {
-                    let lit = |e: &Expr| match e {
-                        Expr::Literal(v) => Some(v.clone()),
-                        _ => None,
-                    };
-                    let (l, r) = (lit(&left), lit(&right));
-                    match (op, l, r) {
-                        (BinOp::Add, Some(Value::Int(0)), _) if is_pure_expr(&right) => {
-                            *n_folded += 1;
-                            *right
-                        }
-                        (BinOp::Add, _, Some(Value::Int(0)))
-                        | (BinOp::Sub, _, Some(Value::Int(0)))
-                            if is_pure_expr(&left) =>
-                        {
-                            *n_folded += 1;
-                            *left
-                        }
-                        (BinOp::Mul, Some(Value::Int(1)), _) if is_pure_expr(&right) => {
-                            *n_folded += 1;
-                            *right
-                        }
-                        (BinOp::Mul, _, Some(Value::Int(1)))
-                        | (BinOp::Div, _, Some(Value::Int(1)))
-                            if is_pure_expr(&left) =>
-                        {
-                            *n_folded += 1;
-                            *left
-                        }
-                        // true AND x -> x ; false OR x -> x (x boolean).
-                        (BinOp::And, Some(Value::Bool(true)), _) => {
-                            *n_folded += 1;
-                            *right
-                        }
-                        (BinOp::And, _, Some(Value::Bool(true))) => {
-                            *n_folded += 1;
-                            *left
-                        }
-                        (BinOp::Or, Some(Value::Bool(false)), _) => {
-                            *n_folded += 1;
-                            *right
-                        }
-                        (BinOp::Or, _, Some(Value::Bool(false))) => {
-                            *n_folded += 1;
-                            *left
-                        }
-                        (op, _, _) => Expr::Binary { op, left, right },
-                    }
+            // CASE with a constant guard in first position.
+            Expr::Case {
+                operand: None,
+                branches,
+                else_,
+            } if matches!(branches.first(), Some((Expr::Literal(_), _))) => {
+                let (first_cond, first_then) = branches.remove(0);
+                let Expr::Literal(v) = first_cond else {
+                    unreachable!()
+                };
+                *n_folded += 1;
+                if v.is_true() {
+                    *e = first_then;
+                } else if branches.is_empty() {
+                    *e = else_.take().map_or(Expr::null(), |b| *b);
                 }
-                // CASE with a constant guard in first position.
-                Expr::Case {
-                    operand: None,
-                    branches,
-                    else_,
-                } if matches!(branches.first(), Some((Expr::Literal(_), _))) => {
-                    let mut branches = branches;
-                    let (first_cond, first_then) = branches.remove(0);
-                    let Expr::Literal(v) = first_cond else {
-                        unreachable!()
-                    };
-                    *n_folded += 1;
-                    if v.is_true() {
-                        first_then
-                    } else if branches.is_empty() {
-                        else_.map(|b| *b).unwrap_or(Expr::null())
-                    } else {
-                        Expr::Case {
-                            operand: None,
-                            branches,
-                            else_,
-                        }
-                    }
-                }
-                other => other,
             }
-        },
-        &mut |q| q, // leave subqueries untouched (they are opaque here)
-    )
+            _ => {}
+        }
+    })
+}
+
+/// Move an expression out, leaving a NULL literal (which allocates
+/// nothing) in its place.
+fn take(e: &mut Expr) -> Expr {
+    std::mem::replace(e, Expr::null())
+}
+
+/// Apply `f` to every expression of the program: statements, φ
+/// arguments and terminators.
+fn for_each_expr(prog: &mut SsaProgram, mut f: impl FnMut(&mut Expr)) {
+    for b in &mut prog.blocks {
+        for (_, e) in &mut b.stmts {
+            f(e);
+        }
+        for phi in &mut b.phis {
+            for (_, arg) in &mut phi.args {
+                f(&mut arg.0);
+            }
+        }
+        match &mut b.term {
+            Term::Branch { cond, .. } => f(cond),
+            Term::Return(e) => f(e),
+            _ => {}
+        }
+    }
 }
 
 fn fold_constants(prog: &mut SsaProgram, stats: &mut OptStats) -> bool {
     let mut n = 0;
-    for b in &mut prog.blocks {
-        for (_, e) in &mut b.stmts {
-            let folded = fold_expr(std::mem::replace(e, Expr::null()), &mut n);
-            *e = folded;
-        }
-        for phi in &mut b.phis {
-            for (_, arg) in &mut phi.args {
-                let folded = fold_expr(std::mem::replace(&mut arg.0, Expr::null()), &mut n);
-                arg.0 = folded;
-            }
-        }
-        match &mut b.term {
-            Term::Branch { cond, .. } => {
-                let folded = fold_expr(std::mem::replace(cond, Expr::null()), &mut n);
-                *cond = folded;
-            }
-            Term::Return(e) => {
-                let folded = fold_expr(std::mem::replace(e, Expr::null()), &mut n);
-                *e = folded;
-            }
-            _ => {}
-        }
-    }
+    for_each_expr(prog, |e| fold_expr(e, &mut n));
     stats.constants_folded += n;
     n > 0
 }
@@ -323,7 +299,7 @@ fn fold_constants(prog: &mut SsaProgram, stats: &mut OptStats) -> bool {
 
 /// Propagate defs of the form `v := literal` and `v := w`.
 fn propagate_defs(prog: &mut SsaProgram, catalog: &Catalog, stats: &mut OptStats) -> bool {
-    let mut map = Subst::new();
+    let mut map = HashMap::new();
     for b in &prog.blocks {
         for (v, e) in &b.stmts {
             match e {
@@ -355,71 +331,45 @@ fn propagate_defs(prog: &mut SsaProgram, catalog: &Catalog, stats: &mut OptStats
 
 /// Resolve substitution chains (`v -> w`, `w -> 3`  =>  `v -> 3`), bounded.
 /// Both propagation and trivial-φ removal substitute in a single pass, so a
-/// map with internal references would otherwise leave dangling names.
-fn resolve_chains(map: &mut Subst) {
+/// map with internal references would otherwise leave dangling names. Each
+/// round replaces every target that names a key by that key's target as
+/// of the round's start; only those entries are copied.
+fn resolve_chains(map: &mut HashMap<String, Expr>) {
     for _ in 0..map.len() {
-        let snapshot = map.clone();
-        let mut changed = false;
-        for (_, target) in map.iter_mut() {
-            if let Expr::Column {
-                qualifier: None,
-                name,
-            } = target.clone()
-            {
-                if let Some(next) = snapshot.get(&name) {
-                    *target = next.clone();
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
+        let updates: Vec<(String, Expr)> = map
+            .iter()
+            .filter_map(|(v, target)| match target {
+                Expr::Column {
+                    qualifier: None,
+                    name,
+                } => map.get(name).map(|next| (v.clone(), next.clone())),
+                _ => None,
+            })
+            .collect();
+        if updates.is_empty() {
             break;
         }
+        map.extend(updates);
     }
 }
 
-fn apply_subst(prog: &mut SsaProgram, map: &Subst, catalog: &Catalog) {
-    for b in &mut prog.blocks {
-        for (_, e) in &mut b.stmts {
-            let new = subst_expr(std::mem::replace(e, Expr::null()), map, catalog, &[]);
-            *e = new;
-        }
-        for phi in &mut b.phis {
-            for (_, arg) in &mut phi.args {
-                let new = subst_expr(
-                    std::mem::replace(&mut arg.0, Expr::null()),
-                    map,
-                    catalog,
-                    &[],
-                );
-                arg.0 = new;
-            }
-        }
-        match &mut b.term {
-            Term::Branch { cond, .. } => {
-                let new = subst_expr(std::mem::replace(cond, Expr::null()), map, catalog, &[]);
-                *cond = new;
-            }
-            Term::Return(e) => {
-                let new = subst_expr(std::mem::replace(e, Expr::null()), map, catalog, &[]);
-                *e = new;
-            }
-            _ => {}
-        }
-    }
+fn apply_subst(prog: &mut SsaProgram, map: &HashMap<String, Expr>, catalog: &Catalog) {
+    let lookup = |name: &str| map.get(name).cloned();
+    for_each_expr(prog, |e| subst_expr(e, &lookup, catalog));
 }
 
 // ---------------------------------------------------------------------------
 // Trivial φ removal
 
 fn remove_trivial_phis(prog: &mut SsaProgram, catalog: &Catalog, stats: &mut OptStats) -> bool {
-    let mut map = Subst::new();
+    let mut map = HashMap::new();
     for b in &mut prog.blocks {
         b.phis.retain(|phi| {
-            let self_ref = Expr::col(phi.target.clone());
+            let is_self_ref =
+                |a: &Expr| matches!(a, Expr::Column { qualifier: None, name } if *name == phi.target);
             let mut distinct: Vec<&Expr> = Vec::new();
             for (_, PhiArg(a)) in &phi.args {
-                if *a != self_ref && !distinct.contains(&a) {
+                if !is_self_ref(a) && !distinct.contains(&a) {
                     distinct.push(a);
                 }
             }
@@ -454,9 +404,11 @@ fn eliminate_dead_code(prog: &mut SsaProgram, stats: &mut OptStats) -> bool {
     loop {
         let mut used: HashSet<String> = HashSet::new();
         let mut collect = |e: &Expr| {
-            let mut names = Vec::new();
-            crate::ssa::collect_free_names(e, &mut names);
-            used.extend(names);
+            crate::ssa::for_each_free_name(e, &mut |name| {
+                if !used.contains(name) {
+                    used.insert(name.to_owned());
+                }
+            })
         };
         for b in &prog.blocks {
             for (_, e) in &b.stmts {
@@ -545,10 +497,10 @@ fn remove_unreachable(prog: &mut SsaProgram, stats: &mut OptStats) -> bool {
     }
     let mut remap = vec![usize::MAX; n];
     let mut blocks = Vec::new();
-    for i in 0..n {
+    for (i, b) in std::mem::take(&mut prog.blocks).into_iter().enumerate() {
         if reachable[i] {
             remap[i] = blocks.len();
-            blocks.push(prog.blocks[i].clone());
+            blocks.push(b);
         } else {
             stats.blocks_removed += 1;
         }
@@ -582,7 +534,7 @@ fn merge_straightline(prog: &mut SsaProgram, stats: &mut OptStats) -> bool {
                 continue;
             }
             // Move s's statements into b; adopt s's terminator.
-            let s_block = prog.blocks[s].clone();
+            let s_block = std::mem::take(&mut prog.blocks[s]);
             prog.blocks[b].stmts.extend(s_block.stmts);
             prog.blocks[b].term = s_block.term;
             // φ args in s's successors refer to s: relabel to b.
@@ -595,9 +547,7 @@ fn merge_straightline(prog: &mut SsaProgram, stats: &mut OptStats) -> bool {
                     }
                 }
             }
-            // s is now unreachable; clear it so nothing stale survives.
-            prog.blocks[s].stmts.clear();
-            prog.blocks[s].phis.clear();
+            // s is now an empty, unreachable husk.
             prog.blocks[s].term = Term::Return(Expr::null());
             // Disconnect: nothing points at s anymore.
             stats.blocks_merged += 1;

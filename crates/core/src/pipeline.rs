@@ -185,10 +185,13 @@ pub fn compile_sql(
 }
 
 impl Compiled {
-    /// Prepare the compiled query in a session (plan once, run many).
+    /// Prepare the compiled query in a session (plan once, run many). A
+    /// plan-cache miss plans [`Compiled::query`] directly, cached under
+    /// its printed text [`Compiled::sql`]: nothing is parsed.
     pub fn prepare(&self, session: &mut Session) -> Result<Arc<PreparedPlan>> {
         let scope = ParamScope::new(self.param_names.clone());
-        session.prepare(&self.sql, &scope)
+        session.refresh();
+        session.prepare_query_text(&self.sql, &self.query, &scope)
     }
 
     /// One-shot execution with the given arguments.
@@ -263,7 +266,11 @@ impl Compiled {
         }
         self.ensure_batch_table(session)?;
         session.replace_rows(&self.batch_table, rows)?;
-        session.prepare_in_snapshot(&self.batch_sql, &ParamScope::new(Vec::new()))
+        session.prepare_query_text(
+            &self.batch_sql,
+            &self.batch_query,
+            &ParamScope::new(Vec::new()),
+        )
     }
 
     /// Create [`Compiled::batch_table`] if the database does not have it

@@ -14,7 +14,7 @@ use plaway_engine::Catalog;
 use plaway_sql::ast::Expr;
 
 use crate::cfg::{BlockId, Cfg, Term};
-use crate::subst::{subst_expr, Subst};
+use crate::subst::subst_expr;
 
 /// A φ argument: an SSA variable reference or a literal (constants may flow
 /// into φs after optimization; an undefined path contributes NULL).
@@ -166,17 +166,12 @@ impl SsaProgram {
         }
         // Dominance of uses.
         let dom = Dominators::compute(self.blocks.len(), self.entry, &preds);
-        let uses_in = |e: &Expr| {
-            let mut names = Vec::new();
-            collect_free_names(e, &mut names);
-            names
-        };
         for (i, b) in self.blocks.iter().enumerate() {
             // Uses within the block: conservatively require the def's block
             // to dominate this block (or be this block, earlier position —
             // we skip intra-block ordering, the builder emits in order).
-            let check = |name: &String, use_block: BlockId| -> Result<()> {
-                if let Some(&db) = def_block.get(name.as_str()) {
+            let check = |name: &str, use_block: BlockId| -> Result<()> {
+                if let Some(&db) = def_block.get(name) {
                     if db != use_block && !dom.dominates(db, use_block) {
                         return Err(Error::compile(format!(
                             "SSA violation: use of {name:?} in L{use_block} not dominated \
@@ -192,29 +187,27 @@ impl SsaProgram {
                 }
                 Ok(())
             };
+            // Every free name of `e` is a use in `use_block`; report the
+            // first violation.
+            let check_uses = |e: &Expr, use_block: BlockId| -> Result<()> {
+                let mut result = Ok(());
+                for_each_free_name(e, &mut |name| {
+                    if result.is_ok() {
+                        result = check(name, use_block);
+                    }
+                });
+                result
+            };
             for (_, e) in &b.stmts {
-                for n in uses_in(e) {
-                    check(&n, i)?;
-                }
+                check_uses(e, i)?;
             }
             match &b.term {
-                Term::Branch { cond, .. } => {
-                    for n in uses_in(cond) {
-                        check(&n, i)?;
-                    }
-                }
-                Term::Return(e) => {
-                    for n in uses_in(e) {
-                        check(&n, i)?;
-                    }
-                }
+                Term::Branch { cond: e, .. } | Term::Return(e) => check_uses(e, i)?,
                 _ => {}
             }
             for phi in &b.phis {
                 for (p, arg) in &phi.args {
-                    for n in uses_in(&arg.0) {
-                        check(&n, *p)?;
-                    }
+                    check_uses(&arg.0, *p)?;
                 }
             }
         }
@@ -222,18 +215,18 @@ impl SsaProgram {
     }
 }
 
-/// Free (unqualified, outside-subquery-scope-agnostic) identifier harvest:
-/// SSA names are always bare columns, so a syntactic walk is enough for
-/// validation purposes (names bound inside subqueries may shadow — the
-/// validator tolerates unknown names by ignoring them).
-pub(crate) fn collect_free_names(e: &Expr, out: &mut Vec<String>) {
+/// Visit every free (unqualified, outside-subquery-scope-agnostic)
+/// identifier of `e`: SSA names are always bare columns, so a syntactic walk
+/// is enough for validation purposes (names bound inside subqueries may
+/// shadow — the validator tolerates unknown names by ignoring them).
+pub(crate) fn for_each_free_name<'a>(e: &'a Expr, out: &mut impl FnMut(&'a str)) {
     e.walk(&mut |sub| {
         if let Expr::Column {
             qualifier: None,
             name,
         } = sub
         {
-            out.push(name.clone());
+            out(name);
         }
         // Subqueries: harvest shallowly too (SSA vars can appear there).
         match sub {
@@ -244,9 +237,9 @@ pub(crate) fn collect_free_names(e: &Expr, out: &mut Vec<String>) {
     });
 }
 
-fn collect_names_query(q: &plaway_sql::ast::Query, out: &mut Vec<String>) {
+fn collect_names_query<'a>(q: &'a plaway_sql::ast::Query, out: &mut impl FnMut(&'a str)) {
     use plaway_sql::ast::{SelectItem, SetExpr, TableRef};
-    fn walk_table(t: &TableRef, out: &mut Vec<String>) {
+    fn walk_table<'a>(t: &'a TableRef, out: &mut impl FnMut(&'a str)) {
         match t {
             TableRef::Table { .. } => {}
             // SSA variables reach derived tables too (the row-loop fetch
@@ -258,37 +251,37 @@ fn collect_names_query(q: &plaway_sql::ast::Query, out: &mut Vec<String>) {
                 walk_table(left, out);
                 walk_table(right, out);
                 if let Some(e) = on {
-                    collect_free_names(e, out);
+                    for_each_free_name(e, out);
                 }
             }
         }
     }
-    fn walk_set(s: &SetExpr, out: &mut Vec<String>) {
+    fn walk_set<'a>(s: &'a SetExpr, out: &mut impl FnMut(&'a str)) {
         match s {
             SetExpr::Select(sel) => {
                 for item in &sel.items {
                     if let SelectItem::Expr { expr, .. } = item {
-                        collect_free_names(expr, out);
+                        for_each_free_name(expr, out);
                     }
                 }
                 for t in &sel.from {
                     walk_table(t, out);
                 }
                 if let Some(w) = &sel.where_ {
-                    collect_free_names(w, out);
+                    for_each_free_name(w, out);
                 }
                 for g in &sel.group_by {
-                    collect_free_names(g, out);
+                    for_each_free_name(g, out);
                 }
                 if let Some(h) = &sel.having {
-                    collect_free_names(h, out);
+                    for_each_free_name(h, out);
                 }
                 for (_, spec) in &sel.windows {
                     for e in &spec.partition_by {
-                        collect_free_names(e, out);
+                        for_each_free_name(e, out);
                     }
                     for o in &spec.order_by {
-                        collect_free_names(&o.expr, out);
+                        for_each_free_name(&o.expr, out);
                     }
                 }
             }
@@ -298,7 +291,7 @@ fn collect_names_query(q: &plaway_sql::ast::Query, out: &mut Vec<String>) {
             }
             SetExpr::Values(rows) => {
                 for r in rows.iter().flatten() {
-                    collect_free_names(r, out);
+                    for_each_free_name(r, out);
                 }
             }
             SetExpr::Query(q) => collect_names_query(q, out),
@@ -311,15 +304,15 @@ fn collect_names_query(q: &plaway_sql::ast::Query, out: &mut Vec<String>) {
     }
     walk_set(&q.body, out);
     for o in &q.order_by {
-        collect_free_names(&o.expr, out);
+        for_each_free_name(&o.expr, out);
     }
     // LIMIT/OFFSET expressions: the row-loop fetch paginates on an SSA
     // variable (`OFFSET pos - 1`).
     if let Some(l) = &q.limit {
-        collect_free_names(l, out);
+        for_each_free_name(l, out);
     }
     if let Some(o) = &q.offset {
-        collect_free_names(o, out);
+        for_each_free_name(o, out);
     }
 }
 
@@ -474,7 +467,7 @@ impl Dominators {
 
 /// Build SSA form from a CFG.
 pub fn build(cfg: &Cfg, catalog: &Catalog) -> Result<SsaProgram> {
-    let cfg = compact_reachable(cfg);
+    let mut cfg = compact_reachable(cfg);
     let preds = cfg.predecessors();
     let n = cfg.blocks.len();
     let dom = Dominators::compute(n, cfg.entry, &preds);
@@ -506,15 +499,17 @@ pub fn build(cfg: &Cfg, catalog: &Catalog) -> Result<SsaProgram> {
         }
     }
 
-    // Renaming.
+    // Renaming, in place: the blocks take over the CFG's statements and
+    // terminators, and the walk renames each right-hand side before its
+    // definition gets a fresh name.
     let mut namer = Namer::new(&cfg);
     let mut blocks: Vec<SsaBlock> = cfg
         .blocks
-        .iter()
+        .iter_mut()
         .map(|b| SsaBlock {
             phis: Vec::new(),
-            stmts: Vec::new(),
-            term: b.term.clone(),
+            stmts: std::mem::take(&mut b.stmts),
+            term: std::mem::take(&mut b.term),
         })
         .collect();
     // Pre-create φ nodes (targets renamed during the walk).
@@ -581,24 +576,17 @@ pub fn build(cfg: &Cfg, catalog: &Catalog) -> Result<SsaProgram> {
                     blocks[b].phis[pi].target = fresh;
                 }
                 // Statements: rewrite RHS with current names, then define.
-                let src_stmts = cfg.blocks[b].stmts.clone();
-                for (base, e) in src_stmts {
-                    let renamed = rename_expr(e, &stacks, catalog);
-                    let fresh =
-                        push_def(&base, &mut namer, &mut stacks, &mut saved, &mut var_types);
-                    blocks[b].stmts.push((fresh, renamed));
+                for (name, e) in &mut blocks[b].stmts {
+                    rename_expr(e, &stacks, catalog);
+                    *name = push_def(name, &mut namer, &mut stacks, &mut saved, &mut var_types);
                 }
                 // Terminator expressions.
-                let term = match cfg.blocks[b].term.clone() {
-                    Term::Branch { cond, then_, else_ } => Term::Branch {
-                        cond: rename_expr(cond, &stacks, catalog),
-                        then_,
-                        else_,
-                    },
-                    Term::Return(e) => Term::Return(rename_expr(e, &stacks, catalog)),
-                    other => other,
-                };
-                blocks[b].term = term;
+                match &mut blocks[b].term {
+                    Term::Branch { cond: e, .. } | Term::Return(e) => {
+                        rename_expr(e, &stacks, catalog)
+                    }
+                    _ => {}
+                }
                 // Fill φ args of successors for the edge b -> s.
                 for s in blocks[b].term.successors() {
                     for (pi, base) in phi_bases[s].iter().enumerate() {
@@ -629,32 +617,23 @@ pub fn build(cfg: &Cfg, catalog: &Catalog) -> Result<SsaProgram> {
     Ok(prog)
 }
 
-/// Apply the current top-of-stack names to an expression.
-fn rename_expr(e: Expr, stacks: &HashMap<String, Vec<Expr>>, catalog: &Catalog) -> Expr {
-    let mut map = Subst::new();
-    for (base, st) in stacks {
-        match st.last() {
-            Some(top) => {
-                // Identity mappings (param version 0) can be skipped.
-                if !matches!(top, Expr::Column { qualifier: None, name } if name == base) {
-                    map.insert(base.clone(), top.clone());
-                }
-            }
-            None => {
-                // Variable exists but has no definition on this path:
-                // reading it yields NULL (PL/pgSQL initializes to NULL).
-                map.insert(base.clone(), Expr::null());
-            }
-        }
-    }
-    // Bases never (re)defined anywhere don't appear in `stacks`; they can't
-    // exist because lowering records every variable. Unknown names are left
-    // for the planner to resolve (genuine columns).
-    if map.is_empty() {
-        e
-    } else {
-        subst_expr(e, &map, catalog, &[])
-    }
+/// Apply the current top-of-stack names to an expression, in place.
+fn rename_expr(e: &mut Expr, stacks: &HashMap<String, Vec<Expr>>, catalog: &Catalog) {
+    // Names without a stack are not variables: the planner resolves them
+    // (genuine columns). Lowering records every variable, so each one has a
+    // stack.
+    let current = |base: &str| match stacks.get(base)?.last() {
+        // Identity mappings (param version 0) can be skipped.
+        Some(Expr::Column {
+            qualifier: None,
+            name,
+        }) if name == base => None,
+        Some(top) => Some(top.clone()),
+        // Variable exists but has no definition on this path: reading it
+        // yields NULL (PL/pgSQL initializes to NULL).
+        None => Some(Expr::null()),
+    };
+    subst_expr(e, &current, catalog)
 }
 
 /// Generates unique SSA names in the paper's style (`reward1`, `step2`).

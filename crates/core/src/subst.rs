@@ -8,395 +8,268 @@
 //! enclosing query scope. This module implements that substitution with
 //! catalog-assisted column-visibility tracking — the same preference the
 //! engine's planner applies (columns win over parameters).
-
-use std::collections::HashMap;
+//!
+//! Substitution rewrites the tree in place: only the replaced identifiers
+//! allocate. The replacements come from a lookup, so callers that already
+//! index their names (SSA rename stacks, a callee's parameter list) never
+//! build a map per expression.
 
 use plaway_engine::Catalog;
-use plaway_sql::ast::{Expr, Query, Select, SelectItem, SetExpr, TableRef, WindowRef, WindowSpec};
+use plaway_sql::ast::{
+    Cte, Expr, Query, Select, SelectItem, SetExpr, TableRef, WindowRef, WindowSpec,
+};
 
-/// A substitution: variable name → replacement expression.
-pub type Subst = HashMap<String, Expr>;
+/// Names a free variable's replacement (`None`: leave it as it is).
+pub type Lookup<'a> = &'a dyn Fn(&str) -> Option<Expr>;
 
-/// Substitute free variables in an expression. `visible` carries the column
-/// names visible from enclosing query scopes (a name present there is a
-/// column and is never substituted).
-pub fn subst_expr(e: Expr, map: &Subst, catalog: &Catalog, visible: &[String]) -> Expr {
-    match e {
-        Expr::Column {
-            qualifier: None,
-            ref name,
-        } if !visible.contains(name) => match map.get(name) {
-            Some(replacement) => replacement.clone(),
-            None => e,
-        },
-        Expr::Column { .. } => e,
-        Expr::Literal(_) | Expr::Param(_) | Expr::CountStar => e,
-        Expr::Unary { op, expr } => Expr::Unary {
-            op,
-            expr: Box::new(subst_expr(*expr, map, catalog, visible)),
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(subst_expr(*left, map, catalog, visible)),
-            right: Box::new(subst_expr(*right, map, catalog, visible)),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(subst_expr(*expr, map, catalog, visible)),
-            negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(subst_expr(*expr, map, catalog, visible)),
-            low: Box::new(subst_expr(*low, map, catalog, visible)),
-            high: Box::new(subst_expr(*high, map, catalog, visible)),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(subst_expr(*expr, map, catalog, visible)),
-            list: list
-                .into_iter()
-                .map(|i| subst_expr(i, map, catalog, visible))
-                .collect(),
-            negated,
-        },
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(subst_expr(*expr, map, catalog, visible)),
-            query: Box::new(subst_query(*query, map, catalog, visible)),
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(subst_expr(*expr, map, catalog, visible)),
-            pattern: Box::new(subst_expr(*pattern, map, catalog, visible)),
-            negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_,
-        } => Expr::Case {
-            operand: operand.map(|o| Box::new(subst_expr(*o, map, catalog, visible))),
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| {
-                    (
-                        subst_expr(w, map, catalog, visible),
-                        subst_expr(t, map, catalog, visible),
-                    )
-                })
-                .collect(),
-            else_: else_.map(|e| Box::new(subst_expr(*e, map, catalog, visible))),
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name,
-            args: args
-                .into_iter()
-                .map(|a| subst_expr(a, map, catalog, visible))
-                .collect(),
-        },
-        Expr::WindowFunc { name, args, window } => Expr::WindowFunc {
-            name,
-            args: args
-                .into_iter()
-                .map(|a| subst_expr(a, map, catalog, visible))
-                .collect(),
-            window: match window {
-                WindowRef::Named(n) => WindowRef::Named(n),
-                WindowRef::Inline(spec) => {
-                    WindowRef::Inline(subst_window_spec(spec, map, catalog, visible))
-                }
-            },
-        },
-        Expr::Subquery(q) => Expr::Subquery(Box::new(subst_query(*q, map, catalog, visible))),
-        Expr::Exists(q) => Expr::Exists(Box::new(subst_query(*q, map, catalog, visible))),
-        Expr::Row(items) => Expr::Row(
-            items
-                .into_iter()
-                .map(|i| subst_expr(i, map, catalog, visible))
-                .collect(),
-        ),
-        Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(subst_expr(*expr, map, catalog, visible)),
-            ty,
-        },
-    }
+/// Substitute free variables in an expression, in place. A bare
+/// identifier is free unless a column of an enclosing query scope inside
+/// `e` captures it.
+pub fn subst_expr(e: &mut Expr, lookup: Lookup, catalog: &Catalog) {
+    Subst { lookup, catalog }.expr(e, &Scope::default())
 }
 
 /// Substitute free variables in a whole query (descending into FROM,
-/// WHERE, windows, CTEs, set operations).
-pub fn subst_query(q: Query, map: &Subst, catalog: &Catalog, visible: &[String]) -> Query {
-    // CTE columns contribute nothing to *expression* scopes directly (they
-    // are table-like), but CTE bodies see the same outer visibility.
-    let with = q.with.map(|mut with| {
-        with.ctes = with
-            .ctes
-            .into_iter()
-            .map(|mut cte| {
-                cte.query = subst_query(cte.query, map, catalog, visible);
-                cte
-            })
-            .collect();
-        with
-    });
-    let body = subst_set_expr(q.body, map, catalog, visible);
-    // ORDER BY / LIMIT of the outer query see the query's own columns too;
-    // approximating with the body's visibility is safe (output columns stem
-    // from the select list which is already substituted).
-    let visible_here = {
-        let mut v = visible.to_vec();
-        v.extend(set_expr_output_columns(&body));
-        v
-    };
-    Query {
-        with,
-        order_by: q
-            .order_by
-            .into_iter()
-            .map(|mut oi| {
-                oi.expr = subst_expr(oi.expr, map, catalog, &visible_here);
-                oi
-            })
-            .collect(),
-        limit: q.limit.map(|e| subst_expr(e, map, catalog, &visible_here)),
-        offset: q.offset.map(|e| subst_expr(e, map, catalog, &visible_here)),
-        body,
-    }
+/// WHERE, windows, CTEs, set operations), in place.
+pub fn subst_query(q: &mut Query, lookup: Lookup, catalog: &Catalog) {
+    Subst { lookup, catalog }.query(q, &Scope::default())
 }
 
-fn subst_set_expr(body: SetExpr, map: &Subst, catalog: &Catalog, visible: &[String]) -> SetExpr {
-    match body {
-        SetExpr::Select(sel) => {
-            SetExpr::Select(Box::new(subst_select(*sel, map, catalog, visible)))
+/// What one position in a query can see: the columns of enclosing FROM
+/// clauses (a name among them is a column and is never substituted) and
+/// the CTEs of enclosing WITH clauses, innermost last.
+#[derive(Default)]
+struct Scope<'p> {
+    parent: Option<&'p Scope<'p>>,
+    columns: Vec<String>,
+    /// `(name, columns)` of CTEs in scope; a later binding shadows an
+    /// earlier one of the same name.
+    ctes: Vec<(String, Vec<String>)>,
+}
+
+impl Scope<'_> {
+    fn child(&self) -> Scope<'_> {
+        Scope {
+            parent: Some(self),
+            ..Scope::default()
         }
-        SetExpr::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => SetExpr::SetOp {
-            op,
-            all,
-            left: Box::new(subst_set_expr(*left, map, catalog, visible)),
-            right: Box::new(subst_set_expr(*right, map, catalog, visible)),
-        },
-        SetExpr::Values(rows) => SetExpr::Values(
-            rows.into_iter()
-                .map(|row| {
-                    row.into_iter()
-                        .map(|e| subst_expr(e, map, catalog, visible))
-                        .collect()
-                })
-                .collect(),
-        ),
-        SetExpr::Query(q) => SetExpr::Query(Box::new(subst_query(*q, map, catalog, visible))),
+    }
+
+    fn sees_column(&self, name: &str) -> bool {
+        self.columns.iter().any(|c| c == name) || self.parent.is_some_and(|p| p.sees_column(name))
+    }
+
+    fn cte_columns(&self, name: &str) -> Option<&[String]> {
+        match self.ctes.iter().rev().find(|(n, _)| n == name) {
+            Some((_, cols)) => Some(cols),
+            None => self.parent?.cte_columns(name),
+        }
     }
 }
 
-fn subst_select(sel: Select, map: &Subst, catalog: &Catalog, visible: &[String]) -> Select {
-    // Columns brought into scope by this SELECT's FROM clause.
-    let mut inner_visible = visible.to_vec();
-    for t in &sel.from {
-        collect_table_columns(t, catalog, &mut inner_visible);
+struct Subst<'a> {
+    lookup: Lookup<'a>,
+    catalog: &'a Catalog,
+}
+
+impl Subst<'_> {
+    fn expr(&self, e: &mut Expr, scope: &Scope) {
+        e.rewrite(&mut |node| match node {
+            Expr::Column {
+                qualifier: None,
+                name,
+            } if !scope.sees_column(name) => {
+                if let Some(replacement) = (self.lookup)(name) {
+                    *node = replacement;
+                }
+            }
+            Expr::Subquery(q) | Expr::Exists(q) | Expr::InSubquery { query: q, .. } => {
+                self.query(q, scope)
+            }
+            Expr::WindowFunc {
+                window: WindowRef::Inline(spec),
+                ..
+            } => self.window_spec(spec, scope),
+            _ => {}
+        })
     }
 
-    // FROM items are substituted left to right: a LATERAL subquery sees the
-    // outer scope plus the columns of *preceding* items only — never its
-    // own alias columns (a let named like an outer variable must still have
-    // its right-hand side substituted) and never following items'.
-    let mut preceding = visible.to_vec();
-    let from = sel
-        .from
-        .into_iter()
-        .map(|t| subst_table_ref(t, map, catalog, visible, &mut preceding))
-        .collect();
-    Select {
-        distinct: sel.distinct,
-        items: sel
-            .items
-            .into_iter()
-            .map(|item| match item {
-                SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                    expr: subst_expr(expr, map, catalog, &inner_visible),
-                    alias,
-                },
-                other => other,
-            })
-            .collect(),
-        from,
-        where_: sel
+    fn query(&self, q: &mut Query, scope: &Scope) {
+        // CTE columns contribute nothing to *expression* scopes directly
+        // (they are table-like): they are what a FROM item naming the CTE
+        // brings into scope. As in the planner, a CTE is visible to the
+        // CTEs after it and to the body, and a fixpoint CTE also to its own
+        // recursive arm; CTE bodies see the same outer columns.
+        let mut with_scope = scope.child();
+        if let Some(with) = &mut q.with {
+            let fixpoint = with.recursive || with.iterate || with.retire;
+            for cte in &mut with.ctes {
+                if fixpoint {
+                    with_scope.ctes.push(cte_binding(cte));
+                }
+                self.query(&mut cte.query, &with_scope);
+                // Rebind with the substituted query's output columns.
+                with_scope.ctes.push(cte_binding(cte));
+            }
+        }
+        self.set_expr(&mut q.body, &with_scope);
+        // ORDER BY / LIMIT of the outer query see the query's own columns
+        // too; approximating with the body's visibility is safe (output
+        // columns stem from the select list which is already substituted).
+        let mut outer = with_scope.child();
+        outer.columns = set_expr_output_columns(&q.body);
+        for oi in &mut q.order_by {
+            self.expr(&mut oi.expr, &outer);
+        }
+        for e in q.limit.iter_mut().chain(&mut q.offset) {
+            self.expr(e, &outer);
+        }
+    }
+
+    fn set_expr(&self, body: &mut SetExpr, scope: &Scope) {
+        match body {
+            SetExpr::Select(sel) => self.select(sel, scope),
+            SetExpr::SetOp { left, right, .. } => {
+                self.set_expr(left, scope);
+                self.set_expr(right, scope);
+            }
+            SetExpr::Values(rows) => {
+                for e in rows.iter_mut().flatten() {
+                    self.expr(e, scope);
+                }
+            }
+            SetExpr::Query(q) => self.query(q, scope),
+        }
+    }
+
+    fn select(&self, sel: &mut Select, scope: &Scope) {
+        // Columns brought into scope by this SELECT's FROM clause.
+        let mut inner = scope.child();
+        for t in &sel.from {
+            self.collect_table_columns(t, scope, &mut inner.columns);
+        }
+
+        // FROM items are substituted left to right: a LATERAL subquery sees
+        // the outer scope plus the columns of *preceding* items only — never
+        // its own alias columns (a let named like an outer variable must
+        // still have its right-hand side substituted) and never following
+        // items'.
+        let mut preceding = scope.child();
+        for t in &mut sel.from {
+            self.table_ref(t, scope, &mut preceding, false);
+        }
+        for item in &mut sel.items {
+            if let SelectItem::Expr { expr, .. } = item {
+                self.expr(expr, &inner);
+            }
+        }
+        for e in sel
             .where_
-            .map(|e| subst_expr(e, map, catalog, &inner_visible)),
-        group_by: sel
-            .group_by
-            .into_iter()
-            .map(|e| subst_expr(e, map, catalog, &inner_visible))
-            .collect(),
-        having: sel
-            .having
-            .map(|e| subst_expr(e, map, catalog, &inner_visible)),
-        windows: sel
-            .windows
-            .into_iter()
-            .map(|(n, spec)| (n, subst_window_spec(spec, map, catalog, &inner_visible)))
-            .collect(),
-    }
-}
-
-fn subst_window_spec(
-    spec: WindowSpec,
-    map: &Subst,
-    catalog: &Catalog,
-    visible: &[String],
-) -> WindowSpec {
-    WindowSpec {
-        base: spec.base,
-        partition_by: spec
-            .partition_by
-            .into_iter()
-            .map(|e| subst_expr(e, map, catalog, visible))
-            .collect(),
-        order_by: spec
-            .order_by
-            .into_iter()
-            .map(|mut oi| {
-                oi.expr = subst_expr(oi.expr, map, catalog, visible);
-                oi
-            })
-            .collect(),
-        frame: spec.frame,
-    }
-}
-
-fn subst_table_ref(
-    t: TableRef,
-    map: &Subst,
-    catalog: &Catalog,
-    outer_visible: &[String],
-    preceding: &mut Vec<String>,
-) -> TableRef {
-    subst_table_ref_inner(t, map, catalog, outer_visible, preceding, false)
-}
-
-/// `preceding` accumulates the columns of FROM items already processed (in
-/// join order); on return it additionally holds this item's columns.
-fn subst_table_ref_inner(
-    t: TableRef,
-    map: &Subst,
-    catalog: &Catalog,
-    outer_visible: &[String],
-    preceding: &mut Vec<String>,
-    parent_lateral: bool,
-) -> TableRef {
-    match t {
-        TableRef::Table { .. } => {
-            collect_table_columns(&t, catalog, preceding);
-            t
+            .iter_mut()
+            .chain(&mut sel.group_by)
+            .chain(&mut sel.having)
+        {
+            self.expr(e, &inner);
         }
-        TableRef::Derived {
-            lateral,
-            query,
-            alias,
-        } => {
-            // LATERAL subqueries additionally see the columns of items to
-            // their left; non-lateral ones see only the outer visibility.
-            // Neither sees its own alias columns. The LATERAL marker may
-            // sit on the Derived itself (comma-list item) or on the
-            // enclosing Join (`JOIN LATERAL`).
-            let vis: &[String] = if lateral || parent_lateral {
-                preceding
-            } else {
-                outer_visible
-            };
-            let out = TableRef::Derived {
-                lateral,
-                query: Box::new(subst_query(*query, map, catalog, vis)),
-                alias,
-            };
-            collect_table_columns(&out, catalog, preceding);
-            out
+        for (_, spec) in &mut sel.windows {
+            self.window_spec(spec, &inner);
         }
-        TableRef::Join {
-            left,
-            right,
-            kind,
-            lateral,
-            on,
-        } => {
-            let left = Box::new(subst_table_ref_inner(
-                *left,
-                map,
-                catalog,
-                outer_visible,
-                preceding,
-                false,
-            ));
-            let right = Box::new(subst_table_ref_inner(
-                *right,
-                map,
-                catalog,
-                outer_visible,
-                preceding,
-                lateral,
-            ));
-            // ON sees both sides (now accumulated in `preceding`).
+    }
+
+    fn window_spec(&self, spec: &mut WindowSpec, scope: &Scope) {
+        for e in &mut spec.partition_by {
+            self.expr(e, scope);
+        }
+        for oi in &mut spec.order_by {
+            self.expr(&mut oi.expr, scope);
+        }
+    }
+
+    /// `preceding` accumulates the columns of FROM items already processed
+    /// (in join order); on return it additionally holds this item's
+    /// columns. `outer` is the enclosing SELECT's scope.
+    fn table_ref(
+        &self,
+        t: &mut TableRef,
+        outer: &Scope,
+        preceding: &mut Scope,
+        parent_lateral: bool,
+    ) {
+        match t {
+            TableRef::Table { .. } => {}
+            TableRef::Derived { lateral, query, .. } => {
+                // LATERAL subqueries additionally see the columns of items
+                // to their left; non-lateral ones see only the outer scope.
+                // Neither sees its own alias columns. The LATERAL marker may
+                // sit on the Derived itself (comma-list item) or on the
+                // enclosing Join (`JOIN LATERAL`).
+                let vis: &Scope = if *lateral || parent_lateral {
+                    preceding
+                } else {
+                    outer
+                };
+                self.query(query, vis);
+            }
             TableRef::Join {
                 left,
                 right,
-                kind,
                 lateral,
-                on: on.map(|e| subst_expr(e, map, catalog, preceding)),
+                on,
+                ..
+            } => {
+                self.table_ref(left, outer, preceding, false);
+                self.table_ref(right, outer, preceding, *lateral);
+                // ON sees both sides (now accumulated in `preceding`).
+                if let Some(on) = on {
+                    self.expr(on, preceding);
+                }
+                return;
             }
         }
+        self.collect_table_columns(t, outer, &mut preceding.columns);
     }
-}
 
-/// Column names a FROM item contributes to the enclosing SELECT's scope.
-fn collect_table_columns(t: &TableRef, catalog: &Catalog, out: &mut Vec<String>) {
-    match t {
-        TableRef::Table { name, alias } => {
-            if let Some(a) = alias {
-                if !a.columns.is_empty() {
-                    out.extend(a.columns.iter().cloned());
-                    return;
+    /// Column names a FROM item contributes to the enclosing SELECT's
+    /// scope. A table name resolves to a CTE in `scope` before the catalog.
+    fn collect_table_columns(&self, t: &TableRef, scope: &Scope, out: &mut Vec<String>) {
+        match t {
+            TableRef::Table { name, alias } => {
+                if let Some(a) = alias {
+                    if !a.columns.is_empty() {
+                        out.extend(a.columns.iter().cloned());
+                        return;
+                    }
+                }
+                if let Some(cols) = scope.cte_columns(name) {
+                    out.extend(cols.iter().cloned());
+                } else if let Ok(table) = self.catalog.table(name) {
+                    out.extend(table.columns.iter().map(|c| c.name.clone()));
+                }
+                // Unknown tables contribute nothing.
+            }
+            TableRef::Derived { query, alias, .. } => {
+                if !alias.columns.is_empty() {
+                    out.extend(alias.columns.iter().cloned());
+                } else {
+                    out.extend(set_expr_output_columns(&query.body));
                 }
             }
-            if let Ok(table) = catalog.table(name) {
-                out.extend(table.columns.iter().map(|c| c.name.clone()));
+            TableRef::Join { left, right, .. } => {
+                self.collect_table_columns(left, scope, out);
+                self.collect_table_columns(right, scope, out);
             }
-            // Unknown tables (CTE references etc.): contribute nothing;
-            // their columns are usually accessed qualified anyway.
-        }
-        TableRef::Derived { query, alias, .. } => {
-            if !alias.columns.is_empty() {
-                out.extend(alias.columns.iter().cloned());
-            } else {
-                out.extend(query_output_columns(query));
-            }
-        }
-        TableRef::Join { left, right, .. } => {
-            collect_table_columns(left, catalog, out);
-            collect_table_columns(right, catalog, out);
         }
     }
 }
 
-fn query_output_columns(q: &Query) -> Vec<String> {
-    set_expr_output_columns(&q.body)
+/// A CTE's columns: its alias list, or else its query's output columns.
+fn cte_binding(cte: &Cte) -> (String, Vec<String>) {
+    let columns = if cte.columns.is_empty() {
+        set_expr_output_columns(&cte.query.body)
+    } else {
+        cte.columns.clone()
+    };
+    (cte.name.clone(), columns)
 }
 
 fn set_expr_output_columns(body: &SetExpr) -> Vec<String> {
@@ -415,7 +288,7 @@ fn set_expr_output_columns(body: &SetExpr) -> Vec<String> {
             .collect(),
         SetExpr::SetOp { left, .. } => set_expr_output_columns(left),
         SetExpr::Values(_) => Vec::new(),
-        SetExpr::Query(q) => query_output_columns(q),
+        SetExpr::Query(q) => set_expr_output_columns(&q.body),
     }
 }
 
@@ -433,20 +306,41 @@ mod tests {
         (*s.catalog).clone()
     }
 
-    fn m(pairs: &[(&str, &str)]) -> Subst {
-        pairs
+    /// A lookup from `(variable, replacement SQL)` pairs.
+    fn m(pairs: &[(&str, &str)]) -> impl Fn(&str) -> Option<Expr> {
+        let pairs: Vec<(String, Expr)> = pairs
             .iter()
             .map(|(k, v)| (k.to_string(), parse_expr(v).unwrap()))
-            .collect()
+            .collect();
+        move |name| {
+            pairs
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| v.clone())
+        }
+    }
+
+    fn subst_in_expr(sql: &str, pairs: &[(&str, &str)], cat: &Catalog) -> String {
+        let mut e = parse_expr(sql).unwrap();
+        subst_expr(&mut e, &m(pairs), cat);
+        e.to_string()
+    }
+
+    fn subst_in_query(sql: &str, pairs: &[(&str, &str)], cat: &Catalog) -> String {
+        let mut q = parse_query(sql).unwrap();
+        subst_query(&mut q, &m(pairs), cat);
+        q.to_string()
     }
 
     #[test]
     fn substitutes_free_variable_not_column() {
         let cat = catalog_with_policy();
         // `location` is free (a PL/SQL variable), `loc`/`action` are columns.
-        let e = parse_expr("(SELECT p.action FROM policy AS p WHERE location = p.loc)").unwrap();
-        let out = subst_expr(e, &m(&[("location", "r.location1")]), &cat, &[]);
-        let printed = out.to_string();
+        let printed = subst_in_expr(
+            "(SELECT p.action FROM policy AS p WHERE location = p.loc)",
+            &[("location", "r.location1")],
+            &cat,
+        );
         assert!(printed.contains("r.location1 = p.loc"), "{printed}");
     }
 
@@ -454,9 +348,11 @@ mod tests {
     fn column_of_scanned_table_is_not_captured() {
         let cat = catalog_with_policy();
         // `action` IS a column of actions: must NOT be substituted.
-        let e = parse_expr("(SELECT a.there FROM actions AS a WHERE action = 'up')").unwrap();
-        let out = subst_expr(e, &m(&[("action", "r.movement1")]), &cat, &[]);
-        let printed = out.to_string();
+        let printed = subst_in_expr(
+            "(SELECT a.there FROM actions AS a WHERE action = 'up')",
+            &[("action", "r.movement1")],
+            &cat,
+        );
         assert!(
             printed.contains("action = 'up'") && !printed.contains("r.movement1"),
             "{printed}"
@@ -466,60 +362,92 @@ mod tests {
     #[test]
     fn qualified_references_never_substituted() {
         let cat = Catalog::new();
-        let e = parse_expr("q.location + location").unwrap();
-        let out = subst_expr(e, &m(&[("location", "9")]), &cat, &[]);
-        assert_eq!(out.to_string(), "q.location + 9");
+        let printed = subst_in_expr("q.location + location", &[("location", "9")], &cat);
+        assert_eq!(printed, "q.location + 9");
     }
 
     #[test]
     fn derived_table_alias_columns_shadow() {
         let cat = Catalog::new();
         // `lo` is bound by the derived table alias; must not be replaced.
-        let e = parse_expr(
+        let printed = subst_in_expr(
             "(SELECT m.loc FROM (SELECT 1, 2, 3) AS m(loc, lo, hi) WHERE roll BETWEEN lo AND hi)",
-        )
-        .unwrap();
-        let out = subst_expr(
-            e,
-            &m(&[("roll", "0.5"), ("lo", "999"), ("hi", "999")]),
+            &[("roll", "0.5"), ("lo", "999"), ("hi", "999")],
             &cat,
-            &[],
         );
-        let printed = out.to_string();
         assert!(printed.contains("0.5 BETWEEN lo AND hi"), "{printed}");
     }
 
     #[test]
     fn nested_subqueries_accumulate_visibility() {
         let cat = catalog_with_policy();
-        let q = parse_query(
-            "SELECT (SELECT p.action FROM policy AS p WHERE loc = outer_var) FROM actions",
-        )
-        .unwrap();
         // `loc` is visible from the inner policy scan -> column; `outer_var`
         // is free -> substituted.
-        let out = subst_query(q, &m(&[("outer_var", "42"), ("loc", "13")]), &cat, &[]);
-        let printed = out.to_string();
+        let printed = subst_in_query(
+            "SELECT (SELECT p.action FROM policy AS p WHERE loc = outer_var) FROM actions",
+            &[("outer_var", "42"), ("loc", "13")],
+            &cat,
+        );
         assert!(printed.contains("loc = 42"), "{printed}");
         assert!(!printed.contains("13"), "{printed}");
     }
 
     #[test]
+    fn cte_columns_capture_like_table_columns() {
+        let cat = Catalog::new();
+        // `x` is a column of `c` in the body; the CTE's own body and a
+        // later CTE reading `c` under an alias list see their own scopes.
+        let printed = subst_in_expr(
+            "(WITH c(x) AS (SELECT x), d AS (SELECT y FROM c AS cc(y)) \
+             SELECT x + y FROM c, d)",
+            &[("x", "100"), ("y", "200")],
+            &cat,
+        );
+        assert!(printed.contains("c(x) AS (SELECT 100)"), "{printed}");
+        assert!(printed.contains("SELECT y FROM c AS cc(y)"), "{printed}");
+        assert!(printed.contains("SELECT x + y FROM"), "{printed}");
+        // Without an alias list, the CTE's output columns count.
+        let printed = subst_in_expr(
+            "(WITH c AS (SELECT 7 AS x) SELECT x + z FROM c)",
+            &[("x", "100"), ("z", "300")],
+            &cat,
+        );
+        assert!(printed.contains("SELECT x + 300 FROM c"), "{printed}");
+    }
+
+    #[test]
+    fn recursive_cte_sees_itself_in_its_recursive_arm() {
+        let cat = Catalog::new();
+        let printed = subst_in_expr(
+            "(WITH RECURSIVE r(i) AS (SELECT i UNION ALL SELECT i + 1 FROM r WHERE i < n) \
+             SELECT max(i) FROM r)",
+            &[("i", "0"), ("n", "5")],
+            &cat,
+        );
+        assert!(
+            printed.contains("SELECT 0 UNION ALL SELECT i + 1"),
+            "{printed}"
+        );
+        assert!(printed.contains("WHERE i < 5"), "{printed}");
+        assert!(printed.contains("SELECT max(i) FROM r"), "{printed}");
+    }
+
+    #[test]
     fn window_clause_expressions_are_substituted() {
         let cat = catalog_with_policy();
-        let q = parse_query(
+        let printed = subst_in_query(
             "SELECT SUM(a.prob) OVER w FROM actions AS a \
              WINDOW w AS (PARTITION BY freevar ORDER BY a.there)",
-        )
-        .unwrap();
-        let out = subst_query(q, &m(&[("freevar", "7")]), &cat, &[]);
-        assert!(out.to_string().contains("PARTITION BY 7"), "{}", out);
+            &[("freevar", "7")],
+            &cat,
+        );
+        assert!(printed.contains("PARTITION BY 7"), "{printed}");
     }
 
     #[test]
     fn substitution_inside_paper_q2_touches_only_variables() {
         let cat = catalog_with_policy();
-        let q2 = parse_expr(
+        let printed = subst_in_expr(
             "(SELECT move.loc \
               FROM (SELECT a.there AS loc, \
                            COALESCE(SUM(a.prob) OVER lt, 0.0) AS lo, \
@@ -530,19 +458,13 @@ mod tests {
                            lt AS (leq ROWS UNBOUNDED PRECEDING EXCLUDE CURRENT ROW) \
                    ) AS move(loc, lo, hi) \
               WHERE roll BETWEEN move.lo AND move.hi)",
-        )
-        .unwrap();
-        let out = subst_expr(
-            q2,
-            &m(&[
+            &[
                 ("location", "r.location1"),
                 ("movement", "movement2"),
                 ("roll", "roll"),
-            ]),
+            ],
             &cat,
-            &[],
         );
-        let printed = out.to_string();
         assert!(printed.contains("r.location1 = a.here"), "{printed}");
         assert!(printed.contains("movement2 = a.action"), "{printed}");
         // Columns of the derived alias survive untouched.

@@ -131,9 +131,7 @@ pub fn from_anf(anf: &AnfProgram) -> Result<UdfProgram> {
 }
 
 fn is_called(anf: &AnfProgram, idx: usize) -> bool {
-    anf.funcs
-        .iter()
-        .any(|f| f.tail.calls().iter().any(|(t, _)| *t == idx))
+    anf.funcs.iter().any(|f| f.tail.calls_to(idx) > 0)
 }
 
 /// Map a callee's positional arguments onto the full `rec_vars` vector

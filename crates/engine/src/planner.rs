@@ -164,6 +164,18 @@ pub fn plan_query(
     params: Option<&ParamScope>,
     index_mode: IndexMode,
 ) -> Result<PreparedPlan> {
+    plan_printed_query(catalog, query, query.to_string(), params, index_mode)
+}
+
+/// [`plan_query`] for a caller that already holds `sql`, the query's
+/// printed text.
+pub(crate) fn plan_printed_query(
+    catalog: &Catalog,
+    query: &Query,
+    sql: String,
+    params: Option<&ParamScope>,
+    index_mode: IndexMode,
+) -> Result<PreparedPlan> {
     let mut p = Planner {
         catalog,
         params,
@@ -179,7 +191,7 @@ pub fn plan_query(
     // statement root runs once.
     crate::vm::precompile_plan(&mut plan, false);
     Ok(PreparedPlan {
-        sql: query.to_string(),
+        sql,
         plan,
         columns: scope.names(),
         param_names: params.map(|ps| ps.names.clone()).unwrap_or_default(),

@@ -30,7 +30,9 @@ use crate::exec::{eval, exec, EvalEnv, FnPlanCache, Runtime, RuntimeStats, Scope
 use crate::explain::AnalyzeState;
 use crate::ir::ExprIr;
 use crate::metrics::SessionMetrics;
-use crate::planner::{plan_expr, plan_query, plan_udf_body, ParamScope, PreparedPlan};
+use crate::planner::{
+    plan_expr, plan_printed_query, plan_query, plan_udf_body, ParamScope, PreparedPlan,
+};
 use crate::profile::{Phase, Profiler};
 use crate::tuplestore::BufferStats;
 
@@ -307,6 +309,7 @@ impl Session {
         let result = match stmt {
             Stmt::Query(q) => {
                 let key = q.to_string();
+                self.refresh();
                 let prepared = self.prepare_query_text(&key, q, &ParamScope::default())?;
                 self.execute_prepared(&prepared, Vec::new())
             }
@@ -435,6 +438,7 @@ impl Session {
             }
         };
         let key = q.to_string();
+        self.refresh();
         let prepared = self.prepare_query_text(&key, q, &ParamScope::default())?;
         let lines: Vec<String> = if analyze {
             self.explain_analyze_prepared(&prepared, Vec::new())?
@@ -685,29 +689,26 @@ impl Session {
     /// invalidated with DDL is re-planned here rather than served stale.
     pub fn prepare(&mut self, sql: &str, params: &ParamScope) -> Result<Arc<PreparedPlan>> {
         self.refresh();
-        self.prepare_in_snapshot(sql, params)
-    }
-
-    /// [`Session::prepare`] without the refresh: plan against the snapshot
-    /// this session already holds. A caller that has just committed its
-    /// own input and executes next (the batch trampoline stages its rows
-    /// this way) reads exactly the state its commit installed, never a
-    /// later one in which another session replaced those rows.
-    pub fn prepare_in_snapshot(
-        &mut self,
-        sql: &str,
-        params: &ParamScope,
-    ) -> Result<Arc<PreparedPlan>> {
         self.cached_or_planned(sql, None, params)
     }
 
-    fn prepare_query_text(
+    /// Prepare an already-parsed query under `key`, its printed text: a
+    /// cache miss plans `query` itself instead of parsing `key`. The shared
+    /// cache is keyed by text and other sessions preparing `key` parse it,
+    /// so `plaway_sql::parse_query(key)` must equal `query`.
+    ///
+    /// Unlike [`Session::prepare`] this does not refresh: it plans against
+    /// the snapshot this session already holds. A caller that has just
+    /// committed its own input and executes next (the batch trampoline
+    /// stages its rows this way) reads exactly the state its commit
+    /// installed, never a later one in which another session replaced
+    /// those rows.
+    pub fn prepare_query_text(
         &mut self,
         key: &str,
         query: &plaway_sql::ast::Query,
         params: &ParamScope,
     ) -> Result<Arc<PreparedPlan>> {
-        self.refresh();
         self.cached_or_planned(key, Some(query), params)
     }
 
@@ -730,16 +731,17 @@ impl Session {
         }
         self.plan_cache_misses += 1;
         let parsed;
-        let query = match query {
-            Some(q) => q,
+        let (query, printed) = match query {
+            Some(q) => (q, text.to_string()),
             None => {
                 parsed = plaway_sql::parse_query(text)?;
-                &parsed
+                (&parsed, parsed.to_string())
             }
         };
-        let prepared = Arc::new(plan_query(
+        let prepared = Arc::new(plan_printed_query(
             &self.catalog,
             query,
+            printed,
             Some(params),
             self.config.index_mode,
         )?);

@@ -16,9 +16,7 @@
 //!   captures it — references inside that query are table columns, not
 //!   record fields, and are left alone.
 
-use std::cell::RefCell;
-
-use plaway_sql::ast::{Expr, OrderItem, Query, Select, SelectItem, SetExpr, TableRef, WindowSpec};
+use plaway_sql::ast::{Expr, Query, SelectItem, SetExpr, TableRef, WindowSpec};
 
 use crate::ast::{ExceptionHandler, PlStmt, VarDecl};
 
@@ -32,50 +30,36 @@ pub enum RecordRef<'a> {
     Whole,
 }
 
-/// Shared mutable access to the caller's mapping, so the expression and
-/// query rewriters (two independent closures) can both reach it.
-type MkCell<'a> = RefCell<&'a mut dyn FnMut(RecordRef) -> Expr>;
-
-fn call_mk(mk: &MkCell, r: RecordRef) -> Expr {
-    (**mk.borrow_mut())(r)
-}
+/// The caller's mapping from a reference to its replacement.
+type Mk<'a> = dyn FnMut(RecordRef) -> Expr + 'a;
 
 /// Rewrite every reference to the record variable `var` in a statement
 /// list. `mk` maps each reference to its replacement expression.
-pub fn rewrite_stmts(
-    stmts: Vec<PlStmt>,
-    var: &str,
-    mk: &mut dyn FnMut(RecordRef) -> Expr,
-) -> Vec<PlStmt> {
-    let cell: MkCell = RefCell::new(mk);
-    stmts
-        .into_iter()
-        .map(|s| rewrite_stmt(s, var, &cell))
-        .collect()
+pub fn rewrite_stmts(stmts: Vec<PlStmt>, var: &str, mk: &mut Mk) -> Vec<PlStmt> {
+    rw_stmts(stmts, var, mk)
 }
 
 /// Rewrite record references inside one expression (descending into
 /// subqueries that do not capture the name).
-pub fn rewrite_expr(e: Expr, var: &str, mk: &mut dyn FnMut(RecordRef) -> Expr) -> Expr {
-    let cell: MkCell = RefCell::new(mk);
-    rw_expr(e, var, &cell)
+pub fn rewrite_expr(e: Expr, var: &str, mk: &mut Mk) -> Expr {
+    rw_expr(e, var, mk)
 }
 
 /// Rewrite record references inside a full query (the loop source of a
 /// nested `FOR rec IN <query>`, which may correlate on the outer record).
-pub fn rewrite_query(q: Query, var: &str, mk: &mut dyn FnMut(RecordRef) -> Expr) -> Query {
-    let cell: MkCell = RefCell::new(mk);
-    rw_query(q, var, &cell)
+pub fn rewrite_query(mut q: Query, var: &str, mk: &mut Mk) -> Query {
+    rw_query(&mut q, var, mk);
+    q
 }
 
-fn rw_stmts(stmts: Vec<PlStmt>, var: &str, mk: &MkCell) -> Vec<PlStmt> {
+fn rw_stmts(stmts: Vec<PlStmt>, var: &str, mk: &mut Mk) -> Vec<PlStmt> {
     stmts
         .into_iter()
         .map(|s| rewrite_stmt(s, var, mk))
         .collect()
 }
 
-fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
+fn rewrite_stmt(s: PlStmt, var: &str, mk: &mut Mk) -> PlStmt {
     match s {
         PlStmt::Assign { var: v, expr } => PlStmt::Assign {
             var: v,
@@ -150,7 +134,8 @@ fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
         } => {
             // The nested loop's query still sees the outer record; its body
             // does only when the inner variable does not shadow it.
-            let query = rw_query(query, var, mk);
+            let mut query = query;
+            rw_query(&mut query, var, mk);
             let body = if v == var {
                 body
             } else {
@@ -225,145 +210,102 @@ fn rewrite_stmt(s: PlStmt, var: &str, mk: &MkCell) -> PlStmt {
     }
 }
 
-fn rw_expr(e: Expr, var: &str, mk: &MkCell) -> Expr {
-    e.rewrite(
-        &mut |sub| match sub {
-            Expr::Column {
-                qualifier: Some(ref q),
-                ref name,
-            } if q == var => call_mk(mk, RecordRef::Field(name)),
-            Expr::Column {
-                qualifier: None,
-                ref name,
-            } if name == var => call_mk(mk, RecordRef::Whole),
-            other => other,
-        },
-        &mut |q| rw_query(q, var, mk),
-    )
+fn rw_expr(mut e: Expr, var: &str, mk: &mut Mk) -> Expr {
+    rw_expr_in_place(&mut e, var, mk);
+    e
 }
 
-fn rw_query(q: Query, var: &str, mk: &MkCell) -> Query {
-    if query_binds_name(&q, var) {
+fn rw_expr_in_place(e: &mut Expr, var: &str, mk: &mut Mk) {
+    e.rewrite(&mut |sub| match sub {
+        Expr::Column {
+            qualifier: Some(q),
+            name,
+        } if q == var => *sub = mk(RecordRef::Field(name)),
+        Expr::Column {
+            qualifier: None,
+            name,
+        } if name == var => *sub = mk(RecordRef::Whole),
+        Expr::Subquery(q) | Expr::Exists(q) | Expr::InSubquery { query: q, .. } => {
+            rw_query(q, var, mk)
+        }
+        _ => {}
+    })
+}
+
+fn rw_query(q: &mut Query, var: &str, mk: &mut Mk) {
+    if query_binds_name(q, var) {
         // A FROM item claims the name: references inside this query are
         // columns of that table, not record fields.
-        return q;
+        return;
     }
-    let body = rw_set_expr(q.body, var, mk);
-    Query {
-        with: q.with, // CTE bodies are self-contained scopes; left alone.
-        body,
-        order_by: q
-            .order_by
-            .into_iter()
-            .map(|o| OrderItem {
-                expr: rw_expr(o.expr, var, mk),
-                ..o
-            })
-            .collect(),
-        limit: q.limit.map(|e| rw_expr(e, var, mk)),
-        offset: q.offset.map(|e| rw_expr(e, var, mk)),
+    // CTE bodies are self-contained scopes; left alone.
+    rw_set_expr(&mut q.body, var, mk);
+    for o in &mut q.order_by {
+        rw_expr_in_place(&mut o.expr, var, mk);
+    }
+    for e in q.limit.iter_mut().chain(&mut q.offset) {
+        rw_expr_in_place(e, var, mk);
     }
 }
 
-fn rw_set_expr(s: SetExpr, var: &str, mk: &MkCell) -> SetExpr {
+fn rw_set_expr(s: &mut SetExpr, var: &str, mk: &mut Mk) {
     match s {
         SetExpr::Select(sel) => {
-            let Select {
-                distinct,
-                items,
-                from,
-                where_,
-                group_by,
-                having,
-                windows,
-            } = *sel;
-            SetExpr::Select(Box::new(Select {
-                distinct,
-                items: items
-                    .into_iter()
-                    .map(|i| match i {
-                        SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                            expr: rw_expr(expr, var, mk),
-                            alias,
-                        },
-                        other => other,
-                    })
-                    .collect(),
-                from: from.into_iter().map(|t| rw_table(t, var, mk)).collect(),
-                where_: where_.map(|e| rw_expr(e, var, mk)),
-                group_by: group_by.into_iter().map(|e| rw_expr(e, var, mk)).collect(),
-                having: having.map(|e| rw_expr(e, var, mk)),
-                windows: windows
-                    .into_iter()
-                    .map(|(n, spec)| (n, rw_window(spec, var, mk)))
-                    .collect(),
-            }))
+            for item in &mut sel.items {
+                if let SelectItem::Expr { expr, .. } = item {
+                    rw_expr_in_place(expr, var, mk);
+                }
+            }
+            for t in &mut sel.from {
+                rw_table(t, var, mk);
+            }
+            for e in sel
+                .where_
+                .iter_mut()
+                .chain(&mut sel.group_by)
+                .chain(&mut sel.having)
+            {
+                rw_expr_in_place(e, var, mk);
+            }
+            for (_, spec) in &mut sel.windows {
+                rw_window(spec, var, mk);
+            }
         }
-        SetExpr::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => SetExpr::SetOp {
-            op,
-            all,
-            left: Box::new(rw_set_expr(*left, var, mk)),
-            right: Box::new(rw_set_expr(*right, var, mk)),
-        },
-        SetExpr::Values(rows) => SetExpr::Values(
-            rows.into_iter()
-                .map(|r| r.into_iter().map(|e| rw_expr(e, var, mk)).collect())
-                .collect(),
-        ),
-        SetExpr::Query(q) => SetExpr::Query(Box::new(rw_query(*q, var, mk))),
+        SetExpr::SetOp { left, right, .. } => {
+            rw_set_expr(left, var, mk);
+            rw_set_expr(right, var, mk);
+        }
+        SetExpr::Values(rows) => {
+            for e in rows.iter_mut().flatten() {
+                rw_expr_in_place(e, var, mk);
+            }
+        }
+        SetExpr::Query(q) => rw_query(q, var, mk),
     }
 }
 
-fn rw_table(t: TableRef, var: &str, mk: &MkCell) -> TableRef {
+fn rw_table(t: &mut TableRef, var: &str, mk: &mut Mk) {
     match t {
-        TableRef::Table { .. } => t,
-        TableRef::Derived {
-            lateral,
-            query,
-            alias,
-        } => TableRef::Derived {
-            lateral,
-            query: Box::new(rw_query(*query, var, mk)),
-            alias,
-        },
+        TableRef::Table { .. } => {}
+        TableRef::Derived { query, .. } => rw_query(query, var, mk),
         TableRef::Join {
-            left,
-            right,
-            kind,
-            lateral,
-            on,
-        } => TableRef::Join {
-            left: Box::new(rw_table(*left, var, mk)),
-            right: Box::new(rw_table(*right, var, mk)),
-            kind,
-            lateral,
-            on: on.map(|e| rw_expr(e, var, mk)),
-        },
+            left, right, on, ..
+        } => {
+            rw_table(left, var, mk);
+            rw_table(right, var, mk);
+            if let Some(e) = on {
+                rw_expr_in_place(e, var, mk);
+            }
+        }
     }
 }
 
-fn rw_window(spec: WindowSpec, var: &str, mk: &MkCell) -> WindowSpec {
-    WindowSpec {
-        base: spec.base,
-        partition_by: spec
-            .partition_by
-            .into_iter()
-            .map(|e| rw_expr(e, var, mk))
-            .collect(),
-        order_by: spec
-            .order_by
-            .into_iter()
-            .map(|o| OrderItem {
-                expr: rw_expr(o.expr, var, mk),
-                ..o
-            })
-            .collect(),
-        frame: spec.frame,
+fn rw_window(spec: &mut WindowSpec, var: &str, mk: &mut Mk) {
+    for e in &mut spec.partition_by {
+        rw_expr_in_place(e, var, mk);
+    }
+    for o in &mut spec.order_by {
+        rw_expr_in_place(&mut o.expr, var, mk);
     }
 }
 

@@ -571,96 +571,66 @@ impl Expr {
         }
     }
 
-    /// Apply `f` to every sub-expression bottom-up, rebuilding the tree.
-    /// Subqueries are passed through `fq` so callers can rewrite them too.
-    pub fn rewrite(
-        self,
-        f: &mut impl FnMut(Expr) -> Expr,
-        fq: &mut impl FnMut(Query) -> Query,
-    ) -> Expr {
-        let e = match self {
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) | Expr::CountStar => self,
-            Expr::Unary { op, expr } => Expr::Unary {
-                op,
-                expr: Box::new(expr.rewrite(f, fq)),
-            },
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op,
-                left: Box::new(left.rewrite(f, fq)),
-                right: Box::new(right.rewrite(f, fq)),
-            },
-            Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(expr.rewrite(f, fq)),
-                negated,
-            },
+    /// Apply `f` to every sub-expression bottom-up, in place: children
+    /// first, then the node itself. Like [`Expr::walk`], this does not
+    /// descend into subqueries: `f` sees each `Subquery` / `Exists` /
+    /// `InSubquery` node and rewrites its query itself if it wants to.
+    pub fn rewrite(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::Param(_)
+            | Expr::CountStar
+            | Expr::Subquery(_)
+            | Expr::Exists(_) => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::InSubquery { expr, .. } => expr.rewrite(f),
+            Expr::Binary { left, right, .. } => {
+                left.rewrite(f);
+                right.rewrite(f);
+            }
             Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(expr.rewrite(f, fq)),
-                low: Box::new(low.rewrite(f, fq)),
-                high: Box::new(high.rewrite(f, fq)),
-                negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Expr::InList {
-                expr: Box::new(expr.rewrite(f, fq)),
-                list: list.into_iter().map(|e| e.rewrite(f, fq)).collect(),
-                negated,
-            },
-            Expr::InSubquery {
-                expr,
-                query,
-                negated,
-            } => Expr::InSubquery {
-                expr: Box::new(expr.rewrite(f, fq)),
-                query: Box::new(fq(*query)),
-                negated,
-            },
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Expr::Like {
-                expr: Box::new(expr.rewrite(f, fq)),
-                pattern: Box::new(pattern.rewrite(f, fq)),
-                negated,
-            },
+                expr, low, high, ..
+            } => {
+                expr.rewrite(f);
+                low.rewrite(f);
+                high.rewrite(f);
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.rewrite(f);
+                for e in list {
+                    e.rewrite(f);
+                }
+            }
+            Expr::Like { expr, pattern, .. } => {
+                expr.rewrite(f);
+                pattern.rewrite(f);
+            }
             Expr::Case {
                 operand,
                 branches,
                 else_,
-            } => Expr::Case {
-                operand: operand.map(|o| Box::new(o.rewrite(f, fq))),
-                branches: branches
-                    .into_iter()
-                    .map(|(w, t)| (w.rewrite(f, fq), t.rewrite(f, fq)))
-                    .collect(),
-                else_: else_.map(|e| Box::new(e.rewrite(f, fq))),
-            },
-            Expr::Func { name, args } => Expr::Func {
-                name,
-                args: args.into_iter().map(|a| a.rewrite(f, fq)).collect(),
-            },
-            Expr::WindowFunc { name, args, window } => Expr::WindowFunc {
-                name,
-                args: args.into_iter().map(|a| a.rewrite(f, fq)).collect(),
-                window,
-            },
-            Expr::Row(items) => Expr::Row(items.into_iter().map(|a| a.rewrite(f, fq)).collect()),
-            Expr::Subquery(q) => Expr::Subquery(Box::new(fq(*q))),
-            Expr::Exists(q) => Expr::Exists(Box::new(fq(*q))),
-            Expr::Cast { expr, ty } => Expr::Cast {
-                expr: Box::new(expr.rewrite(f, fq)),
-                ty,
-            },
-        };
-        f(e)
+            } => {
+                if let Some(o) = operand {
+                    o.rewrite(f);
+                }
+                for (w, t) in branches {
+                    w.rewrite(f);
+                    t.rewrite(f);
+                }
+                if let Some(e) = else_ {
+                    e.rewrite(f);
+                }
+            }
+            Expr::Func { args, .. } | Expr::WindowFunc { args, .. } | Expr::Row(args) => {
+                for a in args {
+                    a.rewrite(f);
+                }
+            }
+        }
+        f(self)
     }
 
     /// Does the expression contain a subquery or `EXISTS`/`IN (SELECT)`?
@@ -735,14 +705,12 @@ mod tests {
 
     #[test]
     fn rewrite_replaces_columns() {
-        let e = Expr::binary(BinOp::Add, Expr::col("x"), Expr::col("y"));
-        let out = e.rewrite(
-            &mut |e| match e {
-                Expr::Column { name, .. } if name == "x" => Expr::int(9),
-                other => other,
-            },
-            &mut |q| q,
-        );
-        assert_eq!(out, Expr::binary(BinOp::Add, Expr::int(9), Expr::col("y")));
+        let mut e = Expr::binary(BinOp::Add, Expr::col("x"), Expr::col("y"));
+        e.rewrite(&mut |e| {
+            if matches!(e, Expr::Column { name, .. } if name == "x") {
+                *e = Expr::int(9);
+            }
+        });
+        assert_eq!(e, Expr::binary(BinOp::Add, Expr::int(9), Expr::col("y")));
     }
 }

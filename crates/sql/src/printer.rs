@@ -4,6 +4,7 @@
 //! the compiler's generated queries (Figures 7–9 of the paper), error
 //! messages, and the examples that show intermediate forms.
 
+use std::borrow::Cow;
 use std::fmt::Write;
 
 use crate::ast::*;
@@ -32,8 +33,9 @@ fn prec_of(e: &Expr) -> u8 {
 }
 
 /// Quote an identifier if it is not a plain lowercase name (or would clash
-/// with syntax). Quoted form always re-lexes to the same identifier.
-pub fn quote_ident(name: &str) -> String {
+/// with syntax). Quoted form always re-lexes to the same identifier; a
+/// plain name is returned as it is, without copying.
+pub fn quote_ident(name: &str) -> Cow<'_, str> {
     let plain = !name.is_empty()
         && name
             .chars()
@@ -85,9 +87,9 @@ pub fn quote_ident(name: &str) -> String {
         "over",
     ];
     if plain && !NEEDS_QUOTES.contains(&name) {
-        name.to_string()
+        Cow::Borrowed(name)
     } else {
-        format!("\"{}\"", name.replace('"', "\"\""))
+        Cow::Owned(format!("\"{}\"", name.replace('"', "\"\"")))
     }
 }
 
@@ -100,7 +102,7 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
     }
     match e {
         Expr::Literal(v) => {
-            let _ = write!(out, "{}", v.to_sql_literal());
+            let _ = v.write_sql_literal(out);
         }
         Expr::Column { qualifier, name } => {
             if let Some(q) = qualifier {
@@ -648,7 +650,7 @@ impl std::fmt::Display for Stmt {
             } => {
                 let mut out = format!("INSERT INTO {}", quote_ident(table));
                 if !columns.is_empty() {
-                    let cols: Vec<String> = columns.iter().map(|c| quote_ident(c)).collect();
+                    let cols: Vec<_> = columns.iter().map(|c| quote_ident(c)).collect();
                     let _ = write!(out, " ({})", cols.join(", "));
                 }
                 match source {

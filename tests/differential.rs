@@ -109,6 +109,48 @@ fn interpreter_equals_compiler_blocking_queries() {
     assert!(hits > 0, "no memo hit in the whole sweep");
 }
 
+/// A variable or parameter named like a column of an embedded query's own
+/// `WITH` CTE is captured by that column, exactly as by a derived table's
+/// alias column: the interpreter plans the query with columns winning over
+/// variables, and both compiled CTE modes must agree with it.
+#[test]
+fn cte_columns_capture_like_derived_table_columns() {
+    let cases = [
+        // A local variable: the interpreter returns 7, not 100.
+        "CREATE FUNCTION cte_var(n int) RETURNS int AS $$ \
+         DECLARE x int := 100; \
+         BEGIN RETURN (WITH c(x) AS (SELECT 7) SELECT x FROM c); END \
+         $$ LANGUAGE plpgsql",
+        // A parameter (called with 1).
+        "CREATE FUNCTION cte_param(x int) RETURNS int AS $$ \
+         BEGIN RETURN (WITH c(x) AS (SELECT 7) SELECT x FROM c); END \
+         $$ LANGUAGE plpgsql",
+        // The derived-table form of the same query.
+        "CREATE FUNCTION derived_param(x int) RETURNS int AS $$ \
+         BEGIN RETURN (SELECT x FROM (SELECT 7) AS c(x)); END \
+         $$ LANGUAGE plpgsql",
+    ];
+    let mut session = Session::default();
+    let mut interp = Interpreter::new();
+    for source in cases {
+        session.run(source).unwrap();
+        let f = parse_create_function(source).unwrap();
+        let reference = interp
+            .call(&mut session, &f.name, &[Value::Int(1)])
+            .unwrap();
+        assert_eq!(reference, Value::Int(7), "{}", f.name);
+        for options in [CompileOptions::default(), CompileOptions::iterate()] {
+            let compiled = compile_sql(&session.catalog, source, options).unwrap();
+            let got = compiled.run(&mut session, &[Value::Int(1)]).unwrap();
+            assert_eq!(
+                got, reference,
+                "{} {:?}\n--- ssa ---\n{}",
+                f.name, options.mode, compiled.ssa_text
+            );
+        }
+    }
+}
+
 /// Seeded sweep over the error-handling workload: `checked_sum` (per-row
 /// `RAISE` + `EXCEPTION` recovery) must return interpreter-identical
 /// results for every drawn input, in every compiled mode.
