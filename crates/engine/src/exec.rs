@@ -17,11 +17,11 @@ use plaway_sql::ast::{BinOp, JoinKind, Language, SetOp};
 
 use crate::catalog::{Catalog, Row};
 use crate::config::EngineConfig;
-use crate::functions::{eval_scalar, like_match};
 use crate::ir::{AggFn, AggSpec, CtePlan, ExprIr, PlanNode, RecursionMode, SnapshotOp, SortKey};
 use crate::memo::{MemoCache, MemoKey};
 use crate::planner::{plan_udf_body, PreparedPlan};
 use crate::tuplestore::{BufferStats, SnapshotStore, Tuplestore};
+use crate::vm::Access;
 use crate::window::exec_window;
 
 /// Linked list of outer rows; `depth` 0 is the innermost row.
@@ -244,6 +244,9 @@ impl<'s> Runtime<'s> {
 // ---------------------------------------------------------------------------
 // Expression evaluation
 
+/// Evaluate a planned expression: a leaf read, or a lowered program on the
+/// VM ([`crate::vm`]). Planning lowers every other expression, so any other
+/// variant reaching here is a planner bug.
 pub fn eval(ir: &ExprIr, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Value> {
     match ir {
         ExprIr::Const(v) => Ok(v.clone()),
@@ -261,195 +264,66 @@ pub fn eval(ir: &ExprIr, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Valu
             .get(*i)
             .cloned()
             .ok_or_else(|| Error::exec(format!("parameter ${i} not bound"))),
-        ExprIr::Neg(e) => eval(e, env, rt)?.neg(),
-        ExprIr::Not(e) => Ok(match eval(e, env, rt)?.as_bool()? {
-            Some(b) => Value::Bool(!b),
-            None => Value::Null,
-        }),
-        ExprIr::Binary { op, left, right } => eval_binary(*op, left, right, env, rt),
-        ExprIr::IsNull { expr, negated } => {
-            let v = eval(expr, env, rt)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        ExprIr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval(expr, env, rt)?;
-            let lo = eval(low, env, rt)?;
-            let hi = eval(high, env, rt)?;
-            let ge = v.sql_cmp(&lo)?.map(|o| o != std::cmp::Ordering::Less);
-            let le = v.sql_cmp(&hi)?.map(|o| o != std::cmp::Ordering::Greater);
-            let both = and3(ge, le);
-            Ok(match both {
-                Some(b) => Value::Bool(b != *negated),
-                None => Value::Null,
-            })
-        }
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            let op_val = match operand {
-                Some(o) => Some(eval(o, env, rt)?),
-                None => None,
-            };
-            for (when, then) in branches {
-                let fire = match &op_val {
-                    Some(v) => {
-                        let w = eval(when, env, rt)?;
-                        v.sql_eq(&w)? == Some(true)
-                    }
-                    None => eval(when, env, rt)?.is_true(),
-                };
-                if fire {
-                    return eval(then, env, rt);
-                }
-            }
-            match else_ {
-                Some(e) => eval(e, env, rt),
-                None => Ok(Value::Null),
-            }
-        }
-        ExprIr::Coalesce(args) => {
-            for a in args {
-                let v = eval(a, env, rt)?;
-                if !v.is_null() {
-                    return Ok(v);
-                }
-            }
-            Ok(Value::Null)
-        }
-        ExprIr::Scalar { func, args } => match args.as_slice() {
-            // Stack-allocate the common arities (row_field, substr, ...):
-            // scalar calls run once per CTE iteration, heap traffic counts.
-            [] => eval_scalar(*func, &[], rt.rng),
-            [a] => {
-                let va = eval(a, env, rt)?;
-                eval_scalar(*func, std::slice::from_ref(&va), rt.rng)
-            }
-            [a, b] => {
-                let va = eval(a, env, rt)?;
-                let vb = eval(b, env, rt)?;
-                eval_scalar(*func, &[va, vb], rt.rng)
-            }
-            [a, b, c] => {
-                let va = eval(a, env, rt)?;
-                let vb = eval(b, env, rt)?;
-                let vc = eval(c, env, rt)?;
-                eval_scalar(*func, &[va, vb, vc], rt.rng)
-            }
-            _ => {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(eval(a, env, rt)?);
-                }
-                eval_scalar(*func, &argv, rt.rng)
-            }
-        },
-        ExprIr::UdfCall { name, args } => {
-            let mut argv = Vec::with_capacity(args.len());
-            for a in args {
-                argv.push(eval(a, env, rt)?);
-            }
-            call_sql_udf(name, argv, rt)
-        }
-        ExprIr::Subplan(plan) => {
-            rt.stats.subplan_evals += 1;
-            if let Some(v) = try_scalar_chain(plan, env, rt)? {
-                return Ok(v);
-            }
-            let rows = exec(plan, env, rt)?;
-            scalar_from_rows(rows)
-        }
-        ExprIr::Exists { plan } => {
-            let rows = exec(plan, env, rt)?;
-            Ok(Value::Bool(!rows.is_empty()))
-        }
-        ExprIr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval(expr, env, rt)?;
-            let mut any_null = false;
-            for item in list {
-                let w = eval(item, env, rt)?;
-                match v.sql_eq(&w)? {
-                    Some(true) => return Ok(Value::Bool(!*negated)),
-                    Some(false) => {}
-                    None => any_null = true,
-                }
-            }
-            Ok(if any_null {
-                Value::Null
-            } else {
-                Value::Bool(*negated)
-            })
-        }
-        ExprIr::InPlan {
-            expr,
-            plan,
-            negated,
-        } => {
-            let v = eval(expr, env, rt)?;
-            let rows = exec(plan, env, rt)?;
-            let mut any_null = false;
-            for row in &rows {
-                match v.sql_eq(&row[0])? {
-                    Some(true) => return Ok(Value::Bool(!*negated)),
-                    Some(false) => {}
-                    None => any_null = true,
-                }
-            }
-            Ok(if any_null {
-                Value::Null
-            } else {
-                Value::Bool(*negated)
-            })
-        }
-        ExprIr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval(expr, env, rt)?;
-            let p = eval(pattern, env, rt)?;
-            if v.is_null() || p.is_null() {
-                return Ok(Value::Null);
-            }
-            let m = like_match(v.as_text()?, p.as_text()?);
-            Ok(Value::Bool(m != *negated))
-        }
-        ExprIr::Row(items) => {
-            let mut vals = Vec::with_capacity(items.len());
-            for i in items {
-                vals.push(eval(i, env, rt)?);
-            }
-            Ok(Value::record(vals))
-        }
-        ExprIr::Cast { expr, ty } => eval(expr, env, rt)?.cast(ty),
-        ExprIr::Materialize { plan } => materialize_snapshot(plan, env, rt),
-        ExprIr::SnapshotFn { op, args } => {
-            // Arity is planner-checked; 1..=3 arguments, stack-allocated.
-            let mut argv = [Value::Null, Value::Null, Value::Null];
-            for (slot, a) in argv.iter_mut().zip(args) {
-                *slot = eval(a, env, rt)?;
-            }
-            eval_snapshot_op(*op, &argv[..args.len()], rt)
-        }
         ExprIr::Vm(prog) => crate::vm::run(prog, env, rt),
+        _ => Err(Error::exec(
+            "expression evaluated without being lowered (planner bug)",
+        )),
     }
+}
+
+/// Evaluate `exprs` left to right into a new row.
+pub(crate) fn eval_all(exprs: &[ExprIr], env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Row> {
+    let mut row = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        row.push(eval(e, env, rt)?);
+    }
+    Ok(row)
+}
+
+/// Append `exprs` to `row`, each evaluated over the row built so far (the
+/// `Extend` let-chain step).
+fn extend_row(
+    row: &mut Row,
+    exprs: &[ExprIr],
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+) -> Result<()> {
+    row.reserve(exprs.len());
+    for e in exprs {
+        let scopes = Scopes {
+            row,
+            parent: env.scopes,
+        };
+        let v = eval(e, &env.with_row(&scopes), rt)?;
+        row.push(v);
+    }
+    Ok(())
+}
+
+/// One output row of a projection: `exprs` evaluated with `row` pushed as
+/// the innermost scope.
+fn project_row(
+    exprs: &[ExprIr],
+    row: &[Value],
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+) -> Result<Row> {
+    let scopes = Scopes {
+        row,
+        parent: env.scopes,
+    };
+    eval_all(exprs, &env.with_row(&scopes), rt)
 }
 
 /// Evaluate a row-loop source exactly once into the execution's snapshot
 /// store (through the accounting tuplestore, so cursor materialization is
 /// charged to the buffer statistics like PostgreSQL's portal tuplestore)
 /// and return its handle.
-fn materialize_snapshot(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Value> {
+pub(crate) fn materialize_snapshot(
+    plan: &PlanNode,
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+) -> Result<Value> {
     let rows = exec(plan, env, rt)?;
     let mut store = Tuplestore::new(rt.config.work_mem_bytes);
     store.extend(rows);
@@ -458,8 +332,8 @@ fn materialize_snapshot(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>
     Ok(Value::Int(rt.snapshots.register(rows)))
 }
 
-/// Apply a snapshot accessor to already-evaluated arguments. Shared by the
-/// tree evaluator and the VM's [`crate::vm::Op::Snapshot`] instruction.
+/// Apply a snapshot accessor to already-evaluated arguments: the VM's
+/// [`crate::vm::Op::Snapshot`] instruction.
 pub(crate) fn eval_snapshot_op(
     op: SnapshotOp,
     args: &[Value],
@@ -513,47 +387,8 @@ pub(crate) fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     }
 }
 
-fn eval_binary(
-    op: BinOp,
-    left: &ExprIr,
-    right: &ExprIr,
-    env: &EvalEnv<'_>,
-    rt: &mut Runtime<'_>,
-) -> Result<Value> {
-    // AND/OR short-circuit under three-valued logic.
-    match op {
-        BinOp::And => {
-            let l = eval(left, env, rt)?.as_bool()?;
-            if l == Some(false) {
-                return Ok(Value::Bool(false));
-            }
-            let r = eval(right, env, rt)?.as_bool()?;
-            return Ok(match and3(l, r) {
-                Some(b) => Value::Bool(b),
-                None => Value::Null,
-            });
-        }
-        BinOp::Or => {
-            let l = eval(left, env, rt)?.as_bool()?;
-            if l == Some(true) {
-                return Ok(Value::Bool(true));
-            }
-            let r = eval(right, env, rt)?.as_bool()?;
-            return Ok(match (l, r) {
-                (_, Some(true)) => Value::Bool(true),
-                (Some(false), Some(false)) => Value::Bool(false),
-                _ => Value::Null,
-            });
-        }
-        _ => {}
-    }
-    let l = eval(left, env, rt)?;
-    let r = eval(right, env, rt)?;
-    apply_bin(op, &l, &r)
-}
-
-/// Apply a non-short-circuit binary operator to evaluated operands. Shared
-/// with the flat-program evaluator in [`crate::vm`].
+/// Apply a non-short-circuit binary operator to evaluated operands (the
+/// VM's binary ops, past their integer fast path).
 pub(crate) fn apply_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     match op {
         BinOp::Add => l.add(r),
@@ -591,7 +426,7 @@ pub(crate) fn apply_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 /// construction, so evaluate the chain into a single scratch row instead of
 /// driving the plan executor through five `Vec`s per evaluation. Returns
 /// `None` when the plan has any other shape.
-fn try_scalar_chain(
+pub(crate) fn try_scalar_chain(
     plan: &PlanNode,
     env: &EvalEnv<'_>,
     rt: &mut Runtime<'_>,
@@ -604,19 +439,9 @@ fn try_scalar_chain(
     // Evaluate exactly as Result → Extend* → Project would: the Result
     // expressions see the outer environment; every later expression sees the
     // row built so far pushed on the scope stack.
-    let mut letrow: Row = Vec::with_capacity(first.len() + extends.len());
-    for e in first {
-        letrow.push(eval(e, env, rt)?);
-    }
+    let mut letrow = eval_all(first, env, rt)?;
     for exprs in extends {
-        for e in exprs {
-            let scopes = Scopes {
-                row: &letrow,
-                parent: env.scopes,
-            };
-            let v = eval(e, &env.with_row(&scopes), rt)?;
-            letrow.push(v);
-        }
+        extend_row(&mut letrow, exprs, env, rt)?;
     }
     let scopes = Scopes {
         row: &letrow,
@@ -625,7 +450,7 @@ fn try_scalar_chain(
     eval(final_expr, &env.with_row(&scopes), rt).map(Some)
 }
 
-fn scalar_from_rows(rows: Vec<Row>) -> Result<Value> {
+pub(crate) fn scalar_from_rows(rows: Vec<Row>) -> Result<Value> {
     match rows.len() {
         0 => Ok(Value::Null),
         1 => {
@@ -644,7 +469,7 @@ fn scalar_from_rows(rows: Vec<Row>) -> Result<Value> {
     }
 }
 
-fn call_sql_udf(name: &str, args: Vec<Value>, rt: &mut Runtime<'_>) -> Result<Value> {
+pub(crate) fn call_sql_udf(name: &str, args: Vec<Value>, rt: &mut Runtime<'_>) -> Result<Value> {
     rt.stats.udf_calls += 1;
     rt.udf_depth += 1;
     rt.stats.max_udf_depth = rt.stats.max_udf_depth.max(rt.udf_depth);
@@ -794,24 +619,8 @@ fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result
             rt.stats.rows_scanned += positions.len() as u64;
             Ok(positions.iter().map(|&i| t.rows[i].clone()).collect())
         }
-        PlanNode::Values { rows } => {
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let mut vals = Vec::with_capacity(row.len());
-                for e in row {
-                    vals.push(eval(e, env, rt)?);
-                }
-                out.push(vals);
-            }
-            Ok(out)
-        }
-        PlanNode::Result { exprs } => {
-            let mut row = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                row.push(eval(e, env, rt)?);
-            }
-            Ok(vec![row])
-        }
+        PlanNode::Values { rows } => rows.iter().map(|row| eval_all(row, env, rt)).collect(),
+        PlanNode::Result { exprs } => Ok(vec![eval_all(exprs, env, rt)?]),
         PlanNode::Filter { input, pred } => {
             // Filtering a materialized CTE clones only the passing rows —
             // the compiled queries' outer `WHERE NOT call?` otherwise copies
@@ -824,44 +633,10 @@ fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result
                 // column; scanning a long RECURSIVE trace through the
                 // expression evaluator costs more than the final answer —
                 // test the slot directly.
-                let slot_test: Option<(usize, bool)> = match pred {
-                    ExprIr::Slot { depth: 0, index } => Some((*index, true)),
-                    ExprIr::Not(inner) => match inner.as_ref() {
-                        ExprIr::Slot { depth: 0, index } => Some((*index, false)),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                if let Some((i, want)) = slot_test {
-                    let mut out = Vec::new();
-                    for row in rows.iter() {
-                        let keep = match row.get(i) {
-                            Some(Value::Bool(b)) => *b == want,
-                            Some(Value::Null) => false,
-                            // A bare slot test is `is_true()` (false on
-                            // non-booleans); NOT of a non-boolean errors —
-                            // both exactly as the expression path would.
-                            Some(other) if !want => {
-                                return Err(Error::exec(format!(
-                                    "expected boolean, got {}",
-                                    other.type_of()
-                                )))
-                            }
-                            _ => false,
-                        };
-                        if keep {
-                            out.push(row.clone());
-                        }
-                    }
-                    return Ok(out);
-                }
+                let slot = bool_slot_test(pred);
                 let mut out = Vec::new();
                 for row in rows.iter() {
-                    let scopes = Scopes {
-                        row,
-                        parent: env.scopes,
-                    };
-                    if eval(pred, &env.with_row(&scopes), rt)?.is_true() {
+                    if keeps(pred, slot, row, env, rt)? {
                         out.push(row.clone());
                     }
                 }
@@ -870,11 +645,7 @@ fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result
             let rows = exec(input, env, rt)?;
             let mut out = Vec::with_capacity(rows.len());
             for row in rows {
-                let scopes = Scopes {
-                    row: &row,
-                    parent: env.scopes,
-                };
-                if eval(pred, &env.with_row(&scopes), rt)?.is_true() {
+                if holds(pred, &row, env, rt)? {
                     out.push(row);
                 }
             }
@@ -884,15 +655,7 @@ fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result
             let rows = exec(input, env, rt)?;
             let mut out = Vec::with_capacity(rows.len());
             for mut row in rows {
-                row.reserve(exprs.len());
-                for e in exprs {
-                    let scopes = Scopes {
-                        row: &row,
-                        parent: env.scopes,
-                    };
-                    let v = eval(e, &env.with_row(&scopes), rt)?;
-                    row.push(v);
-                }
+                extend_row(&mut row, exprs, env, rt)?;
                 out.push(row);
             }
             Ok(out)
@@ -908,32 +671,14 @@ fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result
                 rt.stats.rows_scanned += t.rows.len() as u64;
                 let mut out = Vec::with_capacity(t.rows.len());
                 for row in t.rows.iter() {
-                    let scopes = Scopes {
-                        row,
-                        parent: env.scopes,
-                    };
-                    let inner = env.with_row(&scopes);
-                    let mut proj = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        proj.push(eval(e, &inner, rt)?);
-                    }
-                    out.push(proj);
+                    out.push(project_row(exprs, row, env, rt)?);
                 }
                 return Ok(out);
             }
             let rows = exec(input, env, rt)?;
             let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let scopes = Scopes {
-                    row: &row,
-                    parent: env.scopes,
-                };
-                let inner = env.with_row(&scopes);
-                let mut proj = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    proj.push(eval(e, &inner, rt)?);
-                }
-                out.push(proj);
+            for row in &rows {
+                out.push(project_row(exprs, row, env, rt)?);
             }
             Ok(out)
         }
@@ -1045,11 +790,7 @@ fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result
                 rt.stats.memo_misses += 1;
                 return exec(input, env, rt);
             }
-            let mut values = Vec::with_capacity(key.len());
-            for k in key {
-                values.push(eval(k, env, rt)?);
-            }
-            let key = MemoKey::new(site, values);
+            let key = MemoKey::new(site, eval_all(key, env, rt)?);
             if let Some(rows) = rt.memo.lookup(&key).map(<[Row]>::to_vec) {
                 rt.stats.memo_hits += 1;
                 return Ok(rows);
@@ -1061,6 +802,50 @@ fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result
             rt.memo.store(key, &rows, rt.config.work_mem_bytes);
             Ok(rows)
         }
+    }
+}
+
+/// Does `pred` hold on `row`, pushed as the innermost scope?
+fn holds(pred: &ExprIr, row: &[Value], env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<bool> {
+    let scopes = Scopes {
+        row,
+        parent: env.scopes,
+    };
+    Ok(eval(pred, &env.with_row(&scopes), rt)?.is_true())
+}
+
+/// A filter predicate that is a bare depth-0 column (`Some((i, true))`) or
+/// its negation (`Some((i, false))`), which [`keeps`] tests on the row
+/// without running the evaluator.
+fn bool_slot_test(pred: &ExprIr) -> Option<(usize, bool)> {
+    match pred {
+        ExprIr::Slot { depth: 0, index } => Some((*index, true)),
+        ExprIr::Vm(prog) => prog.negated_slot().map(|i| (i, false)),
+        _ => None,
+    }
+}
+
+/// Does the filter predicate keep `row`? `slot` is its
+/// [`bool_slot_test`]: a bare slot test is `is_true()` (false on
+/// non-booleans); NOT of a non-boolean errors — both exactly as the
+/// evaluator would.
+fn keeps(
+    pred: &ExprIr,
+    slot: Option<(usize, bool)>,
+    row: &[Value],
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+) -> Result<bool> {
+    let Some((i, want)) = slot else {
+        return holds(pred, row, env, rt);
+    };
+    match row.get(i) {
+        Some(Value::Bool(b)) => Ok(*b == want),
+        Some(other) if !want && !other.is_null() => Err(Error::exec(format!(
+            "expected boolean, got {}",
+            other.type_of()
+        ))),
+        _ => Ok(false),
     }
 }
 
@@ -1117,17 +902,8 @@ fn exec_bounded(
         PlanNode::Project { input, exprs } => {
             let rows = exec_bounded(input, env, rt, budget)?;
             let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let scopes = Scopes {
-                    row: &row,
-                    parent: env.scopes,
-                };
-                let inner = env.with_row(&scopes);
-                let mut proj = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    proj.push(eval(e, &inner, rt)?);
-                }
-                out.push(proj);
+            for row in &rows {
+                out.push(project_row(exprs, row, env, rt)?);
             }
             Ok(out)
         }
@@ -1144,15 +920,7 @@ fn exec_bounded(
             let rows = exec_bounded(input, env, rt, budget)?;
             let mut out = Vec::with_capacity(rows.len());
             for mut row in rows {
-                row.reserve(exprs.len());
-                for e in exprs {
-                    let scopes = Scopes {
-                        row: &row,
-                        parent: env.scopes,
-                    };
-                    let v = eval(e, &env.with_row(&scopes), rt)?;
-                    row.push(v);
-                }
+                extend_row(&mut row, exprs, env, rt)?;
                 out.push(row);
             }
             Ok(out)
@@ -1166,11 +934,7 @@ fn exec_bounded(
                 if out.len() >= budget {
                     break;
                 }
-                let scopes = Scopes {
-                    row: &row,
-                    parent: env.scopes,
-                };
-                if eval(pred, &env.with_row(&scopes), rt)?.is_true() {
+                if holds(pred, &row, env, rt)? {
                     out.push(row);
                 }
             }
@@ -1226,13 +990,7 @@ fn exec_nestloop(
             combined.extend_from_slice(rrow);
             let keep = match on {
                 None => true,
-                Some(pred) => {
-                    let scopes = Scopes {
-                        row: &combined,
-                        parent: env.scopes,
-                    };
-                    eval(pred, &env.with_row(&scopes), rt)?.is_true()
-                }
+                Some(pred) => holds(pred, &combined, env, rt)?,
             };
             if keep {
                 matched = true;
@@ -1676,50 +1434,15 @@ fn exec_cte_body_fused(
     };
     // Same direct slot test as the Filter-over-CteScan fast path in `exec`:
     // the compiled outer predicate is a (negated) boolean column.
-    let slot_test: Option<(usize, bool)> = match pred {
-        ExprIr::Slot { depth: 0, index } => Some((*index, true)),
-        ExprIr::Not(inner) => match inner.as_ref() {
-            ExprIr::Slot { depth: 0, index } => Some((*index, false)),
-            _ => None,
-        },
-        _ => None,
-    };
+    let slot = bool_slot_test(pred);
     let run = |rt: &mut Runtime<'_>| -> Result<Vec<Row>> {
         let mut out = Vec::with_capacity(rows.len());
         for row in rows {
-            let keep = match slot_test {
-                Some((i, want)) => match row.get(i) {
-                    Some(Value::Bool(b)) => *b == want,
-                    Some(Value::Null) => false,
-                    Some(other) if !want => {
-                        return Err(Error::exec(format!(
-                            "expected boolean, got {}",
-                            other.type_of()
-                        )))
-                    }
-                    _ => false,
-                },
-                None => {
-                    let scopes = Scopes {
-                        row: &row,
-                        parent: env.scopes,
-                    };
-                    eval(pred, &env.with_row(&scopes), rt)?.is_true()
-                }
-            };
+            let keep = keeps(pred, slot, &row, env, rt)?;
             if !keep {
                 continue;
             }
-            let scopes = Scopes {
-                row: &row,
-                parent: env.scopes,
-            };
-            let inner = env.with_row(&scopes);
-            let mut proj = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                proj.push(eval(e, &inner, rt)?);
-            }
-            out.push(proj);
+            out.push(project_row(exprs, &row, env, rt)?);
         }
         Ok(out)
     };
@@ -1787,138 +1510,51 @@ fn pipeline_steps(plan: &PlanNode, index: usize) -> Option<Vec<Step<'_>>> {
 /// `index`? (Guards the fused `WITH`-body consumer, which takes the CTE's
 /// rows out of the runtime map.)
 fn expr_scans_cte(e: &ExprIr, index: usize) -> bool {
-    fn plan_scans_cte(p: &PlanNode, index: usize) -> bool {
-        if matches!(p, PlanNode::CteScan { index: i } if *i == index) {
-            return true;
-        }
-        let mut found = false;
-        p.for_each_child(&mut |c| {
-            if plan_scans_cte(c, index) {
-                found = true;
-            }
-        });
-        if !found {
-            p.for_each_expr(&mut |e| {
-                if expr_scans_cte(e, index) {
-                    found = true;
-                }
-            });
-        }
-        found
-    }
-    let mut found = false;
-    walk_expr_plans(e, &mut |p| {
-        if plan_scans_cte(p, index) {
-            found = true;
-        }
-    });
-    found
+    expr_holds_node(
+        e,
+        &|p| matches!(p, PlanNode::CteScan { index: i } if *i == index),
+    )
 }
 
 /// Does the expression (or any plan nested inside it) read the working table
 /// of the given CTE index?
 pub(crate) fn expr_uses_working(e: &ExprIr, index: usize) -> bool {
+    expr_holds_node(
+        e,
+        &|p| matches!(p, PlanNode::WorkingScan { index: i } if *i == index),
+    )
+}
+
+/// Does any plan held inside the expression contain a node matching `is`?
+fn expr_holds_node(e: &ExprIr, is: &impl Fn(&PlanNode) -> bool) -> bool {
+    fn plan_holds(p: &PlanNode, is: &impl Fn(&PlanNode) -> bool) -> bool {
+        let mut found = is(p);
+        p.for_each_child(&mut |c| found = found || plan_holds(c, is));
+        p.for_each_expr(&mut |e| found = found || expr_holds_node(e, is));
+        found
+    }
     let mut found = false;
-    walk_expr_plans(e, &mut |p| {
-        if plan_uses_working(p, index) {
-            found = true;
-        }
-    });
+    walk_expr_plans(e, &mut |p| found = found || plan_holds(p, is));
     found
 }
 
-fn plan_uses_working(p: &PlanNode, index: usize) -> bool {
-    if matches!(p, PlanNode::WorkingScan { index: i } if *i == index) {
-        return true;
-    }
-    let mut found = false;
-    p.for_each_child(&mut |c| {
-        if plan_uses_working(c, index) {
-            found = true;
-        }
-    });
-    if !found {
-        p.for_each_expr(&mut |e| {
-            if expr_uses_working(e, index) {
-                found = true;
-            }
-        });
-    }
-    found
-}
-
-/// Visit every plan held inside an expression (sub-plans, and sub-plans
-/// reachable through compiled programs' tree fallbacks).
+/// Visit every plan held inside an expression: its sub-plans, also those
+/// run by the ops of a lowered program. A let-chain flattened into a
+/// program is no longer a plan, and holds no node these analyses look for.
 pub(crate) fn walk_expr_plans(e: &ExprIr, f: &mut impl FnMut(&PlanNode)) {
     match e {
-        ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) => {}
-        ExprIr::Neg(x) | ExprIr::Not(x) => walk_expr_plans(x, f),
-        ExprIr::Binary { left, right, .. } => {
-            walk_expr_plans(left, f);
-            walk_expr_plans(right, f);
-        }
-        ExprIr::IsNull { expr, .. } | ExprIr::Cast { expr, .. } => walk_expr_plans(expr, f),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => {
-            walk_expr_plans(expr, f);
-            walk_expr_plans(low, f);
-            walk_expr_plans(high, f);
-        }
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                walk_expr_plans(o, f);
+        ExprIr::Subplan(p)
+        | ExprIr::Exists { plan: p }
+        | ExprIr::Materialize { plan: p }
+        | ExprIr::InPlan { plan: p, .. } => f(p),
+        ExprIr::Vm(prog) => prog.for_each_access(&mut |a| {
+            if let Access::Plan(p) | Access::Materialize(p) = a {
+                f(p)
             }
-            for (w, t) in branches {
-                walk_expr_plans(w, f);
-                walk_expr_plans(t, f);
-            }
-            if let Some(x) = else_ {
-                walk_expr_plans(x, f);
-            }
-        }
-        ExprIr::Coalesce(args) | ExprIr::Row(args) => {
-            for a in args {
-                walk_expr_plans(a, f);
-            }
-        }
-        ExprIr::Scalar { args, .. } | ExprIr::UdfCall { args, .. } => {
-            for a in args {
-                walk_expr_plans(a, f);
-            }
-        }
-        ExprIr::Subplan(p) => f(p),
-        ExprIr::Exists { plan } => f(plan),
-        ExprIr::Materialize { plan } => f(plan),
-        ExprIr::SnapshotFn { args, .. } => {
-            for a in args {
-                walk_expr_plans(a, f);
-            }
-        }
-        ExprIr::InPlan { expr, plan, .. } => {
-            walk_expr_plans(expr, f);
-            f(plan);
-        }
-        ExprIr::InList { expr, list, .. } => {
-            walk_expr_plans(expr, f);
-            for i in list {
-                walk_expr_plans(i, f);
-            }
-        }
-        ExprIr::Like { expr, pattern, .. } => {
-            walk_expr_plans(expr, f);
-            walk_expr_plans(pattern, f);
-        }
-        ExprIr::Vm(prog) => {
-            for t in prog.fallback_trees() {
-                walk_expr_plans(t, f);
-            }
-        }
+        }),
+        _ => {}
     }
+    e.for_each_child(&mut |c| walk_expr_plans(c, f));
 }
 
 /// Fully fused fixpoint transition: `Extend([body]) → Filter(pred) →
@@ -1969,50 +1605,29 @@ fn try_transition<'p>(steps: &[Step<'p>]) -> Option<Transition<'p>> {
 /// reach the appended column indirectly.
 pub(crate) fn pred_reads_below(e: &ExprIr, limit: usize) -> bool {
     match e {
-        ExprIr::Const(_) | ExprIr::Param(_) => true,
         ExprIr::Slot { depth, index } => *depth > 0 || *index < limit,
-        ExprIr::Neg(x) | ExprIr::Not(x) => pred_reads_below(x, limit),
-        ExprIr::Binary { left, right, .. } => {
-            pred_reads_below(left, limit) && pred_reads_below(right, limit)
-        }
-        ExprIr::IsNull { expr, .. } | ExprIr::Cast { expr, .. } => pred_reads_below(expr, limit),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => {
-            pred_reads_below(expr, limit)
-                && pred_reads_below(low, limit)
-                && pred_reads_below(high, limit)
-        }
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            operand
-                .as_deref()
-                .is_none_or(|o| pred_reads_below(o, limit))
-                && branches
-                    .iter()
-                    .all(|(w, t)| pred_reads_below(w, limit) && pred_reads_below(t, limit))
-                && else_.as_deref().is_none_or(|e| pred_reads_below(e, limit))
-        }
-        ExprIr::Coalesce(args) | ExprIr::Row(args) => {
-            args.iter().all(|a| pred_reads_below(a, limit))
-        }
-        ExprIr::Scalar { args, .. } => args.iter().all(|a| pred_reads_below(a, limit)),
-        ExprIr::InList { expr, list, .. } => {
-            pred_reads_below(expr, limit) && list.iter().all(|i| pred_reads_below(i, limit))
-        }
-        ExprIr::Like { expr, pattern, .. } => {
-            pred_reads_below(expr, limit) && pred_reads_below(pattern, limit)
-        }
         ExprIr::UdfCall { .. }
         | ExprIr::Subplan(_)
         | ExprIr::Exists { .. }
         | ExprIr::InPlan { .. }
         | ExprIr::Materialize { .. }
-        | ExprIr::SnapshotFn { .. }
-        | ExprIr::Vm(_) => false,
+        | ExprIr::SnapshotFn { .. } => false,
+        ExprIr::Vm(prog) => {
+            let mut below = true;
+            prog.for_each_access(&mut |a| {
+                below &= match a {
+                    Access::Slot { depth, index } => depth > 0 || index < limit,
+                    Access::Param(_) | Access::Volatile => true,
+                    Access::Plan(_)
+                    | Access::Materialize(_)
+                    | Access::Udf
+                    | Access::Snapshot
+                    | Access::Chain => false,
+                }
+            });
+            below
+        }
+        _ => e.all_children(|c| pred_reads_below(c, limit)),
     }
 }
 
@@ -2083,40 +1698,12 @@ fn run_pipeline_row(
     for step in steps {
         match step {
             Step::Filter(pred) => {
-                let scopes = Scopes {
-                    row: &row,
-                    parent: env.scopes,
-                };
-                if !eval(pred, &env.with_row(&scopes), rt)?.is_true() {
+                if !holds(pred, &row, env, rt)? {
                     return Ok(None);
                 }
             }
-            Step::Extend(exprs) => {
-                row.reserve(exprs.len());
-                for e in *exprs {
-                    let scopes = Scopes {
-                        row: &row,
-                        parent: env.scopes,
-                    };
-                    let v = eval(e, &env.with_row(&scopes), rt)?;
-                    row.push(v);
-                }
-            }
-            Step::Project(exprs) => {
-                let proj = {
-                    let scopes = Scopes {
-                        row: &row,
-                        parent: env.scopes,
-                    };
-                    let inner = env.with_row(&scopes);
-                    let mut proj = Vec::with_capacity(exprs.len());
-                    for e in *exprs {
-                        proj.push(eval(e, &inner, rt)?);
-                    }
-                    proj
-                };
-                row = proj;
-            }
+            Step::Extend(exprs) => extend_row(&mut row, exprs, env, rt)?,
+            Step::Project(exprs) => row = project_row(exprs, &row, env, rt)?,
             Step::Unpack { src, width } => unpack_row(&mut row, *src, *width)?,
         }
     }

@@ -12,6 +12,8 @@ use std::sync::Arc;
 use plaway_common::{Type, Value};
 use plaway_sql::ast::{BinOp, JoinKind, SetOp};
 
+use crate::vm::Access;
+
 /// Compiled scalar expression.
 #[derive(Debug, Clone)]
 pub enum ExprIr {
@@ -102,10 +104,78 @@ pub enum ExprIr {
         expr: Box<ExprIr>,
         ty: Type,
     },
-    /// Pre-compiled flat program (see [`crate::vm`]): built once per prepared
-    /// plan by the planner's pre-compilation pass, evaluated on a reusable
-    /// value stack instead of walking the tree per row.
+    /// Lowered flat program (see [`crate::vm`]): every planned expression
+    /// other than a leaf is lowered to one, once per prepared plan, and runs
+    /// on a reusable value stack. The executor evaluates nothing else.
     Vm(Arc<crate::vm::ExprProgram>),
+}
+
+/// The one match behind both child visitors: the binding modes make it
+/// serve `&ExprIr` and `&mut ExprIr` alike.
+macro_rules! expr_children {
+    ($e:expr, $f:expr) => {
+        match $e {
+            ExprIr::Const(_)
+            | ExprIr::Slot { .. }
+            | ExprIr::Param(_)
+            | ExprIr::Subplan(_)
+            | ExprIr::Materialize { .. }
+            | ExprIr::Exists { .. }
+            | ExprIr::Vm(_) => {}
+            ExprIr::Neg(x)
+            | ExprIr::Not(x)
+            | ExprIr::IsNull { expr: x, .. }
+            | ExprIr::Cast { expr: x, .. }
+            | ExprIr::InPlan { expr: x, .. } => $f(x),
+            ExprIr::Binary { left, right, .. }
+            | ExprIr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                $f(left);
+                $f(right);
+            }
+            ExprIr::Between {
+                expr, low, high, ..
+            } => {
+                $f(expr);
+                $f(low);
+                $f(high);
+            }
+            ExprIr::Case {
+                operand,
+                branches,
+                else_,
+            } => {
+                if let Some(o) = operand {
+                    $f(o);
+                }
+                for (w, t) in branches {
+                    $f(w);
+                    $f(t);
+                }
+                if let Some(x) = else_ {
+                    $f(x);
+                }
+            }
+            ExprIr::Coalesce(args)
+            | ExprIr::Row(args)
+            | ExprIr::Scalar { args, .. }
+            | ExprIr::UdfCall { args, .. }
+            | ExprIr::SnapshotFn { args, .. } => {
+                for a in args {
+                    $f(a);
+                }
+            }
+            ExprIr::InList { expr, list, .. } => {
+                $f(expr);
+                for x in list {
+                    $f(x);
+                }
+            }
+        }
+    };
 }
 
 impl ExprIr {
@@ -118,42 +188,40 @@ impl ExprIr {
     /// safe for the dead-code eliminator to discard.
     pub fn is_pure_scalar(&self) -> bool {
         match self {
-            ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) => true,
-            ExprIr::Neg(e) | ExprIr::Not(e) => e.is_pure_scalar(),
-            ExprIr::Binary { left, right, .. } => left.is_pure_scalar() && right.is_pure_scalar(),
-            ExprIr::IsNull { expr, .. } => expr.is_pure_scalar(),
-            ExprIr::Between {
-                expr, low, high, ..
-            } => expr.is_pure_scalar() && low.is_pure_scalar() && high.is_pure_scalar(),
-            ExprIr::Case {
-                operand,
-                branches,
-                else_,
-            } => {
-                operand.as_deref().is_none_or(ExprIr::is_pure_scalar)
-                    && branches
-                        .iter()
-                        .all(|(w, t)| w.is_pure_scalar() && t.is_pure_scalar())
-                    && else_.as_deref().is_none_or(ExprIr::is_pure_scalar)
-            }
-            ExprIr::Coalesce(args) => args.iter().all(ExprIr::is_pure_scalar),
-            ExprIr::Scalar { func, args } => {
-                !func.is_volatile() && args.iter().all(ExprIr::is_pure_scalar)
-            }
+            ExprIr::Scalar { func, .. } if func.is_volatile() => false,
             ExprIr::UdfCall { .. }
             | ExprIr::Subplan(_)
             | ExprIr::Exists { .. }
             | ExprIr::InPlan { .. }
             | ExprIr::Materialize { .. }
             | ExprIr::SnapshotFn { .. } => false,
-            ExprIr::InList { expr, list, .. } => {
-                expr.is_pure_scalar() && list.iter().all(ExprIr::is_pure_scalar)
+            ExprIr::Vm(prog) => {
+                let mut pure = true;
+                prog.for_each_access(&mut |a| {
+                    pure &= matches!(a, Access::Slot { .. } | Access::Param(_))
+                });
+                pure
             }
-            ExprIr::Like { expr, pattern, .. } => expr.is_pure_scalar() && pattern.is_pure_scalar(),
-            ExprIr::Row(items) => items.iter().all(ExprIr::is_pure_scalar),
-            ExprIr::Cast { expr, .. } => expr.is_pure_scalar(),
-            ExprIr::Vm(prog) => prog.is_pure(),
+            _ => self.all_children(ExprIr::is_pure_scalar),
         }
+    }
+
+    /// Visit the direct sub-expressions, left to right. Sub-plans are not
+    /// children, and neither is a lowered program's content.
+    pub fn for_each_child(&self, f: &mut impl FnMut(&ExprIr)) {
+        expr_children!(self, f);
+    }
+
+    /// [`ExprIr::for_each_child`] over mutable children.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut ExprIr)) {
+        expr_children!(self, f);
+    }
+
+    /// Does `pred` hold for every direct sub-expression?
+    pub(crate) fn all_children(&self, mut pred: impl FnMut(&ExprIr) -> bool) -> bool {
+        let mut all = true;
+        self.for_each_child(&mut |c| all = all && pred(c));
+        all
     }
 }
 
@@ -572,6 +640,83 @@ pub enum PlanNode {
     },
 }
 
+/// The one match behind both expression visitors of [`PlanNode`], like
+/// `expr_children!` for [`ExprIr`].
+macro_rules! plan_exprs {
+    ($node:expr, $f:expr) => {
+        match $node {
+            PlanNode::SeqScan { .. }
+            | PlanNode::ProjectUnpack { .. }
+            | PlanNode::Distinct { .. }
+            | PlanNode::Append { .. }
+            | PlanNode::SetOpNode { .. }
+            | PlanNode::CteScan { .. }
+            | PlanNode::WorkingScan { .. }
+            | PlanNode::With { .. } => {}
+            PlanNode::IndexLookup { key: e, .. } | PlanNode::Filter { pred: e, .. } => $f(e),
+            PlanNode::IndexRange { lo, hi, .. } => {
+                for (e, _) in lo.into_iter().chain(hi) {
+                    $f(e);
+                }
+            }
+            PlanNode::Values { rows } => {
+                for e in rows.into_iter().flatten() {
+                    $f(e);
+                }
+            }
+            PlanNode::Result { exprs }
+            | PlanNode::Project { exprs, .. }
+            | PlanNode::Extend { exprs, .. }
+            | PlanNode::Memoize { key: exprs, .. } => {
+                for e in exprs {
+                    $f(e);
+                }
+            }
+            PlanNode::NestLoop { on, .. } => {
+                if let Some(e) = on {
+                    $f(e);
+                }
+            }
+            PlanNode::Limit { limit, offset, .. } => {
+                for e in limit.into_iter().chain(offset) {
+                    $f(e);
+                }
+            }
+            PlanNode::Agg { keys, aggs, .. } => {
+                for e in keys {
+                    $f(e);
+                }
+                for AggSpec { arg, .. } in aggs {
+                    if let Some(e) = arg {
+                        $f(e);
+                    }
+                }
+            }
+            PlanNode::WindowAgg { windows, .. } => {
+                for WindowExprIr {
+                    args,
+                    partition_by,
+                    order_by,
+                    ..
+                } in windows
+                {
+                    for e in args.into_iter().chain(partition_by) {
+                        $f(e);
+                    }
+                    for SortKey { expr, .. } in order_by {
+                        $f(expr);
+                    }
+                }
+            }
+            PlanNode::Sort { keys, .. } => {
+                for SortKey { expr, .. } in keys {
+                    $f(expr);
+                }
+            }
+        }
+    };
+}
+
 impl PlanNode {
     /// Count plan nodes — a proxy for "plan size" used in instrumentation
     /// assertions and EXPLAIN-style output.
@@ -632,79 +777,12 @@ impl PlanNode {
 
     /// Visit the expressions held directly by this node (not by children).
     pub(crate) fn for_each_expr(&self, f: &mut impl FnMut(&ExprIr)) {
-        match self {
-            PlanNode::SeqScan { .. }
-            | PlanNode::ProjectUnpack { .. }
-            | PlanNode::Distinct { .. }
-            | PlanNode::Append { .. }
-            | PlanNode::SetOpNode { .. }
-            | PlanNode::CteScan { .. }
-            | PlanNode::WorkingScan { .. } => {}
-            PlanNode::IndexLookup { key, .. } => f(key),
-            PlanNode::IndexRange { lo, hi, .. } => {
-                for (e, _) in lo.iter().chain(hi.iter()) {
-                    f(e);
-                }
-            }
-            PlanNode::Values { rows } => {
-                for row in rows {
-                    for e in row {
-                        f(e);
-                    }
-                }
-            }
-            PlanNode::Result { exprs }
-            | PlanNode::Project { exprs, .. }
-            | PlanNode::Extend { exprs, .. }
-            | PlanNode::Memoize { key: exprs, .. } => {
-                for e in exprs {
-                    f(e);
-                }
-            }
-            PlanNode::Filter { pred, .. } => f(pred),
-            PlanNode::NestLoop { on, .. } => {
-                if let Some(e) = on {
-                    f(e);
-                }
-            }
-            PlanNode::Agg { keys, aggs, .. } => {
-                for k in keys {
-                    f(k);
-                }
-                for a in aggs {
-                    if let Some(e) = &a.arg {
-                        f(e);
-                    }
-                }
-            }
-            PlanNode::WindowAgg { windows, .. } => {
-                for w in windows {
-                    for e in &w.args {
-                        f(e);
-                    }
-                    for e in &w.partition_by {
-                        f(e);
-                    }
-                    for k in &w.order_by {
-                        f(&k.expr);
-                    }
-                }
-            }
-            PlanNode::Sort { keys, .. } => {
-                for k in keys {
-                    f(&k.expr);
-                }
-            }
-            PlanNode::Limit { limit, offset, .. } => {
-                if let Some(e) = limit {
-                    f(e);
-                }
-                if let Some(e) = offset {
-                    f(e);
-                }
-            }
-            PlanNode::With { .. } => {}
-        }
+        plan_exprs!(self, f);
+    }
+
+    /// [`PlanNode::for_each_expr`] over mutable expressions.
+    pub(crate) fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut ExprIr)) {
+        plan_exprs!(self, f);
     }
 
     /// One-line operator name for EXPLAIN output.
@@ -735,7 +813,7 @@ impl PlanNode {
     }
 
     /// `Memoize` nodes in this plan, including those inside expression
-    /// sub-plans (reached through compiled programs' tree fallbacks too).
+    /// sub-plans (also the plans run by lowered programs' ops).
     pub(crate) fn memo_nodes(&self) -> usize {
         let mut n = usize::from(matches!(self, PlanNode::Memoize { .. }));
         self.for_each_child(&mut |c| n += c.memo_nodes());

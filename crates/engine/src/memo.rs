@@ -7,8 +7,8 @@
 //! * [`crate::ir::PlanNode::Memoize`] stores the rows of a pure blocking
 //!   subtree under the values of the outer slots and parameters it reads
 //!   (walk's Q2 window runs once per distinct `(location, action)`);
-//! * the VM's [`crate::vm::Op::TreeCached`] stores a closed scalar sub-plan
-//!   under the empty key.
+//! * the VM's [`crate::vm::Op::Subplan`] and [`crate::vm::Op::Exists`]
+//!   store a closed sub-plan's value under the empty key.
 //!
 //! Keys compare by variant and bit pattern, not by [`Value`]'s `Eq`, which
 //! equates `Int(3)` with `Float(3.0)`: a float caller must never receive an

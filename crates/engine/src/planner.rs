@@ -185,10 +185,9 @@ pub(crate) fn plan_printed_query(
     };
     let mut chain = Vec::new();
     let (mut plan, scope) = p.plan_query(query, &mut chain)?;
-    // Pre-compile expression trees into flat programs (and memoizable
-    // invariant sub-plans) once, so execution never tree-walks per row.
-    // The same pass places `Memoize` on repeated blocking subtrees; the
-    // statement root runs once.
+    // Lower every expression but the leaves to a flat VM program once, so
+    // execution never walks an expression tree. The same pass places
+    // `Memoize` on repeated blocking subtrees; the statement root runs once.
     crate::vm::precompile_plan(&mut plan, false);
     Ok(PreparedPlan {
         sql,

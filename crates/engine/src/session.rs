@@ -26,7 +26,7 @@ use plaway_sql::ast::{InsertSource, Language, Stmt};
 use crate::catalog::{Catalog, Column, FunctionDef, IndexKind, Row};
 use crate::config::{EngineConfig, IndexMode, TierMode};
 use crate::database::Database;
-use crate::exec::{eval, exec, EvalEnv, FnPlanCache, Runtime, RuntimeStats, Scopes};
+use crate::exec::{eval, exec, EvalEnv, FnPlanCache, Runtime, RuntimeStats};
 use crate::explain::AnalyzeState;
 use crate::ir::ExprIr;
 use crate::metrics::SessionMetrics;
@@ -185,6 +185,9 @@ pub struct Session {
     /// In-flight EXPLAIN ANALYZE observation sink; set for the duration of
     /// one instrumented execution and threaded into the runtime.
     analyze: Option<AnalyzeState>,
+    /// The VM's value stack, lent to the runtime of each simple expression
+    /// ([`Session::eval_expr`]) so that none allocates its own.
+    vm_stack: Vec<Value>,
 }
 
 impl Default for Session {
@@ -219,6 +222,7 @@ impl Session {
             query_stats: HashMap::new(),
             metrics: SessionMetrics::default(),
             analyze: None,
+            vm_stack: Vec::new(),
         }
     }
 
@@ -921,42 +925,35 @@ impl Session {
     // ---------------------------------------------- expression fast path
 
     /// Compile a bare scalar expression against a parameter scope (the
-    /// PL/pgSQL "simple expression" path).
+    /// PL/pgSQL "simple expression" path), lowered for the VM like every
+    /// planned expression.
     pub fn compile_expr(
         &mut self,
         expr: &plaway_sql::ast::Expr,
         params: &ParamScope,
     ) -> Result<ExprIr> {
-        plan_expr(&self.catalog, expr, Some(params), self.config.index_mode)
+        let mut ir = plan_expr(&self.catalog, expr, Some(params), self.config.index_mode)?;
+        crate::vm::lower(&mut ir);
+        Ok(ir)
     }
 
     /// Evaluate a compiled expression with bound parameters. Timing is the
     /// caller's business (the interpreter buckets this under Exec·Run, like
-    /// PostgreSQL's `exec_eval_simple_expr`).
+    /// PostgreSQL's `exec_eval_simple_expr`). The VM stack is the session's
+    /// own, so a simple expression allocates none per call.
     pub fn eval_expr(&mut self, ir: &ExprIr, params: &[Value]) -> Result<Value> {
-        let mut rt = self.runtime();
-        let env = EvalEnv {
-            scopes: None,
-            params,
+        let stack = std::mem::take(&mut self.vm_stack);
+        let (result, stack) = {
+            let mut rt = self.runtime();
+            rt.vm_stack = stack;
+            let env = EvalEnv {
+                scopes: None,
+                params,
+            };
+            (eval(ir, &env, &mut rt), std::mem::take(&mut rt.vm_stack))
         };
-        eval(ir, &env, &mut rt)
-    }
-
-    /// Evaluate a compiled expression with an additional row context (used
-    /// in tests and by EXPLAIN-style tooling).
-    pub fn eval_expr_with_row(
-        &mut self,
-        ir: &ExprIr,
-        row: &[Value],
-        params: &[Value],
-    ) -> Result<Value> {
-        let mut rt = self.runtime();
-        let scopes = Scopes { row, parent: None };
-        let env = EvalEnv {
-            scopes: Some(&scopes),
-            params,
-        };
-        eval(ir, &env, &mut rt)
+        self.vm_stack = stack;
+        result
     }
 
     pub(crate) fn runtime(&mut self) -> Runtime<'_> {

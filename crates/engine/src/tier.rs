@@ -1,14 +1,15 @@
 //! Tiered execution: monomorphized typed pipelines for hot fixpoint
 //! transitions.
 //!
-//! The expression VM removed tree-walking dispatch from the fused
-//! `Extend → Filter → Unpack` transition, but every cell still travels as a
-//! boxed [`Value`] and every opcode still pays one dispatch branch. This
-//! module removes both for the common *typed* shape: at prepare time
-//! [`recognize`] inspects the recursive arm and, when it matches, compiles
-//! the whole per-row transition into statically-typed Rust closures over
-//! `TCell` — a four-variant cell (NULL / bool / int / text) with no
-//! float, no record, and no per-op dispatch loop.
+//! The expression VM, the engine's one evaluator, runs the fused
+//! `Extend → Filter → Unpack` transition without tree-walking dispatch, but
+//! every cell still travels as a boxed [`Value`] and every opcode still
+//! pays one dispatch branch. This module removes both for the common
+//! *typed* shape: at prepare time [`recognize`] inspects the recursive arm
+//! and, when it matches, compiles the whole per-row transition into
+//! statically-typed Rust closures over `TCell` — a four-variant cell
+//! (NULL / bool / int / text) with no float, no record, and no per-op
+//! dispatch loop.
 //!
 //! Promotion is execution-count tiered (see `DESIGN.md` §7): transitions
 //! start in the VM, a per-program hotness counter (shared through the plan
@@ -431,7 +432,7 @@ enum RowProducer {
         setters: Vec<Atom>,
         inner: Box<RowProducer>,
         /// Mirror the VM's `subplan_evals` accounting: flattened chains
-        /// never counted as sub-plan evaluations, tree-fallback ones did.
+        /// never count as sub-plan evaluations, `Op::Subplan` ones do.
         bump: bool,
     },
 }
@@ -699,7 +700,7 @@ impl Compiler {
     /// arithmetic and comparisons become inline [`Atom`] arms (no boxed
     /// call); anything deeper falls back to the closure compiler wrapped
     /// in [`Atom::Expr`], whose operands are again atoms.
-    fn atom(&mut self, e: &ExprIr, frames: &[CFrame], vm_ctx: bool) -> Option<Atom> {
+    fn atom(&mut self, e: &ExprIr, frames: &[CFrame]) -> Option<Atom> {
         if let Some(n) = self.node(e, frames) {
             return Some(Atom::Node(n));
         }
@@ -712,16 +713,12 @@ impl Compiler {
                 }
             }
         }
-        Some(Atom::Expr(self.scalar(e, frames, vm_ctx)?))
+        Some(Atom::Expr(self.scalar(e, frames)?))
     }
 
     /// Compile a scalar expression, or `None` when the shape is outside the
-    /// tier grammar (the transition then simply never promotes). `vm_ctx`
-    /// tracks whether the VM would have executed this position inside a
-    /// compiled program (flattening chains, memoizing closed sub-plans) or
-    /// through the tree evaluator — the two count `subplan_evals`
-    /// differently, and the mono tier mirrors whichever it replaces.
-    fn scalar(&mut self, e: &ExprIr, frames: &[CFrame], vm_ctx: bool) -> Option<TExpr> {
+    /// tier grammar (the transition then simply never promotes).
+    fn scalar(&mut self, e: &ExprIr, frames: &[CFrame]) -> Option<TExpr> {
         Some(match e {
             ExprIr::Const(v) => {
                 let c = tcell_of(v)?;
@@ -752,7 +749,7 @@ impl Compiler {
                 texpr(move |_, b, _| Ok(b.binds[bi].clone()))
             }
             ExprIr::Neg(x) => {
-                let x = self.atom(x, frames, vm_ctx)?;
+                let x = self.atom(x, frames)?;
                 texpr(move |f, b, s| match x.eval_c(f, b, s)?.get() {
                     TCell::Null => Ok(TCell::Null),
                     TCell::Int(i) => i.checked_neg().map(TCell::Int).ok_or(Demote),
@@ -760,7 +757,7 @@ impl Compiler {
                 })
             }
             ExprIr::Not(x) => {
-                let x = self.atom(x, frames, vm_ctx)?;
+                let x = self.atom(x, frames)?;
                 texpr(move |f, b, s| {
                     Ok(match t_as_bool(x.eval_c(f, b, s)?.get())? {
                         Some(v) => TCell::Bool(!v),
@@ -769,7 +766,7 @@ impl Compiler {
                 })
             }
             ExprIr::IsNull { expr, negated } => {
-                let x = self.atom(expr, frames, vm_ctx)?;
+                let x = self.atom(expr, frames)?;
                 let negated = *negated;
                 texpr(move |f, b, s| {
                     let is_null = matches!(x.eval_c(f, b, s)?.get(), TCell::Null);
@@ -777,8 +774,8 @@ impl Compiler {
                 })
             }
             ExprIr::Binary { op, left, right } => {
-                let l = self.atom(left, frames, vm_ctx)?;
-                let r = self.atom(right, frames, vm_ctx)?;
+                let l = self.atom(left, frames)?;
+                let r = self.atom(right, frames)?;
                 match op {
                     BinOp::Add => arith(l, r, ArithOp::Add),
                     BinOp::Sub => arith(l, r, ArithOp::Sub),
@@ -853,9 +850,9 @@ impl Compiler {
                 high,
                 negated,
             } => {
-                let x = self.atom(expr, frames, vm_ctx)?;
-                let lo = self.atom(low, frames, vm_ctx)?;
-                let hi = self.atom(high, frames, vm_ctx)?;
+                let x = self.atom(expr, frames)?;
+                let lo = self.atom(low, frames)?;
+                let hi = self.atom(high, frames)?;
                 let negated = *negated;
                 texpr(move |f, b, s| {
                     use std::cmp::Ordering as O;
@@ -875,15 +872,15 @@ impl Compiler {
                 else_,
             } => {
                 let op_c = match operand {
-                    Some(o) => Some(self.atom(o, frames, vm_ctx)?),
+                    Some(o) => Some(self.atom(o, frames)?),
                     None => None,
                 };
                 let mut br: Vec<(Atom, Atom)> = Vec::with_capacity(branches.len());
                 for (w, t) in branches {
-                    br.push((self.atom(w, frames, vm_ctx)?, self.atom(t, frames, vm_ctx)?));
+                    br.push((self.atom(w, frames)?, self.atom(t, frames)?));
                 }
                 let els = match else_ {
-                    Some(e) => Some(self.atom(e, frames, vm_ctx)?),
+                    Some(e) => Some(self.atom(e, frames)?),
                     None => None,
                 };
                 texpr(move |f, b, s| {
@@ -910,7 +907,7 @@ impl Compiler {
             ExprIr::Coalesce(args) => {
                 let cs: Vec<Atom> = args
                     .iter()
-                    .map(|a| self.atom(a, frames, vm_ctx))
+                    .map(|a| self.atom(a, frames))
                     .collect::<Option<_>>()?;
                 texpr(move |f, b, s| {
                     for c in &cs {
@@ -927,10 +924,10 @@ impl Compiler {
                 list,
                 negated,
             } => {
-                let x = self.atom(expr, frames, vm_ctx)?;
+                let x = self.atom(expr, frames)?;
                 let items: Vec<Atom> = list
                     .iter()
-                    .map(|i| self.atom(i, frames, vm_ctx))
+                    .map(|i| self.atom(i, frames))
                     .collect::<Option<_>>()?;
                 let negated = *negated;
                 texpr(move |f, b, s| {
@@ -955,8 +952,8 @@ impl Compiler {
                 pattern,
                 negated,
             } => {
-                let x = self.atom(expr, frames, vm_ctx)?;
-                let p = self.atom(pattern, frames, vm_ctx)?;
+                let x = self.atom(expr, frames)?;
+                let p = self.atom(pattern, frames)?;
                 let negated = *negated;
                 texpr(move |f, b, s| {
                     let xv = x.eval_c(f, b, s)?;
@@ -971,7 +968,7 @@ impl Compiler {
                 })
             }
             ExprIr::Cast { expr, ty } => {
-                let x = self.atom(expr, frames, vm_ctx)?;
+                let x = self.atom(expr, frames)?;
                 let ty = ty.clone();
                 texpr(
                     move |f, b, s| match value_of(x.eval_c(f, b, s)?.get()).cast(&ty) {
@@ -988,7 +985,7 @@ impl Compiler {
                 }
                 let cs: Vec<Atom> = args
                     .iter()
-                    .map(|a| self.atom(a, frames, vm_ctx))
+                    .map(|a| self.atom(a, frames))
                     .collect::<Option<_>>()?;
                 let func = *func;
                 // Builtins take at most a handful of arguments; a stack
@@ -1011,7 +1008,7 @@ impl Compiler {
                     }
                 })
             }
-            ExprIr::Subplan(p) => return self.subplan(p, frames, vm_ctx),
+            ExprIr::Subplan(p) => return self.subplan(p, frames),
             // Rows, UDF calls, EXISTS/IN sub-plans, snapshot state and
             // pre-compiled programs: VM only.
             ExprIr::Row(_)
@@ -1026,17 +1023,16 @@ impl Compiler {
 
     /// A scalar sub-query: either a let-chain (inlined into typed
     /// registers) or an index probe (`Project [Filter] IndexLookup`).
-    fn subplan(&mut self, p: &Arc<PlanNode>, frames: &[CFrame], vm_ctx: bool) -> Option<TExpr> {
+    fn subplan(&mut self, p: &Arc<PlanNode>, frames: &[CFrame]) -> Option<TExpr> {
         // Closed sub-plans are memoized per execution by the VM
-        // (`Op::TreeCached`); re-evaluating them per row would diverge on
-        // both stats and cost. The VM already handles them best.
-        if vm_ctx && plan_free_scopes(p) == Some(0) {
+        // (`Op::Subplan { cached: true }`); re-evaluating them per row would
+        // diverge on both stats and cost. The VM already handles them best.
+        if plan_free_scopes(p) == Some(0) {
             return None;
         }
-        if chain_shape(p).is_some() {
-            let (first_n, setters, chain_frames, bump) = self.chain_setters(p, frames, vm_ctx)?;
-            let (final_expr, inner_ctx) = chain_final(p, vm_ctx);
-            let final_c = self.atom(final_expr, &chain_frames, inner_ctx)?;
+        if let Some((_, _, final_expr)) = chain_shape(p) {
+            let (first_n, setters, chain_frames, bump) = self.chain_setters(p, frames)?;
+            let final_c = self.atom(final_expr, &chain_frames)?;
             return Some(texpr(move |f, b, s| {
                 if bump {
                     s.subplan_evals += 1;
@@ -1066,20 +1062,17 @@ impl Compiler {
     /// Compile the seed + extend expressions of a let-chain. Returns the
     /// setter closures, the frame stack for the final expression, and
     /// whether evaluation must count as a `subplan_evals` (mirroring
-    /// whether the VM would have flattened it or tree-evaluated it).
+    /// whether the VM flattens it or runs it as an [`crate::vm::Op::Subplan`]).
     #[allow(clippy::type_complexity)]
     fn chain_setters(
         &mut self,
         p: &PlanNode,
         frames: &[CFrame],
-        vm_ctx: bool,
     ) -> Option<(usize, Vec<Atom>, Vec<CFrame>, bool)> {
         let (first, extends, _) = chain_shape(p)?;
-        let flat = vm_ctx && chain_flattenable(p);
-        let inner_ctx = flat;
         let mut setters: Vec<Atom> = Vec::new();
         for e in first {
-            setters.push(self.atom(e, frames, inner_ctx)?);
+            setters.push(self.atom(e, frames)?);
         }
         let first_n = setters.len();
         let mut n = first_n;
@@ -1087,7 +1080,7 @@ impl Compiler {
             for e in *group {
                 let mut inner = vec![CFrame::Typed(n)];
                 inner.extend_from_slice(frames);
-                setters.push(self.atom(e, &inner, inner_ctx)?);
+                setters.push(self.atom(e, &inner)?);
                 n += 1;
             }
         }
@@ -1096,7 +1089,7 @@ impl Compiler {
         }
         let mut chain_frames = vec![CFrame::Typed(n)];
         chain_frames.extend_from_slice(frames);
-        Some((first_n, setters, chain_frames, !flat))
+        Some((first_n, setters, chain_frames, !chain_flattenable(p)))
     }
 
     /// `Project [out] ∘ (Filter)? ∘ IndexLookup`: the compiled per-row index
@@ -1119,14 +1112,14 @@ impl Compiler {
         };
         // Key in the enclosing env (probe row NOT pushed), filter and
         // output with the probed row pushed at depth 0.
-        let key_c = self.atom(key, frames, false)?;
+        let key_c = self.atom(key, frames)?;
         let mut inner = vec![CFrame::Raw];
         inner.extend_from_slice(frames);
         let pred_c = match pred_e {
-            Some(p) => Some(self.atom(p, &inner, false)?),
+            Some(p) => Some(self.atom(p, &inner)?),
             None => None,
         };
-        let out_c = self.atom(out_e, &inner, false)?;
+        let out_c = self.atom(out_e, &inner)?;
         let pi = self.probes.len();
         self.probes.push(ProbeTarget {
             table: table.clone(),
@@ -1168,18 +1161,12 @@ impl Compiler {
     }
 
     /// Compile the transition body as a whole-row producer.
-    fn produce(
-        &mut self,
-        e: &ExprIr,
-        frames: &[CFrame],
-        width: usize,
-        vm_ctx: bool,
-    ) -> Option<RowProducer> {
+    fn produce(&mut self, e: &ExprIr, frames: &[CFrame], width: usize) -> Option<RowProducer> {
         match e {
             ExprIr::Row(items) if items.len() == width => {
                 let mut cs = Vec::with_capacity(items.len());
                 for i in items {
-                    cs.push(self.atom(i, frames, vm_ctx)?);
+                    cs.push(self.atom(i, frames)?);
                 }
                 if cs.iter().all(|c| matches!(c, Atom::Node(Node::Leaf(_)))) {
                     let leaves = cs
@@ -1199,18 +1186,15 @@ impl Compiler {
                 else_,
             } => {
                 let op_c = match operand {
-                    Some(o) => Some(self.atom(o, frames, vm_ctx)?),
+                    Some(o) => Some(self.atom(o, frames)?),
                     None => None,
                 };
                 let mut br = Vec::with_capacity(branches.len());
                 for (w, t) in branches {
-                    br.push((
-                        self.atom(w, frames, vm_ctx)?,
-                        self.produce(t, frames, width, vm_ctx)?,
-                    ));
+                    br.push((self.atom(w, frames)?, self.produce(t, frames, width)?));
                 }
                 let els = match else_ {
-                    Some(e) => Some(Box::new(self.produce(e, frames, width, vm_ctx)?)),
+                    Some(e) => Some(Box::new(self.produce(e, frames, width)?)),
                     None => None,
                 };
                 Some(RowProducer::Cases {
@@ -1220,13 +1204,12 @@ impl Compiler {
                 })
             }
             ExprIr::Subplan(p) => {
-                if vm_ctx && plan_free_scopes(p) == Some(0) {
+                if plan_free_scopes(p) == Some(0) {
                     return None;
                 }
-                let (first_n, setters, chain_frames, bump) =
-                    self.chain_setters(p, frames, vm_ctx)?;
-                let (final_expr, inner_ctx) = chain_final(p, vm_ctx);
-                let inner = self.produce(final_expr, &chain_frames, width, inner_ctx)?;
+                let (_, _, final_expr) = chain_shape(p)?;
+                let (first_n, setters, chain_frames, bump) = self.chain_setters(p, frames)?;
+                let inner = self.produce(final_expr, &chain_frames, width)?;
                 Some(RowProducer::Chain {
                     first_n,
                     setters,
@@ -1237,14 +1220,6 @@ impl Compiler {
             _ => None,
         }
     }
-}
-
-/// The final projected expression of a let-chain, plus the `vm_ctx` its
-/// sub-expressions live in (flattened chains stay in the program; tree
-/// fallbacks re-enter the tree evaluator).
-fn chain_final(p: &PlanNode, vm_ctx: bool) -> (&ExprIr, bool) {
-    let (_, _, final_expr) = chain_shape(p).expect("caller matched the chain shape");
-    (final_expr, vm_ctx && chain_flattenable(p))
 }
 
 // ---------------------------------------------------------------------------
@@ -1318,10 +1293,8 @@ pub fn recognize(index: usize, recursive: &PlanNode, union_all: bool) -> Option<
     }
     let mut c = Compiler::default();
     let frames = [CFrame::Typed(src)];
-    // The transition body is always VM-compiled (`try_transition`); the
-    // predicate is tree-evaluated unless it is a bare slot.
-    let produce = c.produce(body, &frames, width, true)?;
-    let pred_c = c.atom(pred, &frames, false)?;
+    let produce = c.produce(body, &frames, width)?;
+    let pred_c = c.atom(pred, &frames)?;
     let pred_slot = match pred {
         ExprIr::Slot { depth: 0, index } => Some(*index),
         _ => None,
@@ -1753,7 +1726,7 @@ mod tests {
     #[test]
     fn three_valued_logic_matches_the_evaluator() {
         // Pred: (c < 10) AND flag — NULL flag must drop the row (and not
-        // error), exactly like `eval_binary`.
+        // error), exactly like the VM's three-valued AND.
         let pred = ExprIr::Binary {
             op: BinOp::And,
             left: Box::new(ExprIr::Binary {

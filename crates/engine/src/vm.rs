@@ -1,39 +1,47 @@
-//! Flat expression programs: the compiled path's answer to per-row
-//! tree-walking.
+//! Flat expression programs: the engine's one expression evaluator.
 //!
-//! The tree evaluator in [`crate::exec`] re-dispatches on every [`ExprIr`]
-//! node for every row of every fixpoint iteration — exactly the per-iteration
-//! interpretive overhead the paper compiles away at the PL/SQL level, paid
-//! again one layer down. This module lowers an `ExprIr` tree *once per
-//! prepared plan* into a flat postfix [`ExprProgram`] executed on a reusable
-//! value stack:
+//! A tree walker re-dispatches on every [`ExprIr`] node for every row of
+//! every fixpoint iteration — exactly the per-iteration interpretive
+//! overhead the paper compiles away at the PL/SQL level, paid again one
+//! layer down. This module lowers every planned expression *once per
+//! prepared plan* into a flat postfix [`ExprProgram`] executed on a
+//! reusable value stack:
 //!
 //! * no recursion and no per-node `match` over 20 variants — one linear op
 //!   array with absolute jumps,
 //! * short-circuiting constructs (`AND`/`OR`/`CASE`/`COALESCE`/`IN`) become
 //!   jump instructions, preserving three-valued-logic evaluation order
 //!   bit-for-bit (including which sub-expressions are *not* evaluated),
-//! * sub-plans and UDF calls fall back to the tree evaluator via [`Op::Tree`];
-//!   sub-plans that provably reference no outer row, no parameter and no
-//!   volatile function are *invariant* within one execution and are memoized
-//!   per [`Runtime`] ([`Op::TreeCached`]) — hoisting them out of recursive-CTE
-//!   fixpoint loops.
+//! * let-chain scalar sub-queries flatten into the program; every other
+//!   sub-plan (scalar, `EXISTS`, `IN`, `materialize`) and every SQL-UDF
+//!   call is one op that calls the executor directly. Sub-plans that
+//!   provably reference no outer row, no parameter and no volatile function
+//!   are *invariant* within one execution and are memoized per [`Runtime`]
+//!   — hoisting them out of recursive-CTE fixpoint loops.
 //!
-//! [`precompile_plan`] walks a freshly planned tree and replaces every
-//! expression whose program is large enough to profit (or that contains a
-//! cacheable sub-plan) with [`ExprIr::Vm`]. On the way down it also wraps
-//! every pure blocking subtree that can run more than once per statement in
-//! a [`PlanNode::Memoize`], keyed by the outer slots and parameters it
-//! reads, so correlated sub-plans are memoized too: once per distinct key.
-//! Closed sub-plans are the empty-key case of the same per-execution memo
-//! ([`crate::memo::MemoCache`]).
+//! [`precompile_plan`] walks a freshly planned tree and lowers every
+//! expression to [`ExprIr::Vm`] except the leaves (constants, slots,
+//! parameters), which the executor reads directly; [`lower`] does the same
+//! for one bare expression (PL/pgSQL's simple expressions). On the way down
+//! the pass also wraps every pure blocking subtree that can run more than
+//! once per statement in a [`PlanNode::Memoize`], keyed by the outer slots
+//! and parameters it reads, so correlated sub-plans are memoized too: once
+//! per distinct key. Closed sub-plans are the empty-key case of the same
+//! per-execution memo ([`crate::memo::MemoCache`]).
+//!
+//! The plan analyses (hoisting, memo keys, fused-transition eligibility,
+//! working-table detection) see through a lowered expression with
+//! [`ExprProgram::for_each_access`] and answer as on the tree it came from.
 
 use std::sync::Arc;
 
 use plaway_common::{Error, Result, Type, Value};
 use plaway_sql::ast::BinOp;
 
-use crate::exec::{and3, apply_bin, eval, eval_snapshot_op, EvalEnv, Runtime};
+use crate::exec::{
+    and3, apply_bin, call_sql_udf, eval_snapshot_op, exec, materialize_snapshot, scalar_from_rows,
+    try_scalar_chain, EvalEnv, Runtime,
+};
 use crate::functions::{eval_scalar, like_match};
 use crate::ir::{CtePlan, ExprIr, PlanNode, ScalarFn, SnapshotOp};
 use crate::memo::MemoKey;
@@ -112,9 +120,8 @@ pub enum Op {
         argc: u32,
     },
     /// Pop `argc` values and apply a snapshot accessor (row-loop cursor
-    /// reads). A dedicated op — not [`Op::Tree`] — so the per-iteration
-    /// `fetch_row` of a compiled row loop stays inside flattened let-chain
-    /// frames instead of forcing the whole chain back to the tree evaluator.
+    /// reads). It addresses no plan, so the per-iteration `fetch_row` of a
+    /// compiled row loop stays inside flattened let-chain frames.
     Snapshot {
         op: SnapshotOp,
         argc: u32,
@@ -155,40 +162,123 @@ pub enum Op {
     InFinish {
         negated: bool,
     },
-    /// Tree-evaluator fallback (sub-plans, UDF calls).
-    Tree(u32),
-    /// Fallback whose sub-plan is execution-invariant: memoized per runtime.
-    TreeCached(u32),
+    /// Scalar sub-query the executor runs (one that does not flatten).
+    /// `cached`: the plan is closed, so its value is memoized per runtime.
+    Subplan {
+        plan: Arc<PlanNode>,
+        cached: bool,
+    },
+    /// `EXISTS (plan)`; `cached` as for [`Op::Subplan`].
+    Exists {
+        plan: Arc<PlanNode>,
+        cached: bool,
+    },
+    /// `[NOT] IN (plan)` over the probed value on top of the stack.
+    InPlan {
+        plan: Arc<PlanNode>,
+        negated: bool,
+    },
+    /// SQL-UDF call: pop `argc` arguments and run the function's body plan.
+    UdfCall {
+        name: Box<str>,
+        argc: u32,
+    },
+    /// `materialize(plan)`: register the plan's rows as a snapshot and push
+    /// its handle.
+    Materialize(Arc<PlanNode>),
 }
 
-/// A compiled expression: flat ops plus the sub-trees that still need the
-/// tree evaluator. Built once per prepared plan, shared via `Arc`.
+/// A compiled expression: flat ops, built once per prepared plan and shared
+/// via `Arc`.
 #[derive(Debug, Clone)]
 pub struct ExprProgram {
     ops: Vec<Op>,
-    trees: Vec<ExprIr>,
-    pure: bool,
+    /// A let-chain sub-query was flattened into `ops`. Its plan leaves no
+    /// op behind, yet analyses that treat any sub-query as opaque must
+    /// still see one.
+    chains: bool,
+}
+
+/// What a program reaches beyond its own stack cells, as the plan analyses
+/// see it through [`ExprProgram::for_each_access`].
+#[derive(Debug, Clone, Copy)]
+pub enum Access<'p> {
+    /// Scope-stack read, `depth` counted from the program's environment.
+    Slot {
+        depth: usize,
+        index: usize,
+    },
+    Param(usize),
+    /// A volatile built-in (`random()`, `raise_error`).
+    Volatile,
+    /// A sub-plan the executor runs in the program's environment: a scalar
+    /// sub-query, `EXISTS` or `IN`.
+    Plan(&'p PlanNode),
+    /// A `materialize` cursor source.
+    Materialize(&'p PlanNode),
+    /// A SQL-UDF call.
+    Udf,
+    /// A snapshot accessor (execution-local cursor state).
+    Snapshot,
+    /// A let-chain sub-query flattened into the program; its reads are
+    /// reported as slots and parameters of the program itself.
+    Chain,
 }
 
 impl ExprProgram {
-    /// Mirrors [`ExprIr::is_pure_scalar`] for the source expression.
-    pub fn is_pure(&self) -> bool {
-        self.pure
+    /// Visit everything the program reads or runs outside its own stack:
+    /// the one view through which analyses answer on a lowered expression
+    /// as on its source tree.
+    pub fn for_each_access<'p>(&'p self, f: &mut impl FnMut(Access<'p>)) {
+        fn read<'p>(o: &Operand, f: &mut impl FnMut(Access<'p>)) {
+            match *o {
+                Operand::Slot { depth, index } => f(Access::Slot {
+                    depth: depth as usize,
+                    index: index as usize,
+                }),
+                Operand::Param(i) => f(Access::Param(i as usize)),
+                Operand::Const(_) | Operand::Stack(_) => {}
+            }
+        }
+        if self.chains {
+            f(Access::Chain);
+        }
+        for op in &self.ops {
+            match op {
+                Op::Push(o) | Op::BinMix { r: o, .. } => read(o, f),
+                Op::PushN(os) => {
+                    for o in os.iter() {
+                        read(o, f);
+                    }
+                }
+                Op::Bin2 { l, r, .. } | Op::CmpNotJump { l, r, .. } => {
+                    read(l, f);
+                    read(r, f);
+                }
+                Op::FetchField { handle, pos, .. } => {
+                    read(handle, f);
+                    read(pos, f);
+                    f(Access::Snapshot);
+                }
+                Op::Snapshot { .. } => f(Access::Snapshot),
+                Op::Scalar { func, .. } if func.is_volatile() => f(Access::Volatile),
+                Op::Subplan { plan, .. } | Op::Exists { plan, .. } | Op::InPlan { plan, .. } => {
+                    f(Access::Plan(plan))
+                }
+                Op::Materialize(plan) => f(Access::Materialize(plan)),
+                Op::UdfCall { .. } => f(Access::Udf),
+                _ => {}
+            }
+        }
     }
 
-    /// Does the program contain tree-evaluator fallbacks (sub-plans, UDFs)?
-    pub fn has_tree_fallback(&self) -> bool {
-        !self.trees.is_empty()
-    }
-
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// The sub-trees still evaluated by the tree walker (for plan analyses
-    /// that need to see through compiled programs).
-    pub fn fallback_trees(&self) -> &[ExprIr] {
-        &self.trees
+    /// The program `NOT <depth-0 slot>`: the outer `WHERE NOT call?` of a
+    /// compiled query, which the executor tests on the row directly.
+    pub(crate) fn negated_slot(&self) -> Option<usize> {
+        match self.ops.as_slice() {
+            [Op::Push(Operand::Slot { depth: 0, index }), Op::Not] => Some(*index as usize),
+            _ => None,
+        }
     }
 }
 
@@ -197,7 +287,8 @@ impl ExprProgram {
 
 struct Compiler {
     ops: Vec<Op>,
-    trees: Vec<ExprIr>,
+    /// Set once a let-chain sub-query flattens ([`ExprProgram::chains`]).
+    chains: bool,
     /// Statically tracked runtime stack depth (relative to the program base)
     /// at the current emission point. Exact by stack discipline: every
     /// `emit` nets +1, all merge points agree.
@@ -277,19 +368,9 @@ impl Compiler {
         }
     }
 
-    fn emit_tree(&mut self, e: &ExprIr) {
-        let i = self.trees.len() as u32;
-        let cacheable = match e {
-            ExprIr::Subplan(p) => plan_free_scopes(p) == Some(0),
-            ExprIr::Exists { plan } => plan_free_scopes(plan) == Some(0),
-            _ => false,
-        };
-        self.trees.push(e.clone());
-        self.ops.push(if cacheable {
-            Op::TreeCached(i)
-        } else {
-            Op::Tree(i)
-        });
+    /// Push an op that leaves one new value on the stack.
+    fn emit_value_op(&mut self, op: Op) {
+        self.ops.push(op);
         self.depth += 1;
     }
 
@@ -524,14 +605,45 @@ impl Compiler {
                 self.ops.push(Op::Cast(ty.clone()));
             }
             // Scalar sub-queries with the compiler's let-chain shape flatten
-            // straight into the program; everything else falls back to the
-            // tree evaluator.
+            // straight into the program; every other sub-plan is one op that
+            // runs the executor.
             ExprIr::Subplan(p) => {
                 if !self.try_emit_chain(p) {
-                    self.emit_tree(e);
+                    let cached = plan_free_scopes(p) == Some(0);
+                    self.emit_value_op(Op::Subplan {
+                        plan: Arc::clone(p),
+                        cached,
+                    });
                 }
-                debug_assert_eq!(self.depth, entry + 1);
             }
+            ExprIr::Exists { plan } => {
+                let cached = plan_free_scopes(plan) == Some(0);
+                self.emit_value_op(Op::Exists {
+                    plan: Arc::clone(plan),
+                    cached,
+                });
+            }
+            ExprIr::InPlan {
+                expr,
+                plan,
+                negated,
+            } => {
+                self.emit(expr);
+                self.ops.push(Op::InPlan {
+                    plan: Arc::clone(plan),
+                    negated: *negated,
+                });
+            }
+            ExprIr::UdfCall { name, args } => {
+                self.emit_values(args);
+                self.ops.push(Op::UdfCall {
+                    name: name.as_str().into(),
+                    argc: args.len() as u32,
+                });
+                self.depth = entry + 1;
+            }
+            // Never cached: the handle names execution-local state.
+            ExprIr::Materialize { plan } => self.emit_value_op(Op::Materialize(Arc::clone(plan))),
             ExprIr::SnapshotFn { op, args } => {
                 // Fuse the hot per-iteration shape: field-direct fetch with
                 // addressable handle/position and a constant field index.
@@ -559,14 +671,7 @@ impl Compiler {
                 });
                 self.depth = entry + 1;
             }
-            // Materialize holds a full plan that may reference let-chain
-            // cells the plan executor cannot see — always a tree fallback
-            // (and never cacheable: the handle is execution-local state).
-            ExprIr::UdfCall { .. }
-            | ExprIr::Exists { .. }
-            | ExprIr::InPlan { .. }
-            | ExprIr::Materialize { .. }
-            | ExprIr::Vm(_) => self.emit_tree(e),
+            ExprIr::Vm(_) => unreachable!("expression lowered twice (planner bug)"),
         }
         debug_assert_eq!(self.depth, entry + 1, "emit must net one value: {e:?}");
     }
@@ -596,6 +701,7 @@ impl Compiler {
         }
         self.emit(final_expr);
         self.frames.pop();
+        self.chains = true;
         let drop = (self.depth - base - 1) as u32;
         if drop > 0 {
             self.ops.push(Op::Collapse {
@@ -639,44 +745,20 @@ pub(crate) fn chain_shape(plan: &PlanNode) -> Option<ChainShape<'_>> {
     }
 }
 
-/// Can this expression be emitted inside a flattened chain frame? Tree
-/// fallbacks are out (the tree evaluator cannot see frame cells), except
-/// nested sub-queries that flatten themselves.
+/// Can this expression be emitted inside a flattened chain frame? Plans
+/// the executor runs are out (the executor cannot see frame cells), except
+/// nested sub-queries that flatten themselves. Snapshot accessors run as a
+/// VM op with operand-addressed args, so they live happily inside a frame;
+/// Materialize's plan does not.
 fn expr_flattenable(e: &ExprIr) -> bool {
     match e {
-        ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) => true,
-        ExprIr::Neg(x) | ExprIr::Not(x) => expr_flattenable(x),
-        ExprIr::Binary { left, right, .. } => expr_flattenable(left) && expr_flattenable(right),
-        ExprIr::IsNull { expr, .. } | ExprIr::Cast { expr, .. } => expr_flattenable(expr),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => expr_flattenable(expr) && expr_flattenable(low) && expr_flattenable(high),
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            operand.as_deref().is_none_or(expr_flattenable)
-                && branches
-                    .iter()
-                    .all(|(w, t)| expr_flattenable(w) && expr_flattenable(t))
-                && else_.as_deref().is_none_or(expr_flattenable)
-        }
-        ExprIr::Coalesce(args) | ExprIr::Row(args) => args.iter().all(expr_flattenable),
-        ExprIr::Scalar { args, .. } => args.iter().all(expr_flattenable),
-        ExprIr::InList { expr, list, .. } => {
-            expr_flattenable(expr) && list.iter().all(expr_flattenable)
-        }
-        ExprIr::Like { expr, pattern, .. } => expr_flattenable(expr) && expr_flattenable(pattern),
         ExprIr::Subplan(p) => chain_flattenable(p),
-        // Snapshot accessors run as a VM op with operand-addressed args, so
-        // they live happily inside a frame; Materialize's plan does not.
-        ExprIr::SnapshotFn { args, .. } => args.iter().all(expr_flattenable),
         ExprIr::UdfCall { .. }
         | ExprIr::Exists { .. }
         | ExprIr::InPlan { .. }
         | ExprIr::Materialize { .. }
         | ExprIr::Vm(_) => false,
+        _ => e.all_children(expr_flattenable),
     }
 }
 
@@ -697,37 +779,27 @@ pub(crate) fn chain_flattenable(plan: &PlanNode) -> bool {
 pub fn compile(e: &ExprIr) -> ExprProgram {
     let mut c = Compiler {
         ops: Vec::new(),
-        trees: Vec::new(),
+        chains: false,
         depth: 0,
         frames: Vec::new(),
     };
     c.emit(e);
     ExprProgram {
         ops: c.ops,
-        trees: c.trees,
-        pure: e.is_pure_scalar(),
+        chains: c.chains,
     }
-}
-
-/// Is a program worth swapping in for the tree it was compiled from?
-/// Tiny trees (a slot, a constant comparison) gain nothing; programs with a
-/// cacheable sub-plan always win (memoization needs the VM path).
-fn worth_swapping(prog: &ExprProgram) -> bool {
-    prog.ops.len() >= 4 || prog.ops.iter().any(|op| matches!(op, Op::TreeCached(_)))
 }
 
 // ---------------------------------------------------------------------------
 // Plan pre-compilation pass
 
-/// Replace profitable expression trees in a freshly planned tree with
-/// compiled programs, and memoize repeated blocking subtrees. Runs once per
-/// `plan_query`.
+/// Lower every expression of a freshly planned tree (see [`lower`]), and
+/// memoize repeated blocking subtrees. Runs once per `plan_query`.
 ///
 /// `repeated` says the node can run more than once per statement: inside
 /// an expression sub-plan, on the inner side of a lateral nested loop, or
 /// in a recursive arm. There, a pure blocking subtree is wrapped in a
-/// [`PlanNode::Memoize`] *before* its expressions are lowered, because the
-/// outer-reference analysis treats compiled programs as opaque.
+/// [`PlanNode::Memoize`] before its expressions are lowered.
 pub fn precompile_plan(plan: &mut PlanNode, repeated: bool) {
     if repeated && try_memoize(plan) {
         // The memoized subtree runs once per distinct key.
@@ -735,100 +807,35 @@ pub fn precompile_plan(plan: &mut PlanNode, repeated: bool) {
         return;
     }
     match plan {
-        PlanNode::SeqScan { .. } | PlanNode::CteScan { .. } | PlanNode::WorkingScan { .. } => {}
+        PlanNode::SeqScan { .. }
+        | PlanNode::IndexLookup { .. }
+        | PlanNode::IndexRange { .. }
+        | PlanNode::Values { .. }
+        | PlanNode::Result { .. }
+        | PlanNode::CteScan { .. }
+        | PlanNode::WorkingScan { .. } => {}
         PlanNode::Memoize { input, .. } => {
             if let Some(p) = Arc::get_mut(input) {
                 precompile_plan(p, false);
             }
         }
-        PlanNode::IndexLookup { key, .. } => precompile_expr(key),
-        PlanNode::IndexRange { lo, hi, .. } => {
-            for (e, _) in lo.iter_mut().chain(hi.iter_mut()) {
-                precompile_expr(e);
-            }
-        }
-        PlanNode::Values { rows } => {
-            for row in rows {
-                for e in row {
-                    precompile_expr(e);
-                }
-            }
-        }
-        PlanNode::Result { exprs } => {
-            for e in exprs {
-                precompile_expr(e);
-            }
-        }
-        PlanNode::Filter { input, pred } => {
-            precompile_plan(input, repeated);
-            precompile_expr(pred);
-        }
-        PlanNode::Project { input, exprs } | PlanNode::Extend { input, exprs } => {
-            precompile_plan(input, repeated);
-            for e in exprs {
-                precompile_expr(e);
-            }
-        }
-        PlanNode::ProjectUnpack { input, .. } => precompile_plan(input, repeated),
+        PlanNode::Filter { input, .. }
+        | PlanNode::Project { input, .. }
+        | PlanNode::ProjectUnpack { input, .. }
+        | PlanNode::Extend { input, .. }
+        | PlanNode::Agg { input, .. }
+        | PlanNode::WindowAgg { input, .. }
+        | PlanNode::Sort { input, .. }
+        | PlanNode::Distinct { input }
+        | PlanNode::Limit { input, .. } => precompile_plan(input, repeated),
         PlanNode::NestLoop {
             left,
             right,
-            on,
             lateral,
             ..
         } => {
             precompile_plan(left, repeated);
             precompile_plan(right, repeated || *lateral);
-            if let Some(e) = on {
-                precompile_expr(e);
-            }
-        }
-        PlanNode::Agg {
-            input, keys, aggs, ..
-        } => {
-            precompile_plan(input, repeated);
-            for k in keys {
-                precompile_expr(k);
-            }
-            for a in aggs {
-                if let Some(e) = &mut a.arg {
-                    precompile_expr(e);
-                }
-            }
-        }
-        PlanNode::WindowAgg { input, windows } => {
-            precompile_plan(input, repeated);
-            for w in windows {
-                for e in &mut w.args {
-                    precompile_expr(e);
-                }
-                for e in &mut w.partition_by {
-                    precompile_expr(e);
-                }
-                for k in &mut w.order_by {
-                    precompile_expr(&mut k.expr);
-                }
-            }
-        }
-        PlanNode::Sort { input, keys } => {
-            precompile_plan(input, repeated);
-            for k in keys {
-                precompile_expr(&mut k.expr);
-            }
-        }
-        PlanNode::Distinct { input } => precompile_plan(input, repeated),
-        PlanNode::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            precompile_plan(input, repeated);
-            if let Some(e) = limit {
-                precompile_expr(e);
-            }
-            if let Some(e) = offset {
-                precompile_expr(e);
-            }
         }
         PlanNode::Append { inputs } => {
             for i in inputs {
@@ -852,7 +859,7 @@ pub fn precompile_plan(plan: &mut PlanNode, repeated: bool) {
                         ..
                     } => {
                         precompile_plan(base, repeated);
-                        // Recognize for the mono tier BEFORE pre-compilation
+                        // Recognize for the mono tier BEFORE lowering
                         // rewrites the transition's expression trees into VM
                         // programs — the tier compiler reads the trees. The
                         // execution-time gate decides whether it ever runs.
@@ -864,102 +871,42 @@ pub fn precompile_plan(plan: &mut PlanNode, repeated: bool) {
             precompile_plan(body, repeated);
         }
     }
+    plan.for_each_expr_mut(&mut lower);
 }
 
-fn precompile_expr(e: &mut ExprIr) {
-    precompile_nested_plans(e);
-    let prog = compile(e);
-    if worth_swapping(&prog) {
-        *e = ExprIr::Vm(Arc::new(prog));
+/// Lower one planned expression in place: the plans it holds first, then
+/// the expression itself to a program. Leaves stay as they are: the
+/// executor reads a constant, slot or parameter directly.
+pub fn lower(e: &mut ExprIr) {
+    if matches!(
+        e,
+        ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) | ExprIr::Vm(_)
+    ) {
+        return;
     }
+    precompile_nested_plans(e);
+    *e = ExprIr::Vm(Arc::new(compile(e)));
 }
 
 /// Recurse into sub-plans held by an expression so their own expressions are
-/// compiled too (the `Arc`s are freshly planned, so `get_mut` succeeds).
+/// lowered too (the `Arc`s are freshly planned, so `get_mut` succeeds).
 fn precompile_nested_plans(e: &mut ExprIr) {
     match e {
-        ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) | ExprIr::Vm(_) => {}
-        ExprIr::Neg(x) | ExprIr::Not(x) => precompile_nested_plans(x),
-        ExprIr::Binary { left, right, .. } => {
-            precompile_nested_plans(left);
-            precompile_nested_plans(right);
-        }
-        ExprIr::IsNull { expr, .. } | ExprIr::Cast { expr, .. } => precompile_nested_plans(expr),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => {
-            precompile_nested_plans(expr);
-            precompile_nested_plans(low);
-            precompile_nested_plans(high);
-        }
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                precompile_nested_plans(o);
-            }
-            for (w, t) in branches {
-                precompile_nested_plans(w);
-                precompile_nested_plans(t);
-            }
-            if let Some(x) = else_ {
-                precompile_nested_plans(x);
-            }
-        }
-        ExprIr::Coalesce(args) | ExprIr::Row(args) => {
-            for a in args {
-                precompile_nested_plans(a);
-            }
-        }
-        ExprIr::Scalar { args, .. } | ExprIr::UdfCall { args, .. } => {
-            for a in args {
-                precompile_nested_plans(a);
-            }
-        }
-        ExprIr::Subplan(p) => {
-            // Let-chain sub-queries are flattened into the enclosing
-            // program by `compile` — pre-compiling their expressions here
-            // would wrap them in `Vm` and defeat the flattening.
-            if !chain_flattenable(p) {
-                if let Some(p) = Arc::get_mut(p) {
-                    precompile_plan(p, true);
-                }
-            }
-        }
-        ExprIr::Exists { plan } => {
+        // Let-chain sub-queries are flattened into the enclosing program
+        // by `compile` — lowering their expressions here would wrap them
+        // in `Vm` and defeat the flattening.
+        ExprIr::Subplan(p) if chain_flattenable(p) => {}
+        ExprIr::Subplan(plan)
+        | ExprIr::Exists { plan }
+        | ExprIr::Materialize { plan }
+        | ExprIr::InPlan { plan, .. } => {
             if let Some(p) = Arc::get_mut(plan) {
                 precompile_plan(p, true);
             }
         }
-        ExprIr::Materialize { plan } => {
-            if let Some(p) = Arc::get_mut(plan) {
-                precompile_plan(p, true);
-            }
-        }
-        ExprIr::SnapshotFn { args, .. } => {
-            for a in args {
-                precompile_nested_plans(a);
-            }
-        }
-        ExprIr::InPlan { expr, plan, .. } => {
-            precompile_nested_plans(expr);
-            if let Some(p) = Arc::get_mut(plan) {
-                precompile_plan(p, true);
-            }
-        }
-        ExprIr::InList { expr, list, .. } => {
-            precompile_nested_plans(expr);
-            for i in list {
-                precompile_nested_plans(i);
-            }
-        }
-        ExprIr::Like { expr, pattern, .. } => {
-            precompile_nested_plans(expr);
-            precompile_nested_plans(pattern);
-        }
+        _ => {}
     }
+    e.for_each_child_mut(&mut precompile_nested_plans);
 }
 
 // ---------------------------------------------------------------------------
@@ -976,79 +923,61 @@ pub(crate) struct OuterRefs {
 
 /// Collect the outer references of `e`, evaluated with `pushed` rows on top
 /// of the analysed plan's environment. `None` when the expression is unsafe
-/// to hoist or memoize: a volatile function, a UDF call, snapshot state, or
-/// a compiled program (opaque here; the analysis runs before lowering).
+/// to hoist or memoize: a volatile function, a UDF call or snapshot state.
+///
+/// Snapshot state is execution-local: a materialize (or any accessor over
+/// its handle) must never be hoisted out of the fixpoint loop or memoized
+/// across rows — the whole point of the operator is that it runs exactly
+/// once *per loop entry*, not once per execution.
 fn expr_refs(e: &ExprIr, pushed: usize, out: &mut OuterRefs) -> Option<()> {
-    let all =
-        |es: &[ExprIr], out: &mut OuterRefs| es.iter().try_for_each(|x| expr_refs(x, pushed, out));
     match e {
-        ExprIr::Const(_) => {}
-        ExprIr::Slot { depth, index } => {
-            if *depth >= pushed {
-                out.slots.push((depth - pushed, *index));
-            }
-        }
+        ExprIr::Slot { depth, index } => out.read_slot(*depth, *index, pushed),
         ExprIr::Param(i) => out.params.push(*i),
-        ExprIr::Neg(x)
-        | ExprIr::Not(x)
-        | ExprIr::IsNull { expr: x, .. }
-        | ExprIr::Cast { expr: x, .. } => expr_refs(x, pushed, out)?,
-        ExprIr::Binary { left, right, .. }
-        | ExprIr::Like {
-            expr: left,
-            pattern: right,
-            ..
-        } => {
-            expr_refs(left, pushed, out)?;
-            expr_refs(right, pushed, out)?;
-        }
-        ExprIr::Between {
-            expr, low, high, ..
-        } => {
-            for x in [expr, low, high] {
-                expr_refs(x, pushed, out)?;
-            }
-        }
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            for x in operand.iter().chain(else_.iter()) {
-                expr_refs(x, pushed, out)?;
-            }
-            for (w, t) in branches {
-                expr_refs(w, pushed, out)?;
-                expr_refs(t, pushed, out)?;
-            }
-        }
-        ExprIr::Coalesce(args) | ExprIr::Row(args) => all(args, out)?,
-        ExprIr::Scalar { func, args } => {
-            if func.is_volatile() {
-                return None;
-            }
-            all(args, out)?;
-        }
-        ExprIr::InList { expr, list, .. } => {
-            expr_refs(expr, pushed, out)?;
-            all(list, out)?;
-        }
+        ExprIr::Scalar { func, .. } if func.is_volatile() => return None,
         // Sub-plans run in the environment of the expression holding them.
-        ExprIr::Subplan(p) | ExprIr::Exists { plan: p } => plan_refs(p, pushed, out)?,
-        ExprIr::InPlan { expr, plan, .. } => {
-            expr_refs(expr, pushed, out)?;
-            plan_refs(plan, pushed, out)?;
+        ExprIr::Subplan(p) | ExprIr::Exists { plan: p } | ExprIr::InPlan { plan: p, .. } => {
+            plan_refs(p, pushed, out)?
         }
-        // Snapshot state is execution-local: a materialize (or any accessor
-        // over its handle) must never be hoisted out of the fixpoint loop or
-        // memoized across rows — the whole point of the operator is that it
-        // runs exactly once *per loop entry*, not once per execution.
-        ExprIr::UdfCall { .. }
-        | ExprIr::Materialize { .. }
-        | ExprIr::SnapshotFn { .. }
-        | ExprIr::Vm(_) => return None,
+        ExprIr::UdfCall { .. } | ExprIr::Materialize { .. } | ExprIr::SnapshotFn { .. } => {
+            return None
+        }
+        // A flattened chain's reads are the program's own slot and
+        // parameter operands, at depths already relative to its
+        // environment.
+        ExprIr::Vm(prog) => {
+            let mut ok = Some(());
+            prog.for_each_access(&mut |a| {
+                ok = ok.and_then(|()| {
+                    match a {
+                        Access::Slot { depth, index } => out.read_slot(depth, index, pushed),
+                        Access::Param(i) => out.params.push(i),
+                        Access::Plan(p) => plan_refs(p, pushed, out)?,
+                        Access::Chain => {}
+                        Access::Volatile
+                        | Access::Materialize(_)
+                        | Access::Udf
+                        | Access::Snapshot => return None,
+                    }
+                    Some(())
+                })
+            });
+            ok?
+        }
+        _ => {}
     }
-    Some(())
+    let mut ok = Some(());
+    e.for_each_child(&mut |c| ok = ok.and_then(|()| expr_refs(c, pushed, out)));
+    ok
+}
+
+impl OuterRefs {
+    /// Record a slot read with `pushed` rows on top of the analysed root's
+    /// environment: only deeper scopes are outer.
+    fn read_slot(&mut self, depth: usize, index: usize, pushed: usize) {
+        if depth >= pushed {
+            self.slots.push((depth - pushed, index));
+        }
+    }
 }
 
 /// Collect the outer references of plan `p`, run with `pushed` rows on top
@@ -1206,6 +1135,24 @@ fn fast_int_bin(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
     })
 }
 
+/// [`Op::Bin2`]: a binary operator over two direct operands.
+#[inline(always)]
+fn bin2(
+    op: BinOp,
+    l: &Operand,
+    r: &Operand,
+    base: usize,
+    env: &EvalEnv<'_>,
+    rt: &Runtime<'_>,
+) -> Result<Value> {
+    let lv = operand_value(l, base, env, rt)?;
+    let rv = operand_value(r, base, env, rt)?;
+    match fast_int_bin(op, &lv, &rv) {
+        Some(v) => Ok(v),
+        None => apply_bin(op, &lv, &rv),
+    }
+}
+
 /// Resolve a direct operand. `base` is the program's stack base (for
 /// flattened let-chain frame cells).
 #[inline(always)]
@@ -1230,9 +1177,37 @@ fn operand_value(o: &Operand, base: usize, env: &EvalEnv<'_>, rt: &Runtime<'_>) 
     }
 }
 
-/// Run a compiled program. Reentrant: nested programs (through tree
-/// fallbacks) share the runtime's stack via a base offset.
+/// A sub-plan's value; a `cached` (closed) one is computed once per
+/// runtime: the empty-key case of the per-execution memo, stored as a
+/// one-row, one-column result.
+fn memoized<'r>(
+    plan: &Arc<PlanNode>,
+    cached: bool,
+    rt: &mut Runtime<'r>,
+    run: impl FnOnce(&mut Runtime<'r>) -> Result<Value>,
+) -> Result<Value> {
+    if !cached {
+        return run(rt);
+    }
+    let key = MemoKey::new(rt.memo.site(Arc::as_ptr(plan) as usize), Vec::new());
+    if let Some(rows) = rt.memo.lookup(&key) {
+        return Ok(rows[0][0].clone());
+    }
+    let v = run(rt)?;
+    let limit = rt.config.work_mem_bytes;
+    rt.memo.store(key, &[vec![v.clone()]], limit);
+    Ok(v)
+}
+
+/// Run a compiled program. Reentrant: nested programs (run by the plans its
+/// ops execute) share the runtime's stack via a base offset.
 pub fn run(prog: &ExprProgram, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Value> {
+    // Cheap entry for the commonest lowered expression, one binary op over
+    // direct operands (a scan filter's `col = $1`): no stack round trip.
+    if let [Op::Bin2 { op, l, r }] = prog.ops.as_slice() {
+        rt.stats.vm_ops_executed += 1;
+        return bin2(*op, l, r, 0, env, rt);
+    }
     let base = rt.vm_stack.len();
     let result = exec_ops(prog, base, env, rt).map(|()| rt.vm_stack.pop().unwrap());
     rt.vm_stack.truncate(base);
@@ -1377,12 +1352,7 @@ fn exec_ops_loop(
                 rt.vm_stack.push(v);
             }
             Op::Bin2 { op, l, r } => {
-                let lv = operand_value(l, base, env, rt)?;
-                let rv = operand_value(r, base, env, rt)?;
-                let v = match fast_int_bin(*op, &lv, &rv) {
-                    Some(v) => v,
-                    None => apply_bin(*op, &lv, &rv)?,
-                };
+                let v = bin2(*op, l, r, base, env, rt)?;
                 rt.vm_stack.push(v);
             }
             Op::BinMix { op, r } => {
@@ -1557,29 +1527,12 @@ fn exec_ops_loop(
                     _ => Value::Bool(*negated),
                 });
             }
-            Op::Tree(i) => {
-                let v = eval(&prog.trees[*i as usize], env, rt)?;
-                rt.vm_stack.push(v);
-            }
-            Op::TreeCached(i) => {
-                // A closed sub-plan is the empty-key case of the memo: its
-                // scalar is stored as a one-row, one-column result.
-                let tree = &prog.trees[*i as usize];
-                let addr = match tree {
-                    ExprIr::Subplan(p) => Arc::as_ptr(p) as usize,
-                    ExprIr::Exists { plan } => Arc::as_ptr(plan) as usize,
-                    _ => unreachable!("only closed sub-plans are cached"),
-                };
-                let key = MemoKey::new(rt.memo.site(addr), Vec::new());
-                let v = match rt.memo.lookup(&key) {
-                    Some(rows) => rows[0][0].clone(),
-                    None => {
-                        let v = eval(tree, env, rt)?;
-                        let limit = rt.config.work_mem_bytes;
-                        rt.memo.store(key, &[vec![v.clone()]], limit);
-                        v
-                    }
-                };
+            Op::Subplan { .. }
+            | Op::Exists { .. }
+            | Op::InPlan { .. }
+            | Op::UdfCall { .. }
+            | Op::Materialize(_) => {
+                let v = run_plan_op(&ops[pc], env, rt)?;
                 rt.vm_stack.push(v);
             }
         }
@@ -1588,135 +1541,400 @@ fn exec_ops_loop(
     Ok(())
 }
 
+/// Run an op that calls the executor and return the value it pushes. Out
+/// of line and cold: each runs a whole plan, and inlining them would grow
+/// the dispatch loop that every other op runs in.
+#[cold]
+#[inline(never)]
+fn run_plan_op(op: &Op, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Value> {
+    match op {
+        Op::Subplan { plan, cached } => memoized(plan, *cached, rt, |rt| {
+            rt.stats.subplan_evals += 1;
+            match try_scalar_chain(plan, env, rt)? {
+                Some(v) => Ok(v),
+                None => scalar_from_rows(exec(plan, env, rt)?),
+            }
+        }),
+        Op::Exists { plan, cached } => memoized(plan, *cached, rt, |rt| {
+            Ok(Value::Bool(!exec(plan, env, rt)?.is_empty()))
+        }),
+        Op::InPlan { plan, negated } => {
+            let rows = exec(plan, env, rt)?;
+            let v = rt.vm_stack.pop().expect("IN probe value on the stack");
+            let mut verdict = Value::Bool(*negated);
+            for row in &rows {
+                match v.sql_eq(&row[0])? {
+                    Some(true) => return Ok(Value::Bool(!*negated)),
+                    Some(false) => {}
+                    None => verdict = Value::Null,
+                }
+            }
+            Ok(verdict)
+        }
+        Op::UdfCall { name, argc } => {
+            let args = rt.vm_stack.split_off(rt.vm_stack.len() - *argc as usize);
+            call_sql_udf(name, args, rt)
+        }
+        Op::Materialize(plan) => materialize_snapshot(plan, env, rt),
+        other => unreachable!("{other:?} calls no plan"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{eval, Scopes};
     use crate::planner::{plan_expr, ParamScope};
     use crate::session::Session;
+    use Value::{Bool, Float, Int, Null};
 
-    /// Compile a SQL expression to both forms and check tree and VM agree.
-    fn eval_both(
-        session: &mut Session,
-        sql: &str,
-        params: &[Value],
-    ) -> (Result<Value>, Result<Value>) {
+    /// Plan and lower a SQL expression over parameters `p0, p1, …` the way
+    /// the interpreter does, and evaluate it.
+    fn eval_sql(sql: &str, params: &[Value]) -> Result<Value> {
+        let mut s = Session::default();
+        let names = (0..params.len()).map(|i| format!("p{i}")).collect();
         let ast = plaway_sql::parse_expr(sql).unwrap();
-        let names: Vec<String> = (0..params.len()).map(|i| format!("p{i}")).collect();
-        let scope = ParamScope::new(names);
-        let ir = plan_expr(
-            &session.catalog,
-            &ast,
-            Some(&scope),
-            crate::config::IndexMode::Auto,
-        )
-        .unwrap();
-        let tree = session.eval_expr(&ir, params);
-        let prog = ExprIr::Vm(Arc::new(compile(&ir)));
-        let vm = session.eval_expr(&prog, params);
-        (tree, vm)
+        let ir = s.compile_expr(&ast, &ParamScope::new(names)).unwrap();
+        s.eval_expr(&ir, params)
     }
 
-    fn assert_agree(sql: &str, params: &[Value]) {
-        let mut s = Session::default();
-        let (tree, vm) = eval_both(&mut s, sql, params);
-        match (tree, vm) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "{sql}"),
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{sql}"),
-            (a, b) => panic!("{sql}: tree={a:?} vm={b:?}"),
+    fn assert_value(sql: &str, params: &[Value], want: Value) {
+        match eval_sql(sql, params) {
+            Ok(got) => assert_eq!(got, want, "{sql}"),
+            Err(e) => panic!("{sql}: {e}"),
+        }
+    }
+
+    fn assert_error(sql: &str, want: &str) {
+        match eval_sql(sql, &[]) {
+            Ok(v) => panic!("{sql}: expected an error, got {v:?}"),
+            Err(e) => assert_eq!(e.to_string(), want, "{sql}"),
         }
     }
 
     #[test]
-    fn arithmetic_and_comparisons_agree() {
-        assert_agree("1 + 2 * 3 - 4 / 2", &[]);
-        assert_agree("7 % 3 = 1", &[]);
-        assert_agree("1.5 < 2", &[]);
-        assert_agree("'a' || 'b' || 3", &[]);
-        assert_agree("-p0 + 1", &[Value::Int(41)]);
+    fn arithmetic_and_comparisons() {
+        assert_value("1 + 2 * 3 - 4 / 2", &[], Int(5));
+        assert_value("7 % 3 = 1", &[], Bool(true));
+        assert_value("1.5 < 2", &[], Bool(true));
+        assert_value("'a' || 'b' || 3", &[], Value::text("ab3"));
+        assert_value("-p0 + 1", &[Int(41)], Int(-40));
     }
 
     #[test]
-    fn three_valued_logic_agrees() {
-        assert_agree("NULL AND true", &[]);
-        assert_agree("NULL AND false", &[]);
-        assert_agree("NULL OR true", &[]);
-        assert_agree("NULL OR false", &[]);
-        assert_agree("NOT NULL", &[]);
-        assert_agree("NULL IS NULL", &[]);
-        assert_agree("1 IS NOT NULL", &[]);
+    fn three_valued_logic() {
+        assert_value("NULL AND true", &[], Null);
+        assert_value("NULL AND false", &[], Bool(false));
+        assert_value("NULL OR true", &[], Bool(true));
+        assert_value("NULL OR false", &[], Null);
+        assert_value("NOT NULL", &[], Null);
+        assert_value("NULL IS NULL", &[], Bool(true));
+        assert_value("1 IS NOT NULL", &[], Bool(true));
     }
 
     #[test]
-    fn short_circuit_skips_errors_like_the_tree() {
+    fn short_circuit_skips_errors() {
         // The right operand would divide by zero; AND/OR must not reach it.
-        assert_agree("false AND 1 / 0 = 1", &[]);
-        assert_agree("true OR 1 / 0 = 1", &[]);
-        assert_agree("CASE WHEN true THEN 1 ELSE 1 / 0 END", &[]);
-        assert_agree("COALESCE(5, 1 / 0)", &[]);
-        assert_agree("2 IN (2, 1 / 0)", &[]);
+        assert_value("false AND 1 / 0 = 1", &[], Bool(false));
+        assert_value("true OR 1 / 0 = 1", &[], Bool(true));
+        assert_value("CASE WHEN true THEN 1 ELSE 1 / 0 END", &[], Int(1));
+        assert_value("COALESCE(5, 1 / 0)", &[], Int(5));
+        assert_value("2 IN (2, 1 / 0)", &[], Bool(true));
     }
 
     #[test]
-    fn case_forms_agree() {
-        assert_agree(
+    fn case_forms() {
+        assert_value(
             "CASE WHEN 1 > 2 THEN 'a' WHEN 2 > 1 THEN 'b' ELSE 'c' END",
             &[],
+            Value::text("b"),
         );
-        assert_agree("CASE WHEN false THEN 'a' END", &[]);
-        assert_agree(
+        assert_value("CASE WHEN false THEN 'a' END", &[], Null);
+        assert_value(
             "CASE p0 WHEN 1 THEN 'one' WHEN 2 THEN 'two' ELSE 'many' END",
-            &[Value::Int(2)],
+            &[Int(2)],
+            Value::text("two"),
         );
-        assert_agree("CASE p0 WHEN 1 THEN 'one' END", &[Value::Null]);
+        assert_value("CASE p0 WHEN 1 THEN 'one' END", &[Null], Null);
     }
 
     #[test]
-    fn in_list_null_semantics_agree() {
-        assert_agree("1 IN (1, 2)", &[]);
-        assert_agree("3 IN (1, 2)", &[]);
-        assert_agree("3 NOT IN (1, 2)", &[]);
-        assert_agree("3 IN (1, NULL)", &[]);
-        assert_agree("3 NOT IN (1, NULL)", &[]);
-        assert_agree("NULL IN (1, 2)", &[]);
-        assert_agree("1 BETWEEN 0 AND 2", &[]);
-        assert_agree("NULL BETWEEN 0 AND 2", &[]);
-        assert_agree("5 NOT BETWEEN 0 AND 2", &[]);
+    fn in_list_and_between_null_semantics() {
+        assert_value("1 IN (1, 2)", &[], Bool(true));
+        assert_value("3 IN (1, 2)", &[], Bool(false));
+        assert_value("3 NOT IN (1, 2)", &[], Bool(true));
+        assert_value("3 IN (1, NULL)", &[], Null);
+        assert_value("3 NOT IN (1, NULL)", &[], Null);
+        assert_value("NULL IN (1, 2)", &[], Null);
+        assert_value("1 BETWEEN 0 AND 2", &[], Bool(true));
+        assert_value("NULL BETWEEN 0 AND 2", &[], Null);
+        assert_value("5 NOT BETWEEN 0 AND 2", &[], Bool(true));
     }
 
     #[test]
-    fn scalar_functions_rows_and_casts_agree() {
-        assert_agree("abs(-5) + length('abc')", &[]);
-        assert_agree("row_field(ROW(1, 'x', 2.5), 2)", &[]);
-        assert_agree("CAST('42' AS int) + 1", &[]);
-        assert_agree("coalesce(NULL, NULL, 7)", &[]);
-        assert_agree("greatest(1, 2, 3) * least(4, 5)", &[]);
-        assert_agree("'hello' LIKE 'h%'", &[]);
-        assert_agree("'hello' NOT LIKE '_x%'", &[]);
-        assert_agree("NULL LIKE 'h%'", &[]);
+    fn scalar_functions_rows_and_casts() {
+        assert_value("abs(-5) + length('abc')", &[], Int(8));
+        assert_value("row_field(ROW(1, 'x', 2.5), 2)", &[], Value::text("x"));
+        assert_value("CAST('42' AS int) + 1", &[], Int(43));
+        assert_value("coalesce(NULL, NULL, 7)", &[], Int(7));
+        assert_value("greatest(1, 2, 3) * least(4, 5)", &[], Int(12));
+        assert_value("'hello' LIKE 'h%'", &[], Bool(true));
+        assert_value("'hello' NOT LIKE '_x%'", &[], Bool(true));
+        assert_value("NULL LIKE 'h%'", &[], Null);
     }
 
     #[test]
-    fn errors_match_the_tree_evaluator() {
-        assert_agree("1 / 0", &[]);
-        assert_agree("1 + 'x'", &[]);
-        assert_agree("substr('abc', 'x')", &[]);
+    fn error_texts() {
+        assert_error("1 / 0", "execution error: division by zero");
+        assert_error(
+            "1 + 'x'",
+            "execution error: +: expected numeric operands, got int and text",
+        );
+        assert_error(
+            "substr('abc', 'x')",
+            "execution error: expected int, got text (x)",
+        );
     }
 
+    /// How an operand reaches a binary operator.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Form {
+        Const,
+        /// Column of the row the expression is evaluated over.
+        Slot,
+        Param,
+        /// Cell of a flattened let-chain frame ([`Operand::Stack`]).
+        Frame,
+        /// A value the program computed onto its stack (`COALESCE(v)`).
+        Computed,
+    }
+
+    const FORMS: [Form; 5] = [
+        Form::Const,
+        Form::Slot,
+        Form::Param,
+        Form::Frame,
+        Form::Computed,
+    ];
+
+    const OPS: [BinOp; 12] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Mod,
+        BinOp::Concat,
+        BinOp::Eq,
+        BinOp::NotEq,
+        BinOp::Lt,
+        BinOp::LtEq,
+        BinOp::Gt,
+        BinOp::GtEq,
+    ];
+
+    /// The expected result, from the `Value` operators alone.
+    fn reference(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+        use std::cmp::Ordering::{self, Equal, Greater, Less};
+        let cmp = |holds: fn(Ordering) -> bool| Ok(l.sql_cmp(r)?.map_or(Null, |o| Bool(holds(o))));
+        match op {
+            BinOp::Add => l.add(r),
+            BinOp::Sub => l.sub(r),
+            BinOp::Mul => l.mul(r),
+            BinOp::Div => l.div(r),
+            BinOp::Mod => l.rem(r),
+            BinOp::Concat => l.concat(r),
+            BinOp::Eq => cmp(|o| o == Equal),
+            BinOp::NotEq => cmp(|o| o != Equal),
+            BinOp::Lt => cmp(|o| o == Less),
+            BinOp::LtEq => cmp(|o| o != Greater),
+            BinOp::Gt => cmp(|o| o == Greater),
+            BinOp::GtEq => cmp(|o| o != Less),
+            BinOp::And | BinOp::Or => unreachable!("not in the table"),
+        }
+    }
+
+    /// `l op r` with each operand in its form, wrapped as `CASE WHEN … THEN
+    /// 'y' ELSE 'n' END` when `branch` (the compare-and-branch shape).
+    /// Slots read column 0 (`l`) or 1 (`r`) of the evaluation row, and
+    /// parameters `$0` and `$1`; frame operands are bound by a let-chain
+    /// around the whole expression, under which that row is one level up.
+    fn build(op: BinOp, forms: [Form; 2], values: [&Value; 2], branch: bool) -> ExprIr {
+        let framed = forms.contains(&Form::Frame);
+        let mut seeds = Vec::new();
+        let mut side = |i: usize| match forms[i] {
+            Form::Const => ExprIr::Const(values[i].clone()),
+            Form::Slot => ExprIr::Slot {
+                depth: usize::from(framed),
+                index: i,
+            },
+            Form::Param => ExprIr::Param(i),
+            Form::Frame => {
+                seeds.push(ExprIr::Const(values[i].clone()));
+                ExprIr::Slot {
+                    depth: 0,
+                    index: seeds.len() - 1,
+                }
+            }
+            Form::Computed => ExprIr::Coalesce(vec![ExprIr::Const(values[i].clone())]),
+        };
+        let (left, right) = (side(0), side(1));
+        let mut e = ExprIr::Binary {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        };
+        if branch {
+            e = ExprIr::Case {
+                operand: None,
+                branches: vec![(e, ExprIr::Const(Value::text("y")))],
+                else_: Some(Box::new(ExprIr::Const(Value::text("n")))),
+            };
+        }
+        if framed {
+            e = ExprIr::Subplan(Arc::new(PlanNode::Project {
+                input: Box::new(PlanNode::Result { exprs: seeds }),
+                exprs: vec![e],
+            }));
+        }
+        e
+    }
+
+    /// Lower `e` and evaluate it over `row`, which also binds `$0` and `$1`.
+    /// Returns the ops it ran and its result, rendered.
+    fn run_lowered(s: &mut Session, mut e: ExprIr, row: &[Value]) -> (Vec<Op>, String) {
+        lower(&mut e);
+        let mut rt = s.runtime();
+        let scopes = Scopes { row, parent: None };
+        let env = EvalEnv {
+            scopes: Some(&scopes),
+            params: row,
+        };
+        let got = render(&eval(&e, &env, &mut rt));
+        let ExprIr::Vm(prog) = e else {
+            panic!("a binary expression lowers to a program")
+        };
+        (prog.ops.clone(), got)
+    }
+
+    fn render(r: &Result<Value>) -> String {
+        match r {
+            Ok(v) => format!("{v:?}"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// Every binary operator over every pair of operand types (int, float,
+    /// text, bool, NULL) and every pair of operand forms, against the
+    /// `Value` operators: the VM's integer fast path, its fused binary ops
+    /// (`Bin2`, `BinMix`, `CmpNotJump`) and the generic `Bin` each carry a
+    /// check of their own.
     #[test]
-    fn worth_swapping_skips_trivial_programs() {
-        let slot = ExprIr::slot(0);
-        assert!(!worth_swapping(&compile(&slot)));
-        let ast = plaway_sql::parse_expr("(a + 1) * (a - 1) + a % 7").unwrap();
-        let s = Session::default();
-        let scope = ParamScope::new(vec!["a".into()]);
-        let ir = plan_expr(
-            &s.catalog,
-            &ast,
-            Some(&scope),
-            crate::config::IndexMode::Auto,
-        )
-        .unwrap();
-        assert!(worth_swapping(&compile(&ir)));
+    fn binary_operator_table_matches_value_semantics() {
+        let values = [
+            Int(7),
+            Int(-1),
+            Int(0),
+            Int(i64::MAX),
+            Int(i64::MIN),
+            Float(2.5),
+            Float(0.0),
+            Value::text("ab"),
+            Value::text("7"),
+            Bool(true),
+            Bool(false),
+            Null,
+        ];
+        let mut s = Session::default();
+        let mut seen = [false; 4]; // Bin, Bin2, BinMix, CmpNotJump
+        for op in OPS {
+            let comparison = !matches!(
+                op,
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod | BinOp::Concat
+            );
+            for l in &values {
+                for r in &values {
+                    let want = reference(op, l, r);
+                    let want_branch = want
+                        .as_ref()
+                        .map(|v| Value::text(if v.is_true() { "y" } else { "n" }))
+                        .map_err(Clone::clone);
+                    let row = [l.clone(), r.clone()];
+                    for lf in FORMS {
+                        for rf in FORMS {
+                            let mut shapes = vec![(false, render(&want))];
+                            if comparison {
+                                shapes.push((true, render(&want_branch)));
+                            }
+                            for (branch, want) in shapes {
+                                let e = build(op, [lf, rf], [l, r], branch);
+                                let (ops, got) = run_lowered(&mut s, e, &row);
+                                assert_eq!(
+                                    got, want,
+                                    "{l:?} {op:?} {r:?} as {lf:?}/{rf:?} (branch: {branch}): {ops:?}"
+                                );
+                                for op in &ops {
+                                    match op {
+                                        Op::Bin(_) => seen[0] = true,
+                                        Op::Bin2 { .. } => seen[1] = true,
+                                        Op::BinMix { .. } => seen[2] = true,
+                                        Op::CmpNotJump { .. } => seen[3] = true,
+                                        _ => {}
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true; 4], "every binary op shape was exercised");
+    }
+
+    /// The integer edge cases, written out: overflow, division by zero and
+    /// `i64::MIN % -1`, through every pair of operand forms.
+    #[test]
+    fn integer_edge_cases_in_every_form() {
+        let cases = [
+            (
+                BinOp::Add,
+                i64::MAX,
+                1,
+                "execution error: integer overflow in +",
+            ),
+            (
+                BinOp::Sub,
+                i64::MIN,
+                1,
+                "execution error: integer overflow in -",
+            ),
+            (
+                BinOp::Mul,
+                i64::MAX,
+                2,
+                "execution error: integer overflow in *",
+            ),
+            (
+                BinOp::Div,
+                i64::MIN,
+                -1,
+                "execution error: integer overflow in /",
+            ),
+            (BinOp::Div, 7, 0, "execution error: division by zero"),
+            (BinOp::Mod, 7, 0, "execution error: division by zero in %"),
+            (BinOp::Mod, i64::MIN, -1, "Int(0)"),
+            (BinOp::Mod, -7, 3, "Int(-1)"),
+        ];
+        let mut s = Session::default();
+        for (op, l, r, want) in cases {
+            let (l, r) = (Int(l), Int(r));
+            for lf in FORMS {
+                for rf in FORMS {
+                    let e = build(op, [lf, rf], [&l, &r], false);
+                    let (_, got) = run_lowered(&mut s, e, &[l.clone(), r.clone()]);
+                    assert_eq!(got, want, "{l:?} {op:?} {r:?} as {lf:?}/{rf:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use plaway_common::{Error, Result, Value};
 use plaway_sql::ast::{FrameBound, FrameUnits};
 
 use crate::catalog::Row;
-use crate::exec::{cmp_key_vectors, eval, EvalEnv, Runtime, Scopes};
+use crate::exec::{cmp_key_vectors, eval, eval_all, EvalEnv, Runtime, Scopes};
 use crate::ir::{AggFn, FrameIr, SortKey, WinFn, WindowExprIr};
 
 /// Evaluate all window expressions; returns the input rows with one extra
@@ -66,21 +66,13 @@ fn eval_one_window(
             scopes: Some(&scopes),
             params: env.params,
         };
-        let mut pk = Vec::with_capacity(w.partition_by.len());
-        for e in &w.partition_by {
-            pk.push(eval(e, &inner, rt)?);
-        }
-        part_keys.push(pk);
+        part_keys.push(eval_all(&w.partition_by, &inner, rt)?);
         let mut ok = Vec::with_capacity(w.order_by.len());
         for k in &w.order_by {
             ok.push(eval(&k.expr, &inner, rt)?);
         }
         order_keys.push(ok);
-        let mut av = Vec::with_capacity(w.args.len());
-        for a in &w.args {
-            av.push(eval(a, &inner, rt)?);
-        }
-        args.push(av);
+        args.push(eval_all(&w.args, &inner, rt)?);
     }
 
     // Partition: group row indices by partition key (first-seen order).

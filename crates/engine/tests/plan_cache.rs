@@ -219,6 +219,28 @@ fn invariant_subplans_are_hoisted_out_of_the_fixpoint() {
         s.stats.recursive_iterations
     );
 
+    // The same holds when the sub-plan's own filter is large enough to be
+    // lowered to a VM program before the sub-plan is judged closed.
+    let plan = s
+        .prepare(
+            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL \
+             SELECT x + (SELECT v FROM kv WHERE k = 3 AND v > 0 AND v <> 7) \
+             FROM c WHERE x < 400) \
+             SELECT max(x) FROM c",
+            &ps,
+        )
+        .unwrap();
+    s.stats.reset();
+    let r = s.execute_prepared(&plan, vec![]).unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(421), "1 + 14 * 30");
+    assert!(
+        s.stats.subplan_evals <= 2,
+        "closed sub-plan with a compiled filter must be memoized per execution, \
+         got {} evals over {} iterations",
+        s.stats.subplan_evals,
+        s.stats.recursive_iterations
+    );
+
     // Correlated sub-queries must NOT be memoized.
     let plan = s
         .prepare(

@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use plaway_common::{Error, Result, Type};
+use plaway_engine::vm::Access;
 use plaway_engine::{ExprIr, ParamScope, Session};
 use plaway_plsql::ast::{PlFunction, PlStmt, RaiseLevel, VarDecl};
 use plaway_sql::ast::Expr;
@@ -427,50 +428,30 @@ fn record_slot_name(var: &str, field: Option<&str>) -> String {
 /// Does the compiled expression require the full executor lifecycle?
 /// (Anything touching tables, subqueries or UDFs. `random()` stays simple —
 /// PostgreSQL's fast path handles stable-free functions the same way, which
-/// is why Table 1 shows zero Start/End cost for `fibonacci`.)
+/// is why Table 1 shows zero Start/End cost for `fibonacci`.) Snapshot
+/// expressions are the compiled trampoline's cursor machinery; the
+/// interpreter's own cursor never emits them, but a hand-written
+/// expression could — run it with the full executor.
 fn needs_full_executor(ir: &ExprIr) -> bool {
     match ir {
         ExprIr::Subplan(_)
         | ExprIr::Exists { .. }
         | ExprIr::InPlan { .. }
         | ExprIr::UdfCall { .. }
-        // Snapshot expressions are the compiled trampoline's cursor
-        // machinery; the interpreter's own cursor never emits them, but a
-        // hand-written expression could — run it with the full executor.
         | ExprIr::Materialize { .. }
         | ExprIr::SnapshotFn { .. } => true,
-        ExprIr::Const(_) | ExprIr::Slot { .. } | ExprIr::Param(_) => false,
-        ExprIr::Neg(e) | ExprIr::Not(e) => needs_full_executor(e),
-        ExprIr::Binary { left, right, .. } => {
-            needs_full_executor(left) || needs_full_executor(right)
+        // The lowered form `Session::compile_expr` returns.
+        ExprIr::Vm(prog) => {
+            let mut full = false;
+            prog.for_each_access(&mut |a| {
+                full |= !matches!(a, Access::Slot { .. } | Access::Param(_) | Access::Volatile)
+            });
+            full
         }
-        ExprIr::IsNull { expr, .. } => needs_full_executor(expr),
-        ExprIr::Between {
-            expr, low, high, ..
-        } => needs_full_executor(expr) || needs_full_executor(low) || needs_full_executor(high),
-        ExprIr::Case {
-            operand,
-            branches,
-            else_,
-        } => {
-            operand.as_deref().is_some_and(needs_full_executor)
-                || branches
-                    .iter()
-                    .any(|(w, t)| needs_full_executor(w) || needs_full_executor(t))
-                || else_.as_deref().is_some_and(needs_full_executor)
+        _ => {
+            let mut full = false;
+            ir.for_each_child(&mut |c| full = full || needs_full_executor(c));
+            full
         }
-        ExprIr::Coalesce(args) => args.iter().any(needs_full_executor),
-        ExprIr::Scalar { args, .. } => args.iter().any(needs_full_executor),
-        ExprIr::InList { expr, list, .. } => {
-            needs_full_executor(expr) || list.iter().any(needs_full_executor)
-        }
-        ExprIr::Like { expr, pattern, .. } => {
-            needs_full_executor(expr) || needs_full_executor(pattern)
-        }
-        ExprIr::Row(items) => items.iter().any(needs_full_executor),
-        ExprIr::Cast { expr, .. } => needs_full_executor(expr),
-        // Pre-compiled programs (the engine's prepared-plan path; the
-        // interpreter's own expressions are never pre-compiled).
-        ExprIr::Vm(prog) => prog.has_tree_fallback(),
     }
 }

@@ -205,7 +205,8 @@ impl<'a> CallCtx<'a> {
     fn eval(&mut self, e: &CExpr) -> Result<Value> {
         match e {
             CExpr::Simple(ir) => {
-                // Fast path: direct evaluation; time booked as Exec·Run
+                // Fast path: a leaf read or one VM program, the evaluator
+                // compiled queries use too; time booked as Exec·Run
                 // (PostgreSQL evaluates simple expressions through the
                 // executor's expression machinery without Start/End).
                 let t0 = Instant::now();

@@ -151,6 +151,30 @@ fn cte_columns_capture_like_derived_table_columns() {
     }
 }
 
+/// A PL/pgSQL function that calls another PL/pgSQL function is outside
+/// the dialect (DESIGN.md, Unsupported constructs). Both regimes reject the
+/// call the same way: the engine executes SQL-language functions only.
+#[test]
+fn plpgsql_calling_plpgsql_is_unsupported_in_both_regimes() {
+    let g = "CREATE FUNCTION g(x int) RETURNS int AS $$ \
+             BEGIN RETURN x + 1; END $$ LANGUAGE plpgsql";
+    let f = "CREATE FUNCTION f(x int) RETURNS int AS $$ \
+             BEGIN RETURN g(x) * 2; END $$ LANGUAGE plpgsql";
+    let mut session = Session::default();
+    session.run(g).unwrap();
+    session.run(f).unwrap();
+    let want = "unsupported: function \"g\" is PL/pgSQL; evaluate it with the interpreter \
+                or compile it away (the engine executes SQL-language functions only)";
+    let args = [Value::Int(1)];
+    let interpreted = Interpreter::new().call(&mut session, "f", &args);
+    assert_eq!(interpreted.unwrap_err().to_string(), want, "interpreted");
+    for options in [CompileOptions::default(), CompileOptions::iterate()] {
+        let compiled = compile_sql(&session.catalog, f, options).unwrap();
+        let got = compiled.run(&mut session, &args);
+        assert_eq!(got.unwrap_err().to_string(), want, "{:?}", options.mode);
+    }
+}
+
 /// Seeded sweep over the error-handling workload: `checked_sum` (per-row
 /// `RAISE` + `EXCEPTION` recovery) must return interpreter-identical
 /// results for every drawn input, in every compiled mode.

@@ -23,8 +23,8 @@ use std::path::PathBuf;
 
 use plaway_bench::{
     batch_checked_calls, batch_fib_calls, checked_args, fib_args, parse_args, settle_args,
-    setup_checked, setup_fib, setup_parse, setup_settle, setup_traverse, setup_walk,
-    traverse_args, walk_args, BenchSetup,
+    setup_checked, setup_fib, setup_parse, setup_settle, setup_traverse, setup_walk, traverse_args,
+    walk_args, BenchSetup,
 };
 use plsql_away::engine::RuntimeStats;
 use plsql_away::prelude::*;
@@ -74,11 +74,20 @@ fn snapshot() -> String {
                 .run(&mut b.session, &args)
                 .unwrap_or_else(|e| panic!("{name} {mode}: {e}"));
             let stats = b.session.stats.delta_since(&before);
-            section(&mut out, &format!("{name} {mode}"), &format!("{got:?}"), &stats);
+            section(
+                &mut out,
+                &format!("{name} {mode}"),
+                &format!("{got:?}"),
+                &stats,
+            );
         }
     }
     for (name, setup, calls) in [
-        ("fibonacci", setup_fib as fn(EngineConfig) -> BenchSetup, batch_fib_calls(64)),
+        (
+            "fibonacci",
+            setup_fib as fn(EngineConfig) -> BenchSetup,
+            batch_fib_calls(64),
+        ),
         ("checked_sum", setup_checked, batch_checked_calls(64)),
     ] {
         let mut b = setup(config());
@@ -89,7 +98,12 @@ fn snapshot() -> String {
             .run_batch(&mut b.session, &calls)
             .unwrap_or_else(|e| panic!("{name} batch: {e}"));
         let stats = b.session.stats.delta_since(&before);
-        section(&mut out, &format!("{name} batch"), &format!("{got:?}"), &stats);
+        section(
+            &mut out,
+            &format!("{name} batch"),
+            &format!("{got:?}"),
+            &stats,
+        );
     }
     out
 }
