@@ -12,8 +12,6 @@ use std::sync::Arc;
 use plaway_common::{Type, Value};
 use plaway_sql::ast::{BinOp, JoinKind, SetOp};
 
-use crate::vm::Access;
-
 /// Compiled scalar expression.
 #[derive(Debug, Clone)]
 pub enum ExprIr {
@@ -181,29 +179,6 @@ macro_rules! expr_children {
 impl ExprIr {
     pub fn slot(index: usize) -> ExprIr {
         ExprIr::Slot { depth: 0, index }
-    }
-
-    /// Is this expression free of subplans, UDF calls and `random()`?
-    /// Such expressions are safe to evaluate on the PL/pgSQL fast path and
-    /// safe for the dead-code eliminator to discard.
-    pub fn is_pure_scalar(&self) -> bool {
-        match self {
-            ExprIr::Scalar { func, .. } if func.is_volatile() => false,
-            ExprIr::UdfCall { .. }
-            | ExprIr::Subplan(_)
-            | ExprIr::Exists { .. }
-            | ExprIr::InPlan { .. }
-            | ExprIr::Materialize { .. }
-            | ExprIr::SnapshotFn { .. } => false,
-            ExprIr::Vm(prog) => {
-                let mut pure = true;
-                prog.for_each_access(&mut |a| {
-                    pure &= matches!(a, Access::Slot { .. } | Access::Param(_))
-                });
-                pure
-            }
-            _ => self.all_children(ExprIr::is_pure_scalar),
-        }
     }
 
     /// Visit the direct sub-expressions, left to right. Sub-plans are not
@@ -927,26 +902,6 @@ mod tests {
         assert_eq!(WinFn::from_name("sum"), Some(WinFn::Agg(AggFn::Sum)));
         assert_eq!(WinFn::from_name("row_number"), Some(WinFn::RowNumber));
         assert_eq!(WinFn::from_name("nope"), None);
-    }
-
-    #[test]
-    fn purity_classification() {
-        let pure = ExprIr::Binary {
-            op: BinOp::Add,
-            left: Box::new(ExprIr::slot(0)),
-            right: Box::new(ExprIr::Const(Value::Int(1))),
-        };
-        assert!(pure.is_pure_scalar());
-        let random = ExprIr::Scalar {
-            func: ScalarFn::Random,
-            args: vec![],
-        };
-        assert!(!random.is_pure_scalar());
-        let udf = ExprIr::UdfCall {
-            name: "f".into(),
-            args: vec![],
-        };
-        assert!(!udf.is_pure_scalar());
     }
 
     #[test]

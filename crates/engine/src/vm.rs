@@ -1135,24 +1135,6 @@ fn fast_int_bin(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
     })
 }
 
-/// [`Op::Bin2`]: a binary operator over two direct operands.
-#[inline(always)]
-fn bin2(
-    op: BinOp,
-    l: &Operand,
-    r: &Operand,
-    base: usize,
-    env: &EvalEnv<'_>,
-    rt: &Runtime<'_>,
-) -> Result<Value> {
-    let lv = operand_value(l, base, env, rt)?;
-    let rv = operand_value(r, base, env, rt)?;
-    match fast_int_bin(op, &lv, &rv) {
-        Some(v) => Ok(v),
-        None => apply_bin(op, &lv, &rv),
-    }
-}
-
 /// Resolve a direct operand. `base` is the program's stack base (for
 /// flattened let-chain frame cells).
 #[inline(always)]
@@ -1202,12 +1184,6 @@ fn memoized<'r>(
 /// Run a compiled program. Reentrant: nested programs (run by the plans its
 /// ops execute) share the runtime's stack via a base offset.
 pub fn run(prog: &ExprProgram, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Value> {
-    // Cheap entry for the commonest lowered expression, one binary op over
-    // direct operands (a scan filter's `col = $1`): no stack round trip.
-    if let [Op::Bin2 { op, l, r }] = prog.ops.as_slice() {
-        rt.stats.vm_ops_executed += 1;
-        return bin2(*op, l, r, 0, env, rt);
-    }
     let base = rt.vm_stack.len();
     let result = exec_ops(prog, base, env, rt).map(|()| rt.vm_stack.pop().unwrap());
     rt.vm_stack.truncate(base);
@@ -1352,7 +1328,12 @@ fn exec_ops_loop(
                 rt.vm_stack.push(v);
             }
             Op::Bin2 { op, l, r } => {
-                let v = bin2(*op, l, r, base, env, rt)?;
+                let lv = operand_value(l, base, env, rt)?;
+                let rv = operand_value(r, base, env, rt)?;
+                let v = match fast_int_bin(*op, &lv, &rv) {
+                    Some(v) => v,
+                    None => apply_bin(*op, &lv, &rv)?,
+                };
                 rt.vm_stack.push(v);
             }
             Op::BinMix { op, r } => {

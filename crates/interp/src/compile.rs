@@ -431,27 +431,15 @@ fn record_slot_name(var: &str, field: Option<&str>) -> String {
 /// is why Table 1 shows zero Start/End cost for `fibonacci`.) Snapshot
 /// expressions are the compiled trampoline's cursor machinery; the
 /// interpreter's own cursor never emits them, but a hand-written
-/// expression could — run it with the full executor.
+/// expression could — run it with the full executor. `Session::compile_expr`
+/// returns a leaf or a lowered program, so only a program can need it.
 fn needs_full_executor(ir: &ExprIr) -> bool {
-    match ir {
-        ExprIr::Subplan(_)
-        | ExprIr::Exists { .. }
-        | ExprIr::InPlan { .. }
-        | ExprIr::UdfCall { .. }
-        | ExprIr::Materialize { .. }
-        | ExprIr::SnapshotFn { .. } => true,
-        // The lowered form `Session::compile_expr` returns.
-        ExprIr::Vm(prog) => {
-            let mut full = false;
-            prog.for_each_access(&mut |a| {
-                full |= !matches!(a, Access::Slot { .. } | Access::Param(_) | Access::Volatile)
-            });
-            full
-        }
-        _ => {
-            let mut full = false;
-            ir.for_each_child(&mut |c| full = full || needs_full_executor(c));
-            full
-        }
-    }
+    let ExprIr::Vm(prog) = ir else {
+        return false;
+    };
+    let mut full = false;
+    prog.for_each_access(&mut |a| {
+        full |= !matches!(a, Access::Slot { .. } | Access::Param(_) | Access::Volatile)
+    });
+    full
 }
