@@ -24,6 +24,32 @@ fn any_null(args: &[Value]) -> bool {
     args.iter().any(Value::is_null)
 }
 
+/// PostgreSQL's `MaxAllocSize` (1 GB - 1): no text value may be longer, so
+/// `repeat` refuses a result past it before allocating anything.
+const MAX_ALLOC_SIZE: usize = 0x3fff_ffff;
+
+/// The characters of `s` at 1-based positions `start..end` (end exclusive),
+/// clipped to `1..=n`: PostgreSQL's substring rule, which `substr`, `left`
+/// and `right` all reduce to. Any `i64` bounds are valid. Where the text up
+/// to the range's end is ASCII, character positions are byte offsets;
+/// otherwise a `char_indices` walk stops at the range's end.
+fn char_slice(s: &str, start: i64, end: i64) -> &str {
+    let start = start.max(1);
+    if end <= start {
+        return "";
+    }
+    // Both positions are >= 1 here, so the 0-based offsets cannot overflow.
+    let offset = |pos: i64| usize::try_from(pos - 1).unwrap_or(usize::MAX);
+    let (from, to) = (offset(start), offset(end));
+    let ascii_end = to.min(s.len());
+    if s.as_bytes()[..ascii_end].is_ascii() {
+        return &s[from.min(ascii_end)..ascii_end];
+    }
+    let byte_at = |t: &str, chars: usize| t.char_indices().nth(chars).map_or(t.len(), |(i, _)| i);
+    let lo = byte_at(s, from);
+    &s[lo..lo + byte_at(&s[lo..], to - from)]
+}
+
 /// Evaluate a built-in scalar function over already-evaluated arguments.
 pub fn eval_scalar(func: ScalarFn, args: &[Value], rng: &mut SessionRng) -> Result<Value> {
     use ScalarFn::*;
@@ -193,29 +219,18 @@ pub fn eval_scalar(func: ScalarFn, args: &[Value], rng: &mut SessionRng) -> Resu
         }
         Substr => {
             arity("substr", args, 2..=3)?;
-            let s: Vec<char> = args[0].as_text()?.chars().collect();
+            let s = args[0].as_text()?;
             let start = args[1].as_int()?; // 1-based, may be <= 0 like PG
-            let len = if args.len() == 3 {
-                let l = args[2].as_int()?;
-                if l < 0 {
+            let end = if args.len() == 3 {
+                let len = args[2].as_int()?;
+                if len < 0 {
                     return Err(Error::exec("negative substring length not allowed"));
                 }
-                Some(l)
+                start.saturating_add(len)
             } else {
-                None
+                i64::MAX
             };
-            // PostgreSQL semantics: the substring is the intersection of
-            // [start, start+len) with [1, n].
-            let from = start.max(1);
-            let to = match len {
-                Some(l) => start.saturating_add(l), // exclusive
-                None => s.len() as i64 + 1,
-            };
-            let from_idx = (from - 1).clamp(0, s.len() as i64) as usize;
-            let to_idx = (to - 1).clamp(0, s.len() as i64) as usize;
-            Ok(Value::text(
-                s[from_idx..to_idx.max(from_idx)].iter().collect::<String>(),
-            ))
+            Ok(Value::text(char_slice(s, start, end)))
         }
         Replace => {
             arity("replace", args, 3..=3)?;
@@ -248,30 +263,36 @@ pub fn eval_scalar(func: ScalarFn, args: &[Value], rng: &mut SessionRng) -> Resu
         }
         LeftStr => {
             arity("left", args, 2..=2)?;
-            let s: Vec<char> = args[0].as_text()?.chars().collect();
+            let s = args[0].as_text()?;
             let n = args[1].as_int()?;
+            // A negative count keeps all but the last |n| characters.
             let keep = if n >= 0 {
-                (n as usize).min(s.len())
+                n
             } else {
-                s.len().saturating_sub((-n) as usize)
+                (s.chars().count() as i64).saturating_sub_unsigned(n.unsigned_abs())
             };
-            Ok(Value::text(s[..keep].iter().collect::<String>()))
+            Ok(Value::text(char_slice(s, 1, keep.saturating_add(1))))
         }
         RightStr => {
             arity("right", args, 2..=2)?;
-            let s: Vec<char> = args[0].as_text()?.chars().collect();
+            let s = args[0].as_text()?;
             let n = args[1].as_int()?;
-            let skip = if n >= 0 {
-                s.len().saturating_sub(n as usize)
+            // A negative count drops the first |n| characters.
+            let start = if n >= 0 {
+                s.chars().count() as i64 - n + 1
             } else {
-                ((-n) as usize).min(s.len())
+                1i64.saturating_add_unsigned(n.unsigned_abs())
             };
-            Ok(Value::text(s[skip..].iter().collect::<String>()))
+            Ok(Value::text(char_slice(s, start, i64::MAX)))
         }
         Repeat => {
             arity("repeat", args, 2..=2)?;
-            let n = args[1].as_int()?.max(0) as usize;
-            Ok(Value::text(args[0].as_text()?.repeat(n)))
+            let s = args[0].as_text()?;
+            let n = usize::try_from(args[1].as_int()?.max(0)).unwrap_or(usize::MAX);
+            match s.len().checked_mul(n) {
+                Some(bytes) if bytes <= MAX_ALLOC_SIZE => Ok(Value::text(s.repeat(n))),
+                _ => Err(Error::exec("requested length too large")),
+            }
         }
         Reverse => {
             arity("reverse", args, 1..=1)?;
@@ -392,6 +413,102 @@ mod tests {
         // Past the end.
         assert_eq!(
             call(ScalarFn::Substr, &[s, Value::Int(10)]),
+            Value::text("")
+        );
+    }
+
+    /// The oracle for the slicing builtins: the characters at 1-based
+    /// positions `[start, end)` intersected with `[1, n]`, over a
+    /// `Vec<char>` and in `i128`, where no bound can overflow.
+    fn reference_slice(s: &str, start: i128, end: i128) -> Value {
+        let chars: Vec<char> = s.chars().collect();
+        let n = chars.len() as i128;
+        let lo = start.clamp(1, n + 1);
+        let hi = end.clamp(lo, n + 1);
+        Value::text(
+            chars[(lo - 1) as usize..(hi - 1) as usize]
+                .iter()
+                .collect::<String>(),
+        )
+    }
+
+    /// `substr` (both arities), `left` and `right` against the oracle, on
+    /// empty, ASCII and 2-, 3- and 4-byte text, at every boundary position
+    /// and at both ends of `i64`.
+    #[test]
+    fn slicing_builtins_match_the_char_vector_reference() {
+        for s in ["", "hello", "héllo", "日本語", "a😀b", "abc😀"] {
+            let n = s.chars().count() as i64;
+            let text = Value::text(s);
+            let positions = [i64::MIN, -100, -1, 0, 1, 2, n, n + 1, i64::MAX];
+            for p in positions {
+                let (p_wide, n_wide) = (p as i128, n as i128);
+                let at = |f: ScalarFn, args: &[Value]| {
+                    eval_scalar(f, args, &mut rng())
+                        .unwrap_or_else(|e| panic!("{f:?}({s:?}, {args:?}): {e}"))
+                };
+                assert_eq!(
+                    at(ScalarFn::Substr, &[text.clone(), Value::Int(p)]),
+                    reference_slice(s, p_wide, n_wide + 1),
+                    "substr({s:?}, {p})"
+                );
+                for len in [0, 1, 2, n, i64::MAX] {
+                    assert_eq!(
+                        at(
+                            ScalarFn::Substr,
+                            &[text.clone(), Value::Int(p), Value::Int(len)]
+                        ),
+                        reference_slice(s, p_wide, p_wide + len as i128),
+                        "substr({s:?}, {p}, {len})"
+                    );
+                }
+                for len in [-1, i64::MIN] {
+                    let err = eval_scalar(
+                        ScalarFn::Substr,
+                        &[text.clone(), Value::Int(p), Value::Int(len)],
+                        &mut rng(),
+                    )
+                    .unwrap_err();
+                    assert!(
+                        err.to_string()
+                            .contains("negative substring length not allowed"),
+                        "substr({s:?}, {p}, {len}): {err}"
+                    );
+                }
+                // A negative count means "all but |p|" for both.
+                let keep = if p >= 0 { p_wide } else { n_wide + p_wide };
+                assert_eq!(
+                    at(ScalarFn::LeftStr, &[text.clone(), Value::Int(p)]),
+                    reference_slice(s, 1, keep + 1),
+                    "left({s:?}, {p})"
+                );
+                assert_eq!(
+                    at(ScalarFn::RightStr, &[text.clone(), Value::Int(p)]),
+                    reference_slice(s, n_wide - keep + 1, n_wide + 1),
+                    "right({s:?}, {p})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn repeat_refuses_results_past_the_allocation_limit() {
+        let ab = Value::text("ab");
+        for n in [i64::MAX, 2_000_000_000, MAX_ALLOC_SIZE as i64 / 2 + 1] {
+            let err = eval_scalar(ScalarFn::Repeat, &[ab.clone(), Value::Int(n)], &mut rng())
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("requested length too large"),
+                "repeat('ab', {n}): {err}"
+            );
+        }
+        // Empty text repeats to nothing however large the count.
+        assert_eq!(
+            call(ScalarFn::Repeat, &[Value::text(""), Value::Int(i64::MAX)]),
+            Value::text("")
+        );
+        assert_eq!(
+            call(ScalarFn::Repeat, &[ab, Value::Int(i64::MIN)]),
             Value::text("")
         );
     }

@@ -431,6 +431,30 @@ mod failure_injection {
     }
 
     #[test]
+    fn text_builtins_survive_integer_extremes() {
+        let mut s = Session::new(EngineConfig::raw());
+        // Each of these once overflowed its position arithmetic.
+        for sql in [
+            "SELECT substr('a', -9223372036854775807 - 1, 0)",
+            "SELECT left('abc', -9223372036854775807 - 1)",
+            "SELECT right('abc', -9223372036854775807 - 1)",
+        ] {
+            assert_eq!(s.query_scalar(sql).unwrap(), Value::text(""), "{sql}");
+        }
+        // A result past the 1 GB text limit fails before allocating.
+        for sql in [
+            "SELECT repeat('ab', 9223372036854775807)",
+            "SELECT repeat('ab', 2000000000)",
+        ] {
+            let err = s.run(sql).unwrap_err();
+            assert!(
+                err.to_string().contains("requested length too large"),
+                "{sql}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn division_by_zero_surfaces_from_queries() {
         let mut s = Session::new(EngineConfig::raw());
         let err = s.run("SELECT 1 / 0").unwrap_err();

@@ -231,6 +231,47 @@ fn null_and_float_rows_match_the_vm_bit_for_bit() {
     }
 }
 
+/// A builtin that fails mid-fixpoint: the typed tier demotes on the
+/// `repeat` error, and the VM re-raises it exactly as the interpreter does.
+#[test]
+fn builtin_errors_reraise_in_every_tier() {
+    const PADDED: &str = "CREATE FUNCTION padded(n int) RETURNS int AS $$
+        DECLARE i int := 0; acc int := 0;
+        BEGIN
+          WHILE i < 20 LOOP
+            i := i + 1;
+            acc := acc + length(repeat('ab', CASE WHEN i = 12 THEN n ELSE i END));
+          END LOOP;
+          RETURN acc;
+        END $$ LANGUAGE plpgsql";
+    for mode in MODES {
+        let mut session = session_with_tier(mode);
+        session.run(PADDED).unwrap();
+        let mut interp = Interpreter::new();
+        for n in [3, 2_000_000_000, i64::MAX] {
+            let args = [Value::Int(n)];
+            let want = interp
+                .call(&mut session, "padded", &args)
+                .map_err(|e| e.to_string());
+            if n != 3 {
+                let err = want.as_ref().unwrap_err();
+                assert!(err.contains("requested length too large"), "{n}: {err}");
+            }
+            for options in [CompileOptions::default(), CompileOptions::iterate()] {
+                let compiled = compile_sql(&session.catalog, PADDED, options).unwrap();
+                let got = compiled.run(&mut session, &args).map_err(|e| e.to_string());
+                assert_eq!(got, want, "n {n} tier {mode:?} cte {options:?}");
+            }
+        }
+        if mode == TierMode::ForceOn {
+            assert!(
+                session.metrics.tier_promotions > 0,
+                "ForceOn never promoted"
+            );
+        }
+    }
+}
+
 /// EXPLAIN ANALYZE reports the executing tier per fixpoint: `Auto` with a
 /// low threshold promotes mid-run and renders `tier=mono` with the
 /// promotion iteration; `ForceOff` stays `tier=vm` with no promotion tag.
