@@ -391,6 +391,25 @@ mod tests {
         );
     }
 
+    /// The oracle for the slicing builtins: the characters at 1-based
+    /// positions `[start, end)` intersected with `[1, n]`, over a
+    /// `Vec<char>` and in `i128`, where no bound can overflow.
+    fn reference_slice(s: &str, start: i128, end: i128) -> Value {
+        let chars: Vec<char> = s.chars().collect();
+        let n = chars.len() as i128;
+        let lo = start.clamp(1, n + 1);
+        let hi = end.clamp(lo, n + 1);
+        Value::text(
+            chars[(lo - 1) as usize..(hi - 1) as usize]
+                .iter()
+                .collect::<String>(),
+        )
+    }
+
+    /// PostgreSQL's substring rule on a few literal cases, then `substr`
+    /// (both arities), `left` and `right` against the oracle on empty,
+    /// ASCII and 2-, 3- and 4-byte text, at every boundary position and at
+    /// both ends of `i64`.
     #[test]
     fn substr_pg_semantics() {
         let s = Value::text("hello");
@@ -415,28 +434,7 @@ mod tests {
             call(ScalarFn::Substr, &[s, Value::Int(10)]),
             Value::text("")
         );
-    }
 
-    /// The oracle for the slicing builtins: the characters at 1-based
-    /// positions `[start, end)` intersected with `[1, n]`, over a
-    /// `Vec<char>` and in `i128`, where no bound can overflow.
-    fn reference_slice(s: &str, start: i128, end: i128) -> Value {
-        let chars: Vec<char> = s.chars().collect();
-        let n = chars.len() as i128;
-        let lo = start.clamp(1, n + 1);
-        let hi = end.clamp(lo, n + 1);
-        Value::text(
-            chars[(lo - 1) as usize..(hi - 1) as usize]
-                .iter()
-                .collect::<String>(),
-        )
-    }
-
-    /// `substr` (both arities), `left` and `right` against the oracle, on
-    /// empty, ASCII and 2-, 3- and 4-byte text, at every boundary position
-    /// and at both ends of `i64`.
-    #[test]
-    fn slicing_builtins_match_the_char_vector_reference() {
         for s in ["", "hello", "héllo", "日本語", "a😀b", "abc😀"] {
             let n = s.chars().count() as i64;
             let text = Value::text(s);
@@ -489,28 +487,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn repeat_refuses_results_past_the_allocation_limit() {
-        let ab = Value::text("ab");
-        for n in [i64::MAX, 2_000_000_000, MAX_ALLOC_SIZE as i64 / 2 + 1] {
-            let err = eval_scalar(ScalarFn::Repeat, &[ab.clone(), Value::Int(n)], &mut rng())
-                .unwrap_err();
-            assert!(
-                err.to_string().contains("requested length too large"),
-                "repeat('ab', {n}): {err}"
-            );
-        }
-        // Empty text repeats to nothing however large the count.
-        assert_eq!(
-            call(ScalarFn::Repeat, &[Value::text(""), Value::Int(i64::MAX)]),
-            Value::text("")
-        );
-        assert_eq!(
-            call(ScalarFn::Repeat, &[ab, Value::Int(i64::MIN)]),
-            Value::text("")
-        );
     }
 
     #[test]
@@ -594,9 +570,27 @@ mod tests {
             call(ScalarFn::Reverse, &[Value::text("abc")]),
             Value::text("cba")
         );
+        let ab = Value::text("ab");
         assert_eq!(
-            call(ScalarFn::Repeat, &[Value::text("ab"), Value::Int(3)]),
+            call(ScalarFn::Repeat, &[ab.clone(), Value::Int(3)]),
             Value::text("ababab")
+        );
+        // Past the allocation limit `repeat` fails before allocating.
+        for n in [i64::MAX, 2_000_000_000, MAX_ALLOC_SIZE as i64 / 2 + 1] {
+            let err = eval_scalar(ScalarFn::Repeat, &[ab.clone(), Value::Int(n)], &mut rng())
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("requested length too large"),
+                "repeat('ab', {n}): {err}"
+            );
+        }
+        assert_eq!(
+            call(ScalarFn::Repeat, &[Value::text(""), Value::Int(i64::MAX)]),
+            Value::text("")
+        );
+        assert_eq!(
+            call(ScalarFn::Repeat, &[ab, Value::Int(i64::MIN)]),
+            Value::text("")
         );
     }
 

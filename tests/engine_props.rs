@@ -433,7 +433,7 @@ mod failure_injection {
     #[test]
     fn text_builtins_survive_integer_extremes() {
         let mut s = Session::new(EngineConfig::raw());
-        // Each of these once overflowed its position arithmetic.
+        // An `i64::MIN` bound leaves an empty overlap with the text.
         for sql in [
             "SELECT substr('a', -9223372036854775807 - 1, 0)",
             "SELECT left('abc', -9223372036854775807 - 1)",
