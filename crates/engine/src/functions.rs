@@ -24,15 +24,17 @@ fn any_null(args: &[Value]) -> bool {
     args.iter().any(Value::is_null)
 }
 
-/// PostgreSQL's `MaxAllocSize` (1 GB - 1): no text value may be longer, so
-/// `repeat` refuses a result past it before allocating anything.
+/// PostgreSQL's `MaxAllocSize` (1 GB - 1): no text value, its 4-byte
+/// varlena header (`VARHDRSZ`) included, may be longer, so `repeat` refuses
+/// a result of more than `MAX_ALLOC_SIZE - VARHDRSZ` bytes before allocating
+/// anything, as PostgreSQL's `repeat` does.
 const MAX_ALLOC_SIZE: usize = 0x3fff_ffff;
+const VARHDRSZ: usize = 4;
 
 /// The characters of `s` at 1-based positions `start..end` (end exclusive),
 /// clipped to `1..=n`: PostgreSQL's substring rule, which `substr`, `left`
-/// and `right` all reduce to. Any `i64` bounds are valid. Where the text up
-/// to the range's end is ASCII, character positions are byte offsets;
-/// otherwise a `char_indices` walk stops at the range's end.
+/// and `right` all reduce to. Any `i64` bounds are valid. A `char_indices`
+/// walk maps the range to bytes and stops at its end.
 fn char_slice(s: &str, start: i64, end: i64) -> &str {
     let start = start.max(1);
     if end <= start {
@@ -41,10 +43,6 @@ fn char_slice(s: &str, start: i64, end: i64) -> &str {
     // Both positions are >= 1 here, so the 0-based offsets cannot overflow.
     let offset = |pos: i64| usize::try_from(pos - 1).unwrap_or(usize::MAX);
     let (from, to) = (offset(start), offset(end));
-    let ascii_end = to.min(s.len());
-    if s.as_bytes()[..ascii_end].is_ascii() {
-        return &s[from.min(ascii_end)..ascii_end];
-    }
     let byte_at = |t: &str, chars: usize| t.char_indices().nth(chars).map_or(t.len(), |(i, _)| i);
     let lo = byte_at(s, from);
     &s[lo..lo + byte_at(&s[lo..], to - from)]
@@ -290,7 +288,7 @@ pub fn eval_scalar(func: ScalarFn, args: &[Value], rng: &mut SessionRng) -> Resu
             let s = args[0].as_text()?;
             let n = usize::try_from(args[1].as_int()?.max(0)).unwrap_or(usize::MAX);
             match s.len().checked_mul(n) {
-                Some(bytes) if bytes <= MAX_ALLOC_SIZE => Ok(Value::text(s.repeat(n))),
+                Some(bytes) if bytes <= MAX_ALLOC_SIZE - VARHDRSZ => Ok(Value::text(s.repeat(n))),
                 _ => Err(Error::exec("requested length too large")),
             }
         }
@@ -575,8 +573,10 @@ mod tests {
             call(ScalarFn::Repeat, &[ab.clone(), Value::Int(3)]),
             Value::text("ababab")
         );
-        // Past the allocation limit `repeat` fails before allocating.
-        for n in [i64::MAX, 2_000_000_000, MAX_ALLOC_SIZE as i64 / 2 + 1] {
+        // Past the allocation limit `repeat` fails before allocating; the
+        // last count is the smallest one rejected, one byte past the limit.
+        let first_rejected = (MAX_ALLOC_SIZE - VARHDRSZ + 1) as i64 / 2;
+        for n in [i64::MAX, 2_000_000_000, first_rejected] {
             let err = eval_scalar(ScalarFn::Repeat, &[ab.clone(), Value::Int(n)], &mut rng())
                 .unwrap_err();
             assert!(
