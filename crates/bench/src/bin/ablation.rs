@@ -173,10 +173,7 @@ fn main() {
     ];
     for (name, setup, args) in tier_cases {
         let mut per_iter = [0u128; 2];
-        for (t, mode) in [TierMode::ForceOff, TierMode::ForceOn]
-            .into_iter()
-            .enumerate()
-        {
+        for (t, mode) in [TierMode::ForceOff, TierMode::Auto].into_iter().enumerate() {
             let mut config = EngineConfig::postgres_like();
             config.tier_mode = mode;
             let mut b = setup(config);

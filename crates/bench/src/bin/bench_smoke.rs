@@ -19,7 +19,7 @@
 //! (index scans on) vs a `ForceOff` twin (always seq scan) — and the
 //! tiered-execution pairs `tier.{fibonacci,fsa}.{vm,mono}_ns_per_iter`:
 //! the two shape-recognized fixpoints per iteration, in the `Value` VM
-//! (`TierMode::ForceOff`) vs the typed mono pipeline (`ForceOn`).
+//! (`TierMode::ForceOff`) vs the typed mono pipeline (the default `Auto`).
 //!
 //! Writes `BENCH_smoke.json` ({kernel.mode → median ns}, keys sorted so
 //! baseline diffs are stable) to the current directory; CI's `bench-gate`
@@ -178,14 +178,14 @@ fn smoke_index(results: &mut Vec<(String, u128)>) {
     }
 }
 
-/// Tiered execution: the two shape-recognized kernels per iteration, with
-/// the tier pinned both ways. `ForceOff` keeps every fixpoint in the
-/// `Value`-domain VM; `ForceOn` promotes the transition to the typed mono
-/// pipeline before the first iteration. Per-iteration ns (total wall time
+/// Tiered execution: the two shape-recognized kernels per iteration, in
+/// each tier. `ForceOff` keeps every fixpoint in the `Value`-domain VM;
+/// the default `Auto` promotes the transition to the typed mono pipeline
+/// before the first iteration. Per-iteration ns (total wall time
 /// over the fixpoint's `recursive_iterations` delta) is the honest unit —
 /// both tiers run the same number of iterations on the same inputs, so
 /// the ratio isolates exactly the dispatch + boxing the mono tier
-/// removes. Both tiers must return identical rows, and `ForceOn` must
+/// removes. Both tiers must return identical rows, and `Auto` must
 /// actually promote — an unpromoted "mono" number would gate nothing.
 fn smoke_tier(results: &mut Vec<(String, u128)>) {
     type TierCase = (&'static str, fn(EngineConfig) -> BenchSetup, Vec<Value>);
@@ -195,7 +195,7 @@ fn smoke_tier(results: &mut Vec<(String, u128)>) {
     ];
     for (name, setup, args) in cases {
         let mut reference = None;
-        for (tier, mode) in [("vm", TierMode::ForceOff), ("mono", TierMode::ForceOn)] {
+        for (tier, mode) in [("vm", TierMode::ForceOff), ("mono", TierMode::Auto)] {
             let mut config = EngineConfig::postgres_like();
             config.tier_mode = mode;
             let mut b = setup(config);
@@ -212,7 +212,7 @@ fn smoke_tier(results: &mut Vec<(String, u128)>) {
             if tier == "mono" {
                 assert!(
                     b.session.metrics.tier_promotions > 0,
-                    "tier.{name}: ForceOn never promoted — the mono number would be a lie"
+                    "tier.{name}: Auto never promoted — the mono number would be a lie"
                 );
             }
             let ns = time_runs(|| {

@@ -309,13 +309,12 @@ impl Catalog {
 
     /// The stamp every cache of compiled artefacts checks: shared plans,
     /// SQL-UDF body plans and the interpreter's compiled functions. Only
-    /// the five DDL methods bump it, so data commits keep those caches
-    /// (and the tier hotness stored in plans). That is safe because no
-    /// plan holds data: scans and probes look tables up by name in the
-    /// executing snapshot. The one data-dependent planning choice, the
-    /// `Auto` range estimate, picks between two access paths whose
-    /// outputs are byte-identical, so a stale estimate can cost speed but
-    /// never change an answer.
+    /// the five DDL methods bump it, so data commits keep those caches.
+    /// That is safe because no plan holds data: scans and probes look
+    /// tables up by name in the executing snapshot. The one data-dependent
+    /// planning choice, the `Auto` range estimate, picks between two
+    /// access paths whose outputs are byte-identical, so a stale estimate
+    /// can cost speed but never change an answer.
     pub fn schema_version(&self) -> u64 {
         self.schema_version
     }

@@ -20,37 +20,21 @@ pub enum IndexMode {
 
 /// Execution-tier policy for fused fixpoint transitions.
 ///
-/// `Auto` is the production setting: transitions start in the expression
-/// VM and are promoted to the monomorphized typed tier
-/// ([`crate::tier`]) once their iteration counter crosses
-/// [`EngineConfig::tier_promote_threshold`]. The two force modes exist
-/// for the differential test harness and the tier benchmarks — the same
-/// workload run under `ForceOn` and `ForceOff` must produce bit-identical
-/// results, which is what proves the mono tier is a pure execution-path
-/// change.
+/// Every plan carries the transitions [`crate::tier::recognize`] compiled
+/// at prepare time, whatever the mode; only the fixpoint driver reads it.
+/// `Auto` is the production setting: a recognized transition whose
+/// captures bind runs in the monomorphized typed tier ([`crate::tier`])
+/// from its first iteration. `ForceOff` keeps every fixpoint in the
+/// expression VM; it exists for the differential test harness and the
+/// tier benchmarks, which must see bit-identical results both ways — the
+/// proof that the mono tier is a pure execution-path change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TierMode {
-    /// Hotness-based promotion after the configured threshold (default).
+    /// Run recognized transitions in the mono tier (default).
     #[default]
     Auto,
-    /// Promote every recognized transition before its first iteration.
-    ForceOn,
-    /// Never recognize or promote; everything runs in the VM.
+    /// Never promote; everything runs in the VM.
     ForceOff,
-}
-
-impl TierMode {
-    /// Read the mode from `PLAWAY_TIER_MODE` (`force_on` / `force_off`,
-    /// anything else — including unset — is `Auto`). Used by the preset
-    /// constructors so the CI tier-matrix lane can steer the whole
-    /// workspace test suite without touching call sites.
-    pub fn from_env() -> Self {
-        match std::env::var("PLAWAY_TIER_MODE").as_deref() {
-            Ok("force_on") => TierMode::ForceOn,
-            Ok("force_off") => TierMode::ForceOff,
-            _ => TierMode::Auto,
-        }
-    }
 }
 
 /// Tunables of the engine. Defaults mirror PostgreSQL where a counterpart
@@ -89,16 +73,11 @@ pub struct EngineConfig {
     /// Access-path policy: cost-based (`Auto`) or forced on/off for the
     /// index-vs-seq differential harness.
     pub index_mode: IndexMode,
-    /// Execution-tier policy for fused fixpoint transitions: hotness-based
-    /// promotion (`Auto`) or forced on/off for the tier differential
-    /// harness and benchmarks. Tags the shared plan-cache key exactly like
-    /// `index_mode`.
+    /// Execution-tier policy for fused fixpoint transitions: the mono
+    /// tier where a transition was recognized (`Auto`), or the VM only
+    /// (`ForceOff`) for the tier differential harness and benchmarks.
+    /// Plans do not depend on it, so sessions of either mode share them.
     pub tier_mode: TierMode,
-    /// Iteration count after which an `Auto`-mode transition is promoted
-    /// to the monomorphized tier. Hotness accumulates across executions of
-    /// the same cached plan, so short statements re-run through a prepared
-    /// statement still reach the threshold.
-    pub tier_promote_threshold: u64,
 }
 
 impl EngineConfig {
@@ -126,8 +105,7 @@ impl EngineConfig {
             timer_resolution_ms: 0,
             trace: false,
             index_mode: IndexMode::Auto,
-            tier_mode: TierMode::from_env(),
-            tier_promote_threshold: 100,
+            tier_mode: TierMode::Auto,
         }
     }
 
@@ -187,26 +165,12 @@ mod tests {
         assert!(ora.start_penalty_ns > pg.start_penalty_ns);
         assert!(ora.timer_resolution_ms > pg.timer_resolution_ms);
         assert_eq!(pg.work_mem_bytes, 4 * 1024 * 1024);
-        // Every preset plans with the cost-based access-path choice; the
-        // force modes are reserved for the differential harness. The tier
-        // mode follows the environment so the CI tier-matrix lane steers
-        // every preset at once.
+        // Every preset plans with the cost-based access-path choice and
+        // runs recognized transitions in the mono tier; the force modes
+        // are reserved for the differential harness.
         for cfg in [pg, ora, EngineConfig::raw(), EngineConfig::sqlite_like()] {
             assert_eq!(cfg.index_mode, IndexMode::Auto);
-            assert_eq!(cfg.tier_mode, TierMode::from_env());
-            assert!(cfg.tier_promote_threshold > 0);
-        }
-    }
-
-    #[test]
-    fn tier_mode_defaults_to_auto_when_env_is_not_a_force_mode() {
-        // `from_env` treats anything but the two force spellings as Auto;
-        // the test environment may legitimately run under either force
-        // mode (CI tier-matrix lane), so only the parse itself is pinned.
-        match std::env::var("PLAWAY_TIER_MODE").as_deref() {
-            Ok("force_on") => assert_eq!(TierMode::from_env(), TierMode::ForceOn),
-            Ok("force_off") => assert_eq!(TierMode::from_env(), TierMode::ForceOff),
-            _ => assert_eq!(TierMode::from_env(), TierMode::Auto),
+            assert_eq!(cfg.tier_mode, TierMode::Auto);
         }
     }
 }

@@ -16,7 +16,7 @@ use plaway_common::{Error, Result, SessionRng, Value};
 use plaway_sql::ast::{BinOp, JoinKind, Language, SetOp};
 
 use crate::catalog::{Catalog, Row};
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, TierMode};
 use crate::ir::{AggFn, AggSpec, CtePlan, ExprIr, PlanNode, RecursionMode, SnapshotOp, SortKey};
 use crate::memo::{MemoCache, MemoKey};
 use crate::planner::{plan_udf_body, PreparedPlan};
@@ -1996,11 +1996,14 @@ impl Arm<'_> {
 }
 
 /// Run a recursive CTE to its fixpoint, one loop for every recursion mode
-/// and tier. Each iteration stops on an empty working set, offers the tier
-/// gate its promotion, counts itself against `max_recursive_iterations`,
-/// tracks the working-set peak, runs one step (the mono step once
-/// promoted, else the VM's [`Arm`]), deduplicates under UNION, hands its
-/// output to the [`Retention`] policy, and ticks hotness.
+/// and tier. The tier is chosen once, before the loop: a recognized
+/// transition runs in the mono tier from its first iteration unless
+/// `tier_mode` is `ForceOff` or its captures or base rows fall outside the
+/// typed domain. Each iteration stops on an empty working set, counts
+/// itself against `max_recursive_iterations`, tracks the working-set
+/// peak, runs one step (the mono step while promoted, else the VM's
+/// [`Arm`]), deduplicates under UNION, and hands its output to the
+/// [`Retention`] policy.
 fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Vec<Row>> {
     let CtePlan::Recursive {
         index,
@@ -2043,30 +2046,22 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
     // into the batch counters for Retire).
     let mut peak = working.len();
     let mut vm = Rotation::new(working);
-    // The typed working set, while the mono tier runs the fixpoint.
-    let mut mono: Option<crate::tier::MonoRows> = None;
-    let mut iters: u64 = 0;
-    // Tier gate: owns the VM→mono promotion decision for this execution.
-    // The catalog reference is copied out so the gate's borrows stay
-    // disjoint from the runtime's mutable state.
+    // The typed working set, while the mono tier runs the fixpoint. An
+    // empty base runs no iteration, so it does not promote. The catalog
+    // reference is copied out so the bound probes' borrows stay disjoint
+    // from the runtime's mutable state.
     let catalog = rt.catalog;
-    let mut gate = crate::tier::TierGate::new(tier.as_deref(), rt.config, catalog);
+    let mut mono = match tier.as_deref() {
+        Some(prog) if rt.config.tier_mode == TierMode::Auto && !vm.cur.is_empty() => {
+            crate::tier::MonoRows::enter(prog, env, catalog, &mut vm, rt.stats)
+        }
+        _ => None,
+    };
+    let mut iters: u64 = 0;
     loop {
         let len = mono.as_ref().map_or(vm.cur.len(), |m| m.bufs.cur.len());
-        // Stop before promoting: the threshold can be crossed on the very
-        // pass that drained the set, and mono has nothing to run then.
         if len == 0 {
             break;
-        }
-        if mono.is_none() {
-            gate.try_promote(env, iters, rt.stats);
-            if let Some((prog, _)) = gate.mono() {
-                // A working row outside the typed domain demotes at once.
-                mono = crate::tier::MonoRows::enter(prog, &mut vm);
-                if mono.is_none() {
-                    gate.demote();
-                }
-            }
         }
         iters += 1;
         if iters > limit {
@@ -2075,15 +2070,13 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
         peak = peak.max(len);
         let kept = match mono.as_mut() {
             Some(m) => {
-                let (prog, bound) = gate.mono().expect("typed rows imply a promoted gate");
-                let Ok(kept) = m.step(prog, bound, &mut retention, rt.stats) else {
+                let Ok(kept) = m.step(&mut retention, rt.stats) else {
                     // Demoted: the iteration is not counted; the VM re-runs
-                    // it, and the fixpoint never re-promotes.
+                    // it and every later one.
                     iters -= 1;
                     if let Some(m) = mono.take() {
                         m.leave(&mut vm);
                     }
-                    gate.demote();
                     continue;
                 };
                 retention.keep(&mut m.bufs);
@@ -2104,8 +2097,9 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
             None => &mut rt.stats.fused_transition_rows,
         };
         *counter += kept;
-        gate.tick();
     }
+    // The tier this fixpoint ended the execution in.
+    let tier_label = if mono.is_some() { "mono" } else { "vm" };
     if let Some(m) = mono {
         m.leave(&mut vm);
     }
@@ -2122,8 +2116,7 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
             iters,
             peak as u64,
             retired,
-            gate.label(),
-            gate.promoted_at(),
+            tier_label,
         );
     }
     Ok(result)

@@ -48,8 +48,6 @@ pub struct FixpointObs {
     pub retired: u64,
     /// Did any merged execution finish in the monomorphized tier?
     pub mono: bool,
-    /// Driver iteration at which the first promotion happened, if any.
-    pub promoted_at: Option<u64>,
 }
 
 /// Sink for one EXPLAIN ANALYZE execution.
@@ -83,7 +81,6 @@ impl AnalyzeState {
         obs.fused_rows += fused_rows;
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_fixpoint(
         &mut self,
         index: usize,
@@ -92,7 +89,6 @@ impl AnalyzeState {
         peak: u64,
         retired: u64,
         tier: &'static str,
-        promoted_at: Option<u64>,
     ) {
         let (_, fx) = self
             .fixpoints
@@ -103,9 +99,6 @@ impl AnalyzeState {
         fx.peak = fx.peak.max(peak);
         fx.retired += retired;
         fx.mono |= tier == "mono";
-        if fx.promoted_at.is_none() {
-            fx.promoted_at = promoted_at;
-        }
     }
 
     pub(crate) fn record_memo(&mut self, hits: u64, misses: u64) {
@@ -129,13 +122,9 @@ impl AnalyzeState {
         self.render_node(plan, 0, &mut out);
         for (index, (mode, fx)) in &self.fixpoints {
             let tier = if fx.mono { "mono" } else { "vm" };
-            let promoted = match fx.promoted_at {
-                Some(at) => format!(" promoted_at={at}"),
-                None => String::new(),
-            };
             out.push(format!(
                 "Fixpoint cte#{index} [{mode}]: executions={} iterations={} \
-                 working-set peak={} retired={} tier={tier}{promoted}",
+                 working-set peak={} retired={} tier={tier}",
                 fx.executions, fx.iterations, fx.peak, fx.retired
             ));
         }

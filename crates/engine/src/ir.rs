@@ -467,9 +467,9 @@ pub enum CtePlan {
         /// `UNION ALL` (true) vs deduplicating `UNION` (false).
         union_all: bool,
         /// Monomorphized transition compiled by [`crate::tier::recognize`]
-        /// during plan pre-compilation (`None` when the shape is outside
-        /// the tier grammar or `tier_mode` is `ForceOff`). `Arc`-shared so
-        /// plan-cache clones accumulate hotness in one counter.
+        /// during plan pre-compilation, whatever the `tier_mode` (`None`
+        /// when the shape is outside the tier grammar). `Arc`-shared so
+        /// plan clones do not copy its closures.
         tier: Option<Arc<crate::tier::TierProgram>>,
     },
 }

@@ -24,7 +24,7 @@ use plaway_common::{Error, Result, SessionRng, Type, Value};
 use plaway_sql::ast::{InsertSource, Language, Stmt};
 
 use crate::catalog::{Catalog, Column, FunctionDef, IndexKind, Row};
-use crate::config::{EngineConfig, IndexMode, TierMode};
+use crate::config::{EngineConfig, IndexMode};
 use crate::database::Database;
 use crate::exec::{eval, exec, EvalEnv, FnPlanCache, Runtime, RuntimeStats};
 use crate::explain::AnalyzeState;
@@ -725,7 +725,7 @@ impl Session {
         query: Option<&plaway_sql::ast::Query>,
         params: &ParamScope,
     ) -> Result<Arc<PreparedPlan>> {
-        let key = cache_key(text, params, self.config.index_mode, self.config.tier_mode);
+        let key = cache_key(text, params, self.config.index_mode);
         if let Some(p) = self.db.cached_plan(&key, self.catalog.schema_version()) {
             self.plan_cache_hits += 1;
             if self.config.trace {
@@ -998,7 +998,7 @@ impl Session {
     }
 }
 
-fn cache_key(sql: &str, params: &ParamScope, index_mode: IndexMode, tier_mode: TierMode) -> String {
+fn cache_key(sql: &str, params: &ParamScope, index_mode: IndexMode) -> String {
     // Plans depend on the access-path policy; sessions running a force mode
     // (the differential harness) must not share cache entries with Auto
     // sessions attached to the same database. Auto keys stay unchanged.
@@ -1007,21 +1007,12 @@ fn cache_key(sql: &str, params: &ParamScope, index_mode: IndexMode, tier_mode: T
         IndexMode::ForceOn => "\u{2}idx+",
         IndexMode::ForceOff => "\u{2}idx-",
     };
-    // Same policy for the execution tier: a shared plan carries its tier
-    // program and hotness counter, so force-mode sessions must not feed
-    // (or consume) an Auto session's promotion state.
-    let tier_tag = match tier_mode {
-        TierMode::Auto => "",
-        TierMode::ForceOn => "\u{2}tier+",
-        TierMode::ForceOff => "\u{2}tier-",
-    };
+    // The tier mode needs no tag: plans carry the same recognized
+    // transitions in every mode, and only the fixpoint driver reads it.
     if params.names.is_empty() {
-        format!("{sql}{mode_tag}{tier_tag}")
+        format!("{sql}{mode_tag}")
     } else {
-        format!(
-            "{sql}\u{1}{}{mode_tag}{tier_tag}",
-            params.names.join("\u{1}")
-        )
+        format!("{sql}\u{1}{}{mode_tag}", params.names.join("\u{1}"))
     }
 }
 

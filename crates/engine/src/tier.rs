@@ -1,4 +1,4 @@
-//! Tiered execution: monomorphized typed pipelines for hot fixpoint
+//! Tiered execution: monomorphized typed pipelines for fixpoint
 //! transitions.
 //!
 //! The expression VM, the engine's one evaluator, runs the fused
@@ -11,16 +11,17 @@
 //! (NULL / bool / int / text) with no float, no record, and no per-op
 //! dispatch loop.
 //!
-//! Promotion is execution-count tiered (see `DESIGN.md` §7): transitions
-//! start in the VM, a per-program hotness counter (shared through the plan
-//! cache via `Arc`) promotes them after
-//! [`crate::EngineConfig::tier_promote_threshold`] iterations, and
-//! `tier_mode = ForceOn / ForceOff` pins either tier for the differential
-//! harness and the benchmarks.
+//! Promotion happens once, at fixpoint entry (see `DESIGN.md` §7).
+//! Recognition, the costly compile, already ran at prepare time, so a
+//! later promotion would defer only a bind and a working-set conversion.
+//! Under `tier_mode = Auto` a recognized transition whose captures bind
+//! and whose base rows are typed runs in the mono tier from its first
+//! iteration; `ForceOff` keeps it in the VM for the differential harness
+//! and the benchmarks.
 //!
 //! The tier owns no loop of its own. The one fixpoint driver
-//! (`exec_recursive_cte`) runs every iteration, and once the `TierGate`
-//! promotes, it runs each one as a `MonoRows::step` over typed rows
+//! (`exec_recursive_cte`) runs every iteration, and once `MonoRows::enter`
+//! has promoted it, it runs each one as a `MonoRows::step` over typed rows
 //! under the same retention policy (`Retention`) as the VM.
 //!
 //! Fallback is total: any situation the typed tier cannot reproduce
@@ -31,14 +32,12 @@
 //! transition stays in the VM for the rest of the statement.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use plaway_common::{SessionRng, Value};
 use plaway_sql::ast::BinOp;
 
 use crate::catalog::{Catalog, Index, Row};
-use crate::config::{EngineConfig, TierMode};
 use crate::exec::{EvalEnv, FixCell, Retention, Rotation, RuntimeStats};
 use crate::functions::{eval_scalar, like_match};
 use crate::ir::{ExprIr, PlanNode};
@@ -1226,8 +1225,8 @@ impl Compiler {
 // The compiled program, recognition, and binding
 
 /// A monomorphized fixpoint transition, attached to
-/// [`crate::ir::CtePlan::Recursive`] at prepare time and shared (with its
-/// hotness counter) through the plan cache.
+/// [`crate::ir::CtePlan::Recursive`] at prepare time and shared through
+/// the plan cache. It holds no execution state: every run binds its own.
 pub struct TierProgram {
     width: usize,
     produce: RowProducer,
@@ -1235,10 +1234,6 @@ pub struct TierProgram {
     pred_slot: Option<usize>,
     binds: Vec<BindSpec>,
     probes: Vec<ProbeTarget>,
-    /// VM iterations executed so far, across every execution of every
-    /// cached clone of the owning plan (hence atomic: plans are shared
-    /// across sessions).
-    hotness: AtomicU64,
 }
 
 impl fmt::Debug for TierProgram {
@@ -1248,7 +1243,6 @@ impl fmt::Debug for TierProgram {
             .field("pred_slot", &self.pred_slot)
             .field("binds", &self.binds.len())
             .field("probes", &self.probes.len())
-            .field("hotness", &self.hotness.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -1306,13 +1300,12 @@ pub fn recognize(index: usize, recursive: &PlanNode, union_all: bool) -> Option<
         pred_slot,
         binds: c.binds,
         probes: c.probes,
-        hotness: AtomicU64::new(0),
     })
 }
 
 /// Resolve bind-time state: captured outer cells and probe targets. `None`
-/// (an unconvertible outer value, a vanished index) permanently pins the
-/// transition to the VM for this statement.
+/// (an unconvertible outer value, a vanished index) leaves the transition
+/// in the VM for this statement.
 fn bind<'c>(prog: &TierProgram, env: &EvalEnv<'_>, catalog: &'c Catalog) -> Option<TierBound<'c>> {
     let mut binds = Vec::with_capacity(prog.binds.len());
     for spec in &prog.binds {
@@ -1339,108 +1332,6 @@ fn bind<'c>(prog: &TierProgram, env: &EvalEnv<'_>, catalog: &'c Catalog) -> Opti
 }
 
 // ---------------------------------------------------------------------------
-// Promotion gate
-
-/// Per-execution tier state for one fixpoint: owns the promotion decision,
-/// the bound closures, and the hotness bookkeeping. Created by
-/// `exec_recursive_cte` whether or not a program was recognized.
-pub(crate) struct TierGate<'p, 'c> {
-    prog: Option<&'p TierProgram>,
-    bound: Option<TierBound<'c>>,
-    catalog: &'c Catalog,
-    mode: TierMode,
-    threshold: u64,
-    promoted_at: Option<u64>,
-    dead: bool,
-}
-
-impl<'p, 'c> TierGate<'p, 'c> {
-    pub(crate) fn new(
-        prog: Option<&'p TierProgram>,
-        config: &EngineConfig,
-        catalog: &'c Catalog,
-    ) -> Self {
-        let mode = config.tier_mode;
-        TierGate {
-            // Plans are cache-keyed by tier mode, but belt-and-braces:
-            // ForceOff never executes mono even if handed a program.
-            prog: if mode == TierMode::ForceOff {
-                None
-            } else {
-                prog
-            },
-            bound: None,
-            catalog,
-            mode,
-            threshold: config.tier_promote_threshold,
-            promoted_at: None,
-            dead: false,
-        }
-    }
-
-    /// Promote when hot: `ForceOn` before the first iteration, `Auto` once
-    /// the shared hotness counter reaches the threshold. A failed bind
-    /// pins the fixpoint to the VM for the rest of the statement.
-    pub(crate) fn try_promote(&mut self, env: &EvalEnv<'_>, iters: u64, stats: &mut RuntimeStats) {
-        if self.dead || self.bound.is_some() {
-            return;
-        }
-        let Some(prog) = self.prog else { return };
-        let hot = match self.mode {
-            TierMode::ForceOn => true,
-            TierMode::Auto => prog.hotness.load(Ordering::Relaxed) >= self.threshold,
-            TierMode::ForceOff => false,
-        };
-        if !hot {
-            return;
-        }
-        match bind(prog, env, self.catalog) {
-            Some(b) => {
-                self.bound = Some(b);
-                self.promoted_at.get_or_insert(iters);
-                stats.tier.tier_promotions += 1;
-            }
-            None => self.dead = true,
-        }
-    }
-
-    /// The active mono program, when promoted.
-    pub(crate) fn mono(&self) -> Option<(&'p TierProgram, &TierBound<'c>)> {
-        Some((self.prog?, self.bound.as_ref()?))
-    }
-
-    /// A row demoted: back to the VM for the rest of the statement.
-    pub(crate) fn demote(&mut self) {
-        self.bound = None;
-        self.dead = true;
-    }
-
-    /// Count one VM iteration toward promotion.
-    pub(crate) fn tick(&mut self) {
-        if self.dead || self.bound.is_some() {
-            return;
-        }
-        if let Some(p) = self.prog {
-            p.hotness.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The tier this fixpoint ended the execution in.
-    pub(crate) fn label(&self) -> &'static str {
-        if self.bound.is_some() {
-            "mono"
-        } else {
-            "vm"
-        }
-    }
-
-    /// VM iteration count at which promotion happened, if it did.
-    pub(crate) fn promoted_at(&self) -> Option<u64> {
-        self.promoted_at
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The mono step
 
 impl FixCell for TCell {
@@ -1452,21 +1343,36 @@ impl FixCell for TCell {
     }
 }
 
-/// A promoted fixpoint's typed working set: the mono tier's row buffers and
-/// let-chain register scratch, kept across iterations so rows stay typed
-/// from promotion until the fixpoint drains or demotes.
-pub(crate) struct MonoRows {
+/// A fixpoint running in the mono tier: its program, the captures and
+/// probe targets bound for this execution, and the typed working set with
+/// its let-chain register scratch. Rows stay typed from fixpoint entry
+/// until the working set drains or a row demotes.
+pub(crate) struct MonoRows<'p, 'c> {
+    prog: &'p TierProgram,
+    bound: TierBound<'c>,
     pub(crate) bufs: Rotation<TCell>,
     scratch: Vec<TRegs>,
 }
 
-impl MonoRows {
-    /// Take over the VM's working set. `None` (a float or record cell)
-    /// leaves it with the VM.
-    pub(crate) fn enter(prog: &TierProgram, vm: &mut Rotation<Value>) -> Option<MonoRows> {
+impl<'p, 'c> MonoRows<'p, 'c> {
+    /// Promote a fixpoint at entry: bind the program's captures and take
+    /// over the VM's base working set. `None` (a capture or base cell
+    /// outside the typed domain, a vanished index) leaves the fixpoint in
+    /// the VM for the statement.
+    pub(crate) fn enter(
+        prog: &'p TierProgram,
+        env: &EvalEnv<'_>,
+        catalog: &'c Catalog,
+        vm: &mut Rotation<Value>,
+        stats: &mut RuntimeStats,
+    ) -> Option<Self> {
+        let bound = bind(prog, env, catalog)?;
         let cur = to_typed(&vm.cur, prog.width)?;
         vm.cur.clear();
+        stats.tier.tier_promotions += 1;
         Some(MonoRows {
+            prog,
+            bound,
             bufs: Rotation::new(cur),
             scratch: chain_scratch(&prog.produce),
         })
@@ -1484,13 +1390,11 @@ impl MonoRows {
     /// set as it was, for the VM to re-run the iteration.
     pub(crate) fn step(
         &mut self,
-        prog: &TierProgram,
-        bound: &TierBound<'_>,
         retention: &mut Retention,
         stats: &mut RuntimeStats,
     ) -> std::result::Result<u64, Demote> {
         let mut local = TierRowStats::default();
-        let scratch = &mut self.scratch;
+        let (prog, bound, scratch) = (self.prog, &self.bound, &mut self.scratch);
         let kept = retention.step_rows(&mut self.bufs, prog.pred_slot, |row, pool| {
             mono_row(prog, bound, row, pool, &mut local, scratch)
         })?;
@@ -1588,13 +1492,6 @@ mod tests {
             .expect("counter transition is in the tier grammar")
     }
 
-    fn empty_bound() -> TierBound<'static> {
-        TierBound {
-            binds: Vec::new(),
-            probes: Vec::new(),
-        }
-    }
-
     /// How a mono run ended.
     enum MonoOutcome {
         /// The working set drained.
@@ -1614,17 +1511,18 @@ mod tests {
         iters: &mut u64,
         stats: &mut RuntimeStats,
     ) -> (MonoOutcome, Vec<Row>, Vec<Row>) {
-        let bound = empty_bound();
+        let catalog = Catalog::new();
         let mut vm = Rotation::new(working);
         let mut retention = Retention::IterateOnly;
-        let Some(mut mono) = MonoRows::enter(prog, &mut vm) else {
+        let Some(mut mono) = MonoRows::enter(prog, &EvalEnv::EMPTY, &catalog, &mut vm, stats)
+        else {
             return (MonoOutcome::Demoted, vm.cur, vm.prev);
         };
         let outcome = loop {
             if mono.bufs.cur.is_empty() {
                 break MonoOutcome::Finished;
             }
-            let Ok(kept) = mono.step(prog, &bound, &mut retention, stats) else {
+            let Ok(kept) = mono.step(&mut retention, stats) else {
                 break MonoOutcome::Demoted;
             };
             retention.keep(&mut mono.bufs);
@@ -1752,48 +1650,129 @@ mod tests {
         assert_eq!(iters, 1);
     }
 
-    #[test]
-    fn gate_promotes_at_exactly_the_threshold() {
-        let prog = recognized();
-        let catalog = Catalog::new();
-        let mut config = EngineConfig::raw();
-        config.tier_mode = TierMode::Auto;
-        config.tier_promote_threshold = 3;
-        let mut gate = TierGate::new(Some(&prog), &config, &catalog);
-        let env = EvalEnv::EMPTY;
-        let mut stats = RuntimeStats::default();
-        for ticks in 0..3u64 {
-            gate.try_promote(&env, ticks, &mut stats);
-            assert!(gate.mono().is_none(), "below threshold after {ticks} ticks");
-            gate.tick();
-        }
-        gate.try_promote(&env, 3, &mut stats);
-        assert!(gate.mono().is_some());
-        assert_eq!(gate.promoted_at(), Some(3));
-        assert_eq!(gate.label(), "mono");
-        assert_eq!(stats.tier.tier_promotions, 1);
-        // Demotion pins the VM and never re-promotes.
-        gate.demote();
-        assert_eq!(gate.label(), "vm");
-        gate.try_promote(&env, 4, &mut stats);
-        assert!(gate.mono().is_none());
-        assert_eq!(stats.tier.tier_promotions, 1);
+    /// Run `WITH RECURSIVE r AS (base UNION ALL transition) SELECT * FROM
+    /// r` through the real fixpoint driver, planned the way `prepare` plans
+    /// it, and return the rows and the counters it added.
+    fn run_fixpoint(
+        body: ExprIr,
+        base: Vec<Value>,
+        params: &[Value],
+        mode: crate::config::TierMode,
+    ) -> (Vec<Row>, RuntimeStats) {
+        let base = PlanNode::Values {
+            rows: vec![base.into_iter().map(ExprIr::Const).collect()],
+        };
+        let mut plan = PlanNode::With {
+            ctes: vec![crate::ir::CtePlan::Recursive {
+                index: 0,
+                base,
+                recursive: transition_plan(body, ExprIr::slot(1)),
+                mode: crate::ir::RecursionMode::Accumulate,
+                union_all: true,
+                tier: None,
+            }],
+            body: Box::new(PlanNode::CteScan { index: 0 }),
+        };
+        crate::vm::precompile_plan(&mut plan, false);
+        let mut config = crate::EngineConfig::raw();
+        config.tier_mode = mode;
+        let mut session = crate::Session::new(config);
+        let env = EvalEnv {
+            scopes: None,
+            params,
+        };
+        let rows = crate::exec::exec(&plan, &env, &mut session.runtime()).unwrap();
+        (rows, session.stats)
     }
 
     #[test]
-    fn force_off_gate_never_promotes() {
-        let prog = recognized();
-        let catalog = Catalog::new();
-        let mut config = EngineConfig::raw();
-        config.tier_mode = TierMode::ForceOff;
-        let mut gate = TierGate::new(Some(&prog), &config, &catalog);
-        let mut stats = RuntimeStats::default();
-        for _ in 0..500 {
-            gate.tick();
-        }
-        gate.try_promote(&EvalEnv::EMPTY, 500, &mut stats);
-        assert!(gate.mono().is_none());
-        assert_eq!(gate.label(), "vm");
+    fn fixpoints_promote_at_entry_or_stay_in_the_vm() {
+        use crate::config::TierMode;
+        let start = || vec![Value::Int(0), Value::Bool(true)];
+
+        // A recognized program promotes before iteration 1: the mono tier
+        // keeps every transition row, the VM none. `ForceOff` is the
+        // reference.
+        let (want, vm) = run_fixpoint(counter_body(), start(), &[], TierMode::ForceOff);
+        assert_eq!((vm.tier.tier_promotions, vm.fused_transition_rows), (0, 11));
+        let (got, mono) = run_fixpoint(counter_body(), start(), &[], TierMode::Auto);
+        assert_eq!(got, want);
+        assert_eq!(mono.recursive_iterations, vm.recursive_iterations);
+        assert_eq!(mono.tier.tier_promotions, 1);
+        assert_eq!(
+            (mono.tier.tier_mono_rows, mono.fused_transition_rows),
+            (11, 0)
+        );
+
+        // A failed bind pins the VM: a float parameter has no typed cell.
+        let add_param = ExprIr::Row(vec![
+            ExprIr::Binary {
+                op: BinOp::Add,
+                left: Box::new(ExprIr::slot(0)),
+                right: Box::new(ExprIr::Param(0)),
+            },
+            ExprIr::Binary {
+                op: BinOp::Lt,
+                left: Box::new(ExprIr::slot(0)),
+                right: Box::new(ExprIr::Const(Value::Int(10))),
+            },
+        ]);
+        let float = [Value::Float(2.5)];
+        let (rows, stats) = run_fixpoint(add_param.clone(), start(), &float, TierMode::Auto);
+        assert_eq!(rows.len(), 6);
         assert_eq!(stats.tier.tier_promotions, 0);
+        assert_eq!(
+            (stats.tier.tier_mono_rows, stats.fused_transition_rows),
+            (0, 5)
+        );
+        // The same program promotes once its capture binds.
+        let (_, stats) = run_fixpoint(add_param, start(), &[Value::Int(2)], TierMode::Auto);
+        assert_eq!(stats.tier.tier_promotions, 1);
+
+        // A demotion pins the VM. ROW(c + CAST(CASE WHEN c = 3 THEN
+        // sqrt(c + 1) ELSE 1 END AS int), c < 10) meets its one float on
+        // iteration 4, which the VM re-runs; every later row is typed
+        // again, yet the fixpoint never re-promotes.
+        let detour = ExprIr::Row(vec![
+            ExprIr::Binary {
+                op: BinOp::Add,
+                left: Box::new(ExprIr::slot(0)),
+                right: Box::new(ExprIr::Cast {
+                    expr: Box::new(ExprIr::Case {
+                        operand: None,
+                        branches: vec![(
+                            ExprIr::Binary {
+                                op: BinOp::Eq,
+                                left: Box::new(ExprIr::slot(0)),
+                                right: Box::new(ExprIr::Const(Value::Int(3))),
+                            },
+                            ExprIr::Scalar {
+                                func: crate::ir::ScalarFn::Sqrt,
+                                args: vec![ExprIr::Binary {
+                                    op: BinOp::Add,
+                                    left: Box::new(ExprIr::slot(0)),
+                                    right: Box::new(ExprIr::Const(Value::Int(1))),
+                                }],
+                            },
+                        )],
+                        else_: Some(Box::new(ExprIr::Const(Value::Int(1)))),
+                    }),
+                    ty: plaway_common::Type::Int,
+                }),
+            },
+            ExprIr::Binary {
+                op: BinOp::Lt,
+                left: Box::new(ExprIr::slot(0)),
+                right: Box::new(ExprIr::Const(Value::Int(10))),
+            },
+        ]);
+        let (want, vm) = run_fixpoint(detour.clone(), start(), &[], TierMode::ForceOff);
+        let (got, stats) = run_fixpoint(detour, start(), &[], TierMode::Auto);
+        assert_eq!(got, want);
+        // 0 → 1 → 2 → 3 in mono; 3 → 5 → … → 11 in the VM.
+        assert_eq!(stats.tier.tier_promotions, 1);
+        assert_eq!(stats.tier.tier_mono_rows, 3);
+        assert_eq!(stats.fused_transition_rows, vm.fused_transition_rows - 3);
+        assert_eq!(stats.recursive_iterations, vm.recursive_iterations);
     }
 }

@@ -76,7 +76,7 @@ fn differential_reader(
 /// DDL/DML churn until stopped: every commit publishes a new catalog
 /// snapshot under the readers, and every `CREATE OR REPLACE` also
 /// invalidates the shared plan cache, while the DML keeps the readers'
-/// plans (and their tier hotness) across snapshots.
+/// plans across snapshots.
 fn churn(db: &Arc<Database>, stop: &AtomicBool) -> u64 {
     let mut session = db.session();
     let mut i = 0i64;
@@ -307,9 +307,8 @@ fn racing_sessions_metrics_merge_exactly() {
         (READER_THREADS * STRESS_ITERS * 2) as u64,
         "sanity: every thread ran 2 statements per iteration"
     );
-    // The fixpoints must have executed somewhere: in the Value VM, or —
-    // when the tier-matrix lane pins PLAWAY_TIER_MODE=force_on — in the
-    // typed mono tier, where no VM ops run at all.
+    // The fixpoints must have executed somewhere: in the Value VM, or in
+    // the typed mono tier, where no VM ops run at all.
     assert!(sum.recursive_iterations > 0);
     assert!(sum.vm_ops_executed > 0 || sum.tier_promotions > 0);
     assert!(sum.memo_hits > 0 && sum.memo_misses > 0);

@@ -24,8 +24,8 @@ fn case_seeds(meta_seed: u64, cases: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Check one generated program in every compiled mode; returns the
-/// session's `Memoize` hits.
+/// Check one generated program in every compiled mode, in both tier
+/// modes; returns the default session's `Memoize` hits.
 fn run_differential(seed: u64, cfg: GenConfig) -> u64 {
     let mut session = Session::default();
     genprog::install_fixture(&mut session).unwrap();
@@ -40,6 +40,12 @@ fn run_differential(seed: u64, cfg: GenConfig) -> u64 {
         .call(&mut session, &prog.name, &prog.args)
         .unwrap_or_else(|e| panic!("seed {seed}: interpreter failed: {e}\n{}", prog.source));
 
+    // Each compiled mode runs in the default session, which runs
+    // recognized fixpoint transitions in the mono tier, and again in a
+    // `ForceOff` session on the same database, which keeps them in the VM.
+    // Both prepare the same cached plan and must agree bit for bit.
+    let mut vm_only = Session::attach(session.database());
+    vm_only.config.tier_mode = TierMode::ForceOff;
     for options in [
         CompileOptions::default(),
         CompileOptions::iterate(),
@@ -51,18 +57,32 @@ fn run_differential(seed: u64, cfg: GenConfig) -> u64 {
     ] {
         let compiled = compile_sql(&session.catalog, &prog.source, options)
             .unwrap_or_else(|e| panic!("seed {seed}: compilation failed: {e}\n{}", prog.source));
-        let got = compiled.run(&mut session, &prog.args).unwrap_or_else(|e| {
-            panic!(
-                "seed {seed}: compiled execution failed: {e}\n--- source ---\n{}\n--- sql ---\n{}",
+        let mut renderings = Vec::new();
+        for s in [&mut session, &mut vm_only] {
+            let tier = s.config.tier_mode;
+            let got = compiled.run(s, &prog.args).unwrap_or_else(|e| {
+                panic!(
+                    "seed {seed} tier {tier:?}: compiled execution failed: {e}\n--- source ---\n{}\n--- sql ---\n{}",
+                    prog.source, compiled.sql
+                )
+            });
+            assert_eq!(
+                got, reference,
+                "seed {seed} mode {options:?} tier {tier:?}\n--- source ---\n{}\n--- sql ---\n{}",
                 prog.source, compiled.sql
-            )
-        });
+            );
+            renderings.push(format!("{got:?}"));
+        }
         assert_eq!(
-            got, reference,
-            "seed {seed} mode {options:?}\n--- source ---\n{}\n--- sql ---\n{}",
-            prog.source, compiled.sql
+            renderings[0], renderings[1],
+            "seed {seed} mode {options:?}: tiers diverged\n{}",
+            prog.source
         );
     }
+    assert_eq!(
+        vm_only.metrics.tier_promotions, 0,
+        "seed {seed}: ForceOff promoted"
+    );
     session.stats.memo_hits
 }
 

@@ -9,8 +9,10 @@
 //! engine's work alone must leave this file alone; one that moves a counter
 //! regenerates it and names each changed line.
 //!
-//! The tier policy is set explicitly to `Auto`: the config presets read
-//! `PLAWAY_TIER_MODE`, and the CI tier-matrix lane sets it.
+//! Under the default tier policy, `Auto`, the eight sections that run a
+//! recognized transition (`parse`, `fibonacci` and `checked_sum` in both
+//! constructs, and both batches) run it in the mono tier from the first
+//! iteration, so their kept rows show as `tier_mono_rows`.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -30,13 +32,6 @@ use plsql_away::engine::RuntimeStats;
 use plsql_away::prelude::*;
 
 const GOLDEN: &str = "engine_counters.snap";
-
-/// The raw preset (no modeled penalty spins) with the tier policy pinned.
-fn config() -> EngineConfig {
-    let mut config = EngineConfig::raw();
-    config.tier_mode = TierMode::Auto;
-    config
-}
 
 type Kernel = (&'static str, fn(EngineConfig) -> BenchSetup, Vec<Value>);
 
@@ -66,7 +61,7 @@ fn snapshot() -> String {
             ("recursive", CompileOptions::default()),
             ("iterate", CompileOptions::iterate()),
         ] {
-            let mut b = setup(config());
+            let mut b = setup(EngineConfig::raw());
             b.session.set_seed(1);
             let compiled = b.compile(options).unwrap();
             let before = b.session.stats;
@@ -90,7 +85,7 @@ fn snapshot() -> String {
         ),
         ("checked_sum", setup_checked, batch_checked_calls(64)),
     ] {
-        let mut b = setup(config());
+        let mut b = setup(EngineConfig::raw());
         b.session.set_seed(1);
         let compiled = b.compile(CompileOptions::iterate()).unwrap();
         let before = b.session.stats;

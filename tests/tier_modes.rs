@@ -2,45 +2,45 @@
 //! monomorphized tier (DESIGN.md §7):
 //!
 //! > For any program, executing its fixpoint transitions in the typed
-//! > mono tier (`ForceOn`), in the VM (`ForceOff`), or under hotness
-//! > promotion (`Auto`) produces *bit-identical* results.
+//! > mono tier wherever one was recognized (`Auto`, the default) or in
+//! > the VM only (`ForceOff`) produces *bit-identical* results.
 //!
 //! The sweep covers generated programs (`genprog`, same seed space as the
 //! other differential suites), all six paper kernels, and hand-written
-//! functions that exercise the fallback edges: RAISE-unwind bodies that
-//! must never be promoted (volatile transitions are rejected at
-//! recognition time) and float-bearing rows that must demote back to the
-//! VM mid-execution without consuming the in-flight iteration.
+//! functions that exercise the fallback edges: NULL-carrying rows the
+//! typed tier must run natively, float-bearing base rows that keep a
+//! fixpoint in the VM, and a builtin error that demotes mid-execution
+//! without consuming the in-flight iteration.
 //!
 //! Bit-identical is pinned by comparing the `Debug` rendering of results
 //! (which distinguishes float bit patterns `PartialEq` may conflate), and
-//! the sweep is only evidence if the forced tier actually promoted — the
+//! the sweep is only evidence if `Auto` actually promoted — the
 //! promotion counters are asserted alongside the results.
+
+use std::sync::Arc;
 
 use plsql_away::prelude::*;
 use plsql_away::workloads::genprog::{self, GenConfig};
 
 /// A session whose engine runs fixpoints under the given tier policy,
-/// over its own private database. The promotion threshold is lowered so
-/// `Auto` flips tiers mid-run even on short fixpoints — the VM→mono
-/// handoff (prev/working ownership) is exactly what the sweep stresses.
+/// over its own private database.
 fn session_with_tier(mode: TierMode) -> Session {
     let mut config = EngineConfig::postgres_like();
     config.tier_mode = mode;
-    config.tier_promote_threshold = 4;
     Session::new(config)
 }
 
-const MODES: [TierMode; 3] = [TierMode::ForceOff, TierMode::Auto, TierMode::ForceOn];
+/// `ForceOff` first: it is the reference every sweep compares `Auto` to.
+const MODES: [TierMode; 2] = [TierMode::ForceOff, TierMode::Auto];
 
 /// Tier modes on every generated program: interpretation is the reference,
 /// and the compiled fixpoint must agree with it — and with itself across
-/// all three tier policies — bit for bit.
+/// both tier policies — bit for bit.
 #[test]
 fn tier_modes_are_bit_identical_on_generated_programs() {
     let mut rng = SessionRng::new(0x71E5);
     let seeds: Vec<u64> = (0..24).map(|_| rng.next_range(0, 99_999) as u64).collect();
-    let mut force_on_promotions = 0u64;
+    let mut auto_promotions = 0u64;
     for seed in seeds {
         let mut reference: Option<String> = None;
         for mode in MODES {
@@ -88,24 +88,22 @@ fn tier_modes_are_bit_identical_on_generated_programs() {
                     session.metrics.tier_promotions, 0,
                     "seed {seed}: ForceOff must never promote"
                 ),
-                TierMode::ForceOn => force_on_promotions += session.metrics.tier_promotions,
-                TierMode::Auto => {}
+                TierMode::Auto => auto_promotions += session.metrics.tier_promotions,
             }
         }
     }
-    // The sweep is only evidence if the forced tier actually ran mono.
+    // The sweep is only evidence if the mono tier actually ran.
     assert!(
-        force_on_promotions > 0,
-        "ForceOn sweep never promoted a generated transition"
+        auto_promotions > 0,
+        "Auto sweep never promoted a generated transition"
     );
 }
 
 /// Tier modes on all six paper kernels, in both CTE modes. `walk` draws
 /// from `random()` — a volatile transition the recognizer must refuse —
-/// so its sessions are re-seeded before every run; `checked` unwinds
-/// RAISE through EXCEPTION arms per iteration and must likewise stay in
-/// the VM while still matching bit for bit. Iteration counts and kept
-/// transition rows must match too, whichever tier ran each iteration.
+/// so its sessions are re-seeded before every run. Iteration counts and
+/// kept transition rows must match too, whichever tier ran each
+/// iteration.
 #[test]
 fn tier_modes_are_bit_identical_on_all_kernels() {
     use plaway_bench::{
@@ -129,7 +127,6 @@ fn tier_modes_are_bit_identical_on_all_kernels() {
             for mode in MODES {
                 let mut config = EngineConfig::postgres_like();
                 config.tier_mode = mode;
-                config.tier_promote_threshold = 4;
                 let mut b = setup(config);
                 name = b.fn_name;
                 let compiled = b.compile(options).unwrap();
@@ -158,17 +155,16 @@ fn tier_modes_are_bit_identical_on_all_kernels() {
                         b.session.metrics.tier_promotions, 0,
                         "{name}: ForceOff must never promote"
                     ),
-                    TierMode::ForceOn => {
+                    TierMode::Auto => {
                         // The two gated bench kernels must actually run mono
                         // here — otherwise the bench claim has no witness.
                         if matches!(name, "fibonacci" | "parse") {
                             assert!(
                                 b.session.metrics.tier_promotions > 0,
-                                "{name} cte {options:?}: ForceOn never promoted"
+                                "{name} cte {options:?}: Auto never promoted"
                             );
                         }
                     }
-                    TierMode::Auto => {}
                 }
             }
             assert!(!name.is_empty());
@@ -181,9 +177,8 @@ fn tier_modes_are_bit_identical_on_all_kernels() {
 /// * `nully` drives a NULL through the accumulator mid-fixpoint — the
 ///   typed tier carries NULL natively and must reproduce exact 3VL;
 /// * `floaty` makes the working set carry a float column, which the typed
-///   domain cannot represent: the transition promotes, then demotes back
-///   to the VM on its first row conversion, and the VM re-runs the
-///   in-flight iteration as if the promotion never happened.
+///   domain cannot represent: its base row fails the conversion at
+///   fixpoint entry, so the whole fixpoint runs in the VM.
 #[test]
 fn null_and_float_rows_match_the_vm_bit_for_bit() {
     const NULLY: &str = "CREATE FUNCTION nully(n int) RETURNS int AS $$
@@ -263,28 +258,24 @@ fn builtin_errors_reraise_in_every_tier() {
                 assert_eq!(got, want, "n {n} tier {mode:?} cte {options:?}");
             }
         }
-        if mode == TierMode::ForceOn {
-            assert!(
-                session.metrics.tier_promotions > 0,
-                "ForceOn never promoted"
-            );
+        if mode == TierMode::Auto {
+            assert!(session.metrics.tier_promotions > 0, "Auto never promoted");
         }
     }
 }
 
-/// EXPLAIN ANALYZE reports the executing tier per fixpoint: `Auto` with a
-/// low threshold promotes mid-run and renders `tier=mono` with the
-/// promotion iteration; `ForceOff` stays `tier=vm` with no promotion tag.
+/// EXPLAIN ANALYZE reports the executing tier per fixpoint: `Auto`
+/// promotes at fixpoint entry, so even the first run of a fresh plan
+/// renders `tier=mono`; `ForceOff` stays `tier=vm`.
 #[test]
 fn explain_analyze_renders_the_executing_tier() {
     use plaway_bench::{fib_args, setup_fib};
     for (mode, needle, forbidden) in [
-        (TierMode::Auto, "tier=mono promoted_at=", "tier=vm"),
+        (TierMode::Auto, "tier=mono", "tier=vm"),
         (TierMode::ForceOff, "tier=vm", "tier=mono"),
     ] {
         let mut config = EngineConfig::postgres_like();
         config.tier_mode = mode;
-        config.tier_promote_threshold = 4;
         let mut b = setup_fib(config);
         let compiled = b.compile(CompileOptions::iterate()).unwrap();
         let plan = compiled.prepare(&mut b.session).unwrap();
@@ -311,8 +302,8 @@ fn explain_analyze_renders_the_executing_tier() {
 /// The fixpoint counters that must not depend on the executing tier: the
 /// iteration count, the batch working-set counters, and the rows the
 /// transition kept — counted by the VM as `fused_transition_rows` and by
-/// the mono tier as `tier_mono_rows`, so under `Auto` (which switches
-/// tiers mid-run) only their sum is tier-independent.
+/// the mono tier as `tier_mono_rows`. A demotion switches tiers mid-run,
+/// so only their sum is tier-independent.
 fn tier_free_counters(session: &Session, before: &plsql_away::engine::RuntimeStats) -> [u64; 4] {
     let d = session.stats.delta_since(before);
     [
@@ -324,14 +315,13 @@ fn tier_free_counters(session: &Session, before: &plsql_away::engine::RuntimeSta
 }
 
 /// The batch trampoline (under `CteMode::Iterate`, one `WITH RETIRE`
-/// fixpoint over a whole input table) under every tier policy, three
-/// statements per session: fibonacci must promote under `ForceOn` and
-/// reach the mono retire path, while `checked`, whose transition unwinds
-/// RAISE, must stay in the VM. Staging a batch is a data commit, so
-/// statements 2 and 3 hit the plan statement 1 cached, and under `Auto`
-/// the hotness stored in that plan carries fibonacci into mono before
-/// statement 2's first transition. Results are bit-identical and the
-/// fixpoint counters equal across policies, statement by statement.
+/// fixpoint over a whole input table) under both tier policies, three
+/// statements per session. Staging a batch is a data commit, so
+/// statements 2 and 3 hit the plan statement 1 cached. Under `Auto` every
+/// statement of both kernels promotes at fixpoint entry and runs its
+/// whole fixpoint on the mono retire path; under `ForceOff` none does.
+/// Results are bit-identical and the fixpoint counters equal across
+/// policies, statement by statement.
 #[test]
 fn batch_trampoline_is_bit_identical_across_tiers() {
     use plaway_bench::{checked_args, setup_checked, setup_fib};
@@ -353,7 +343,6 @@ fn batch_trampoline_is_bit_identical_across_tiers() {
         for mode in MODES {
             let mut config = EngineConfig::postgres_like();
             config.tier_mode = mode;
-            config.tier_promote_threshold = 4;
             let mut b = setup(config);
             let name = b.fn_name;
             let compiled = b.compile(CompileOptions::iterate()).unwrap();
@@ -373,12 +362,16 @@ fn batch_trampoline_is_bit_identical_across_tiers() {
                         "{name} batch tier {mode:?} #{stmt}: staging must not re-plan"
                     );
                 }
-                if (name, mode, stmt) == ("fibonacci", TierMode::Auto, 2) {
-                    let d = s.stats.delta_since(&before);
-                    assert!(
-                        d.tier.tier_promotions > 0 && d.fused_transition_rows == 0,
-                        "fibonacci batch #2: Auto must start in mono ({d:?})"
-                    );
+                let d = s.stats.delta_since(&before);
+                match mode {
+                    TierMode::Auto => assert!(
+                        d.tier.tier_promotions == 1 && d.fused_transition_rows == 0,
+                        "{name} batch #{stmt}: Auto must run the whole fixpoint in mono ({d:?})"
+                    ),
+                    TierMode::ForceOff => assert!(
+                        d.tier.tier_promotions == 0 && d.tier.tier_mono_rows == 0,
+                        "{name} batch #{stmt}: ForceOff must stay in the VM ({d:?})"
+                    ),
                 }
                 if let Some(want) = expected {
                     assert_eq!(counters, want, "{name} batch tier {mode:?} #{stmt}");
@@ -387,13 +380,16 @@ fn batch_trampoline_is_bit_identical_across_tiers() {
             }
             let promotions = b.session.metrics.tier_promotions;
             match (name, mode) {
-                ("fibonacci", TierMode::ForceOn) => {
-                    assert!(promotions > 0, "fibonacci batch: ForceOn never promoted")
+                ("fibonacci" | "checked_sum", TierMode::Auto) => {
+                    assert_eq!(
+                        promotions, 3,
+                        "{name} batch: Auto must promote every statement"
+                    )
                 }
-                ("checked", _) | (_, TierMode::ForceOff) => {
+                (_, TierMode::ForceOff) => {
                     assert_eq!(promotions, 0, "{name} batch tier {mode:?} promoted")
                 }
-                _ => {}
+                _ => panic!("{name}: no promotion expectation for this kernel"),
             }
             match &reference {
                 None => reference = Some(statements),
@@ -427,9 +423,43 @@ fn mono_tier_enforces_the_iteration_limit() {
                 err.to_string().contains(&want),
                 "tier {mode:?} cte {options:?}: {err}"
             );
-            if mode == TierMode::ForceOn {
+            if mode == TierMode::Auto {
                 assert!(b.session.metrics.tier_promotions > 0, "cte {options:?}");
             }
         }
     }
+}
+
+/// Plans do not depend on the tier mode: a default session and a
+/// `ForceOff` session attached to one database share the compiled
+/// fibonacci plan, the second prepare hitting the cache. Each session's
+/// tier mode alone decides where the fixpoint runs, and the results and
+/// tier-free counters agree.
+#[test]
+fn one_plan_serves_both_tier_modes() {
+    use plaway_bench::{fib_args, setup_fib};
+    let mut b = setup_fib(EngineConfig::postgres_like());
+    let mut off = Session::attach(b.session.database());
+    off.config.tier_mode = TierMode::ForceOff;
+    let compiled = b.compile(CompileOptions::iterate()).unwrap();
+    let auto_plan = compiled.prepare(&mut b.session).unwrap();
+    let off_plan = compiled.prepare(&mut off).unwrap();
+    assert!(
+        Arc::ptr_eq(&auto_plan, &off_plan),
+        "the ForceOff session must reuse the default session's plan"
+    );
+    assert_eq!((off.plan_cache_hits, off.plan_cache_misses), (1, 0));
+
+    let mut runs = Vec::new();
+    for (session, plan) in [(&mut b.session, &auto_plan), (&mut off, &off_plan)] {
+        let before = session.stats;
+        let got = session.execute_prepared(plan, fib_args(90)).unwrap();
+        runs.push((
+            format!("{:?}", got.rows),
+            tier_free_counters(session, &before),
+        ));
+    }
+    assert_eq!(runs[0], runs[1], "tier modes diverged on one shared plan");
+    assert_eq!(b.session.metrics.tier_promotions, 1);
+    assert_eq!(off.metrics.tier_promotions, 0);
 }
