@@ -14,12 +14,20 @@
 //! constructs, and both batches) run it in the mono tier from the first
 //! iteration, so their kept rows show as `tier_mono_rows`.
 //!
+//! Allocations are exact too. The closing `== allocations` block counts
+//! the heap allocations (`alloc`, `alloc_zeroed` and `realloc` calls) of
+//! one warm `execute_prepared` per kernel, construct and tier mode. A
+//! counting global allocator keeps its count per thread, so tests running
+//! in parallel do not mix.
+//!
 //! To regenerate after an intentional change:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test engine_counters
 //! ```
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Write;
 use std::path::PathBuf;
 
@@ -32,6 +40,47 @@ use plsql_away::engine::RuntimeStats;
 use plsql_away::prelude::*;
 
 const GOLDEN: &str = "engine_counters.snap";
+
+thread_local! {
+    /// Heap allocations made by this thread. `const`-initialized and
+    /// without a destructor, so the allocator can touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every allocation on its thread.
+struct Counting;
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 type Kernel = (&'static str, fn(EngineConfig) -> BenchSetup, Vec<Value>);
 
@@ -100,7 +149,37 @@ fn snapshot() -> String {
             &stats,
         );
     }
+    allocation_block(&mut out);
     out
+}
+
+/// The allocations of one warm `execute_prepared` (after one untimed
+/// execute of the same plan) for every kernel × construct × tier mode.
+fn allocation_block(out: &mut String) {
+    writeln!(out, "== allocations").unwrap();
+    for (name, setup, args) in kernels() {
+        for (mode, options) in [
+            ("recursive", CompileOptions::default()),
+            ("iterate", CompileOptions::iterate()),
+        ] {
+            for (tier, tier_mode) in [("auto", TierMode::Auto), ("force_off", TierMode::ForceOff)] {
+                let mut b = setup(EngineConfig {
+                    tier_mode,
+                    ..EngineConfig::raw()
+                });
+                let plan = b.compile(options).unwrap().prepare(&mut b.session).unwrap();
+                b.session.set_seed(1);
+                b.session.execute_prepared(&plan, args.clone()).unwrap();
+                b.session.set_seed(1);
+                let params = args.clone();
+                let before = allocations();
+                let got = b.session.execute_prepared(&plan, params);
+                let n = allocations() - before;
+                got.unwrap_or_else(|e| panic!("{name} {mode} {tier}: {e}"));
+                writeln!(out, "{name} {mode} {tier}: {n}").unwrap();
+            }
+        }
+    }
 }
 
 #[test]
