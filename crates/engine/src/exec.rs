@@ -1,14 +1,21 @@
 //! Plan execution and expression evaluation.
 //!
-//! The executor is a materializing tree walker: each node returns its full
-//! row set. The runtime scope stack ([`Scopes`]) carries outer rows into
-//! correlated subqueries and `LATERAL` join arms, mirroring how the planner
-//! assigned `(depth, index)` slots.
+//! The executor is push-based: `exec_into` runs a node, which hands each
+//! row to a `Sink` until the sink answers `Flow::Stop`. Scans pass rows
+//! borrowed from their table, CTE, working table or memo entry; the rows
+//! that nodes build are owned and flow by value. Blocking nodes (sort,
+//! window, set operations, a memo miss) collect their input first. [`exec`]
+//! is the sink that collects everything, and the scalar, `EXISTS`, `IN`
+//! and `LIMIT` sinks stop as soon as they know their answer. The runtime
+//! scope stack ([`Scopes`]) carries outer rows into correlated subqueries
+//! and `LATERAL` join arms, mirroring how the planner assigned
+//! `(depth, index)` slots.
 //!
 //! Recursive CTEs are evaluated with PostgreSQL's working-table algorithm;
 //! the accumulated union goes through the accounting [`Tuplestore`] so that
 //! Table 2's buffer page writes fall out of ordinary execution.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -207,8 +214,8 @@ pub struct Runtime<'s> {
     /// snapshot expressions safe to exclude from memoization.
     pub snapshots: SnapshotStore,
     /// Per-node observation sink for EXPLAIN ANALYZE. `None` (the default)
-    /// keeps the hot path free of instrumentation; `Some` makes [`exec`]
-    /// wrap every node it dispatches with row/loop/ns accounting.
+    /// keeps the hot path free of instrumentation; `Some` makes the
+    /// executor wrap every node it dispatches with row/loop/ns accounting.
     pub analyze: Option<&'s mut crate::explain::AnalyzeState>,
 }
 
@@ -324,9 +331,11 @@ pub(crate) fn materialize_snapshot(
     env: &EvalEnv<'_>,
     rt: &mut Runtime<'_>,
 ) -> Result<Value> {
-    let rows = exec(plan, env, rt)?;
     let mut store = Tuplestore::new(rt.config.work_mem_bytes);
-    store.extend(rows);
+    exec_into(plan, env, rt, &mut |row, _| {
+        store.push(row.into_owned());
+        Ok(Flow::More)
+    })?;
     let rows = store.finish(rt.buffers);
     rt.stats.snapshots_materialized += 1;
     Ok(Value::Int(rt.snapshots.register(rows)))
@@ -420,53 +429,48 @@ pub(crate) fn apply_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-/// Fast path for the let-chain scalar sub-queries the PL/SQL compiler emits
-/// (`SELECT e FROM (SELECT e1) _0(v1) LEFT JOIN LATERAL (SELECT e2) ...`,
-/// planned as `Project[e] ∘ Extend* ∘ Result`): exactly one row by
-/// construction, so evaluate the chain into a single scratch row instead of
-/// driving the plan executor through five `Vec`s per evaluation. Returns
-/// `None` when the plan has any other shape.
-pub(crate) fn try_scalar_chain(
+/// Run a scalar sub-query: NULL when it returns no row, the one column of
+/// its one row otherwise. A second row fails at once, with PostgreSQL's
+/// text, without running the sub-plan further.
+pub(crate) fn exec_scalar(
     plan: &PlanNode,
     env: &EvalEnv<'_>,
     rt: &mut Runtime<'_>,
-) -> Result<Option<Value>> {
-    // Shape matching is shared with the VM's chain flattening so both fast
-    // paths accelerate (or skip) exactly the same plans.
-    let Some((first, extends, final_expr)) = crate::vm::chain_shape(plan) else {
-        return Ok(None);
-    };
-    // Evaluate exactly as Result → Extend* → Project would: the Result
-    // expressions see the outer environment; every later expression sees the
-    // row built so far pushed on the scope stack.
-    let mut letrow = eval_all(first, env, rt)?;
-    for exprs in extends {
-        extend_row(&mut letrow, exprs, env, rt)?;
-    }
-    let scopes = Scopes {
-        row: &letrow,
-        parent: env.scopes,
-    };
-    eval(final_expr, &env.with_row(&scopes), rt).map(Some)
+) -> Result<Value> {
+    let mut value = None;
+    exec_into(plan, env, rt, &mut |row, _| {
+        if value.is_some() {
+            return Err(Error::exec(
+                "more than one row returned by a subquery used as an expression",
+            ));
+        }
+        if row.len() != 1 {
+            return Err(Error::exec(format!(
+                "subquery must return one column, returned {}",
+                row.len()
+            )));
+        }
+        value = Some(match row {
+            Cow::Owned(mut row) => row.pop().expect("a one-column row"),
+            Cow::Borrowed(row) => row[0].clone(),
+        });
+        Ok(Flow::More)
+    })?;
+    Ok(value.unwrap_or(Value::Null))
 }
 
-pub(crate) fn scalar_from_rows(rows: Vec<Row>) -> Result<Value> {
-    match rows.len() {
-        0 => Ok(Value::Null),
-        1 => {
-            let row = rows.into_iter().next().unwrap();
-            if row.len() != 1 {
-                return Err(Error::exec(format!(
-                    "subquery must return one column, returned {}",
-                    row.len()
-                )));
-            }
-            Ok(row.into_iter().next().unwrap())
-        }
-        n => Err(Error::exec(format!(
-            "more than one row ({n}) returned by a subquery used as an expression"
-        ))),
-    }
+/// Does the sub-plan return a row? It stops at the first one.
+pub(crate) fn exec_exists(
+    plan: &PlanNode,
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+) -> Result<bool> {
+    let mut found = false;
+    exec_into(plan, env, rt, &mut |_, _| {
+        found = true;
+        Ok(Flow::Stop)
+    })?;
+    Ok(found)
 }
 
 pub(crate) fn call_sql_udf(name: &str, args: Vec<Value>, rt: &mut Runtime<'_>) -> Result<Value> {
@@ -499,7 +503,7 @@ pub(crate) fn call_sql_udf(name: &str, args: Vec<Value>, rt: &mut Runtime<'_>) -
         scopes: None,
         params: &args,
     };
-    let result = exec(&state, &env, rt).and_then(scalar_from_rows);
+    let result = exec_scalar(&state, &env, rt);
     drop(state);
     crate::penalty::charge_end_penalty(rt.config, rt.stats);
     rt.udf_depth -= 1;
@@ -509,49 +513,134 @@ pub(crate) fn call_sql_udf(name: &str, args: Vec<Value>, rt: &mut Runtime<'_>) -
 // ---------------------------------------------------------------------------
 // Plan execution
 
+/// A sink's answer to a row: send the next one, or stop producing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flow {
+    More,
+    Stop,
+}
+
+/// The consumer a plan node hands its rows to ([`exec_into`]). A row is
+/// borrowed from a table, a CTE, the working table or a memo entry, or
+/// owned, built by the node; a consumer copies a borrowed row only when it
+/// keeps or modifies it.
+pub(crate) type Sink<'k> = dyn FnMut(Cow<'_, [Value]>, &mut Runtime<'_>) -> Result<Flow> + 'k;
+
+/// Run `plan` to completion and collect its rows: for the session, CTE and
+/// memo materialization, and the fixpoint's base case and general arm.
 pub fn exec(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Vec<Row>> {
+    let mut rows = Vec::new();
+    exec_into(plan, env, rt, &mut |row, _| {
+        rows.push(row.into_owned());
+        Ok(Flow::More)
+    })?;
+    Ok(rows)
+}
+
+/// Run `plan`, pushing each row into `sink` until the sink or the plan
+/// stops. Returns [`Flow::Stop`] when a sink downstream stopped it.
+pub(crate) fn exec_into(
+    plan: &PlanNode,
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+    sink: &mut Sink<'_>,
+) -> Result<Flow> {
     if rt.analyze.is_none() {
-        return exec_node(plan, env, rt);
+        return exec_node(plan, env, rt, sink);
     }
-    // ANALYZE path: bracket the node with wall-clock and counter deltas.
-    // The map is keyed by plan-node address, which is stable for the whole
-    // execution (the plan sits behind an `Arc` and is never mutated).
+    // ANALYZE path: bracket the node with wall-clock and counter deltas,
+    // less the work its consumers did on the rows it pushed. The map is
+    // keyed by plan-node address, which is stable for the whole execution
+    // (the plan sits behind an `Arc` and is never mutated).
     let vm_ops_before = rt.stats.vm_ops_executed;
     let fused_before = rt.stats.fused_transition_rows;
     let started = std::time::Instant::now();
-    let result = exec_node(plan, env, rt);
-    let ns = started.elapsed().as_nanos() as u64;
-    let rows_out = result.as_ref().map(Vec::len).unwrap_or(0) as u64;
-    let vm_ops = rt.stats.vm_ops_executed - vm_ops_before;
-    let fused_rows = rt.stats.fused_transition_rows - fused_before;
+    let (mut rows, mut down_ns, mut down_ops, mut down_fused) = (0, 0, 0, 0);
+    let result = exec_node(plan, env, rt, &mut |row, rt| {
+        rows += 1;
+        let (t, ops, fused) = (
+            std::time::Instant::now(),
+            rt.stats.vm_ops_executed,
+            rt.stats.fused_transition_rows,
+        );
+        let flow = sink(row, rt);
+        down_ns += t.elapsed().as_nanos() as u64;
+        down_ops += rt.stats.vm_ops_executed - ops;
+        down_fused += rt.stats.fused_transition_rows - fused;
+        flow
+    });
+    let ns = (started.elapsed().as_nanos() as u64).saturating_sub(down_ns);
+    let vm_ops = rt.stats.vm_ops_executed - vm_ops_before - down_ops;
+    let fused_rows = rt.stats.fused_transition_rows - fused_before - down_fused;
     if let Some(state) = rt.analyze.as_deref_mut() {
-        state.record_node(plan, rows_out, ns, vm_ops, fused_rows);
+        state.record_node(plan, rows, ns, vm_ops, fused_rows);
     }
     result
 }
 
-fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Vec<Row>> {
-    match plan {
-        PlanNode::SeqScan { table } => {
-            let t = rt.catalog.table(table)?;
-            rt.stats.rows_scanned += t.rows.len() as u64;
-            Ok(t.rows.as_ref().clone())
+/// Hand borrowed rows to `sink` until it stops; `scanned` counts each one
+/// handed out in `rows_scanned`.
+fn push_rows<'r>(
+    rows: impl Iterator<Item = &'r Row>,
+    scanned: bool,
+    rt: &mut Runtime<'_>,
+    sink: &mut Sink<'_>,
+) -> Result<Flow> {
+    for row in rows {
+        rt.stats.rows_scanned += u64::from(scanned);
+        if sink(Cow::Borrowed(row), rt)? == Flow::Stop {
+            return Ok(Flow::Stop);
         }
+    }
+    Ok(Flow::More)
+}
+
+/// Hand rows a node built to `sink` until it stops.
+fn push_owned(rows: Vec<Row>, rt: &mut Runtime<'_>, sink: &mut Sink<'_>) -> Result<Flow> {
+    for row in rows {
+        if sink(Cow::Owned(row), rt)? == Flow::Stop {
+            return Ok(Flow::Stop);
+        }
+    }
+    Ok(Flow::More)
+}
+
+/// `row` as an owned row with room for `extra` more fields, copying it
+/// only when it is borrowed.
+fn owned_row(row: Cow<'_, [Value]>, extra: usize) -> Row {
+    match row {
+        Cow::Owned(row) => row,
+        Cow::Borrowed(row) => {
+            let mut owned = Vec::with_capacity(row.len() + extra);
+            owned.extend_from_slice(row);
+            owned
+        }
+    }
+}
+
+fn exec_node(
+    plan: &PlanNode,
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+    sink: &mut Sink<'_>,
+) -> Result<Flow> {
+    let catalog = rt.catalog;
+    match plan {
+        PlanNode::SeqScan { table } => push_rows(catalog.table(table)?.rows.iter(), true, rt, sink),
         PlanNode::IndexLookup { table, column, key } => {
             let k = eval(key, env, rt)?;
             if k.is_null() {
-                return Ok(Vec::new()); // NULL = x is never true
+                return Ok(Flow::More); // NULL = x is never true
             }
-            let t = rt.catalog.table(table)?;
+            let t = catalog.table(table)?;
             let idx = t.index_on(*column).ok_or_else(|| {
                 Error::exec(format!(
                     "index on {table}.{column} vanished (plan is stale)"
                 ))
             })?;
-            let positions = idx.lookup(&k);
             rt.stats.index_probes += 1;
-            rt.stats.rows_scanned += positions.len() as u64;
-            Ok(positions.iter().map(|&i| t.rows[i].clone()).collect())
+            let rows = idx.lookup(&k).iter().map(|&i| &t.rows[i]);
+            push_rows(rows, true, rt, sink)
         }
         PlanNode::IndexRange {
             table,
@@ -578,12 +667,12 @@ fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result
                 }
             };
             let Some(lo_v) = bound(lo, env, rt)? else {
-                return Ok(Vec::new());
+                return Ok(Flow::More);
             };
             let Some(hi_v) = bound(hi, env, rt)? else {
-                return Ok(Vec::new());
+                return Ok(Flow::More);
             };
-            let t = rt.catalog.table(table)?;
+            let t = catalog.table(table)?;
             // Reject bound types the replaced Filter's `sql_cmp` would have
             // errored on, so both access paths fail identically instead of
             // the index silently returning no rows.
@@ -616,148 +705,107 @@ fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result
                 )
                 .expect("btree_index_on returned an ordered index");
             rt.stats.index_probes += 1;
-            rt.stats.rows_scanned += positions.len() as u64;
-            Ok(positions.iter().map(|&i| t.rows[i].clone()).collect())
+            push_rows(positions.iter().map(|&i| &t.rows[i]), true, rt, sink)
         }
-        PlanNode::Values { rows } => rows.iter().map(|row| eval_all(row, env, rt)).collect(),
-        PlanNode::Result { exprs } => Ok(vec![eval_all(exprs, env, rt)?]),
-        PlanNode::Filter { input, pred } => {
-            // Filtering a materialized CTE clones only the passing rows —
-            // the compiled queries' outer `WHERE NOT call?` otherwise copies
-            // the whole trace to keep one row.
-            if let PlanNode::CteScan { index } = input.as_ref() {
-                let rows = rt.ctes.get(index).cloned().ok_or_else(|| {
-                    Error::exec(format!("CTE #{index} not materialized (planner bug)"))
-                })?;
-                // The predicate of that outer query is a (negated) boolean
-                // column; scanning a long RECURSIVE trace through the
-                // expression evaluator costs more than the final answer —
-                // test the slot directly.
-                let slot = bool_slot_test(pred);
-                let mut out = Vec::new();
-                for row in rows.iter() {
-                    if keeps(pred, slot, row, env, rt)? {
-                        out.push(row.clone());
-                    }
-                }
-                return Ok(out);
-            }
-            let rows = exec(input, env, rt)?;
-            let mut out = Vec::with_capacity(rows.len());
+        PlanNode::Values { rows } => {
             for row in rows {
-                if holds(pred, &row, env, rt)? {
-                    out.push(row);
+                let row = eval_all(row, env, rt)?;
+                if sink(Cow::Owned(row), rt)? == Flow::Stop {
+                    return Ok(Flow::Stop);
                 }
             }
-            Ok(out)
+            Ok(Flow::More)
         }
-        PlanNode::Extend { input, exprs } => {
-            let rows = exec(input, env, rt)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for mut row in rows {
-                extend_row(&mut row, exprs, env, rt)?;
-                out.push(row);
-            }
-            Ok(out)
-        }
-        PlanNode::Project { input, exprs } => {
-            // Projecting a base table evaluates the expressions over rows
-            // borrowed straight from the catalog — no intermediate clone of
-            // every input row. The batch trampoline's seeding arm (one
-            // activation per `batch#…` input row) runs through here, so this
-            // is per-invocation cost on the throughput path.
-            if let PlanNode::SeqScan { table } = input.as_ref() {
-                let t = rt.catalog.table(table)?;
-                rt.stats.rows_scanned += t.rows.len() as u64;
-                let mut out = Vec::with_capacity(t.rows.len());
-                for row in t.rows.iter() {
-                    out.push(project_row(exprs, row, env, rt)?);
+        PlanNode::Result { exprs } => sink(Cow::Owned(eval_all(exprs, env, rt)?), rt),
+        PlanNode::Filter { input, pred } => {
+            // A compiled query's outer `WHERE NOT call?` tests one boolean
+            // column of every trace row to keep one: test the slot directly
+            // instead of running the evaluator.
+            let slot = bool_slot_test(pred);
+            exec_into(input, env, rt, &mut |row, rt| {
+                if keeps(pred, slot, &row, env, rt)? {
+                    sink(row, rt)
+                } else {
+                    Ok(Flow::More)
                 }
-                return Ok(out);
-            }
-            let rows = exec(input, env, rt)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in &rows {
-                out.push(project_row(exprs, row, env, rt)?);
-            }
-            Ok(out)
+            })
         }
+        PlanNode::Extend { input, exprs } => exec_into(input, env, rt, &mut |row, rt| {
+            let mut row = owned_row(row, exprs.len());
+            extend_row(&mut row, exprs, env, rt)?;
+            sink(Cow::Owned(row), rt)
+        }),
+        PlanNode::Project { input, exprs } => exec_into(input, env, rt, &mut |row, rt| {
+            let row = project_row(exprs, &row, env, rt)?;
+            sink(Cow::Owned(row), rt)
+        }),
         PlanNode::ProjectUnpack { input, src, width } => {
-            let rows = exec(input, env, rt)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for mut row in rows {
-                unpack_row(&mut row, *src, *width)?;
-                out.push(row);
-            }
-            Ok(out)
+            exec_into(input, env, rt, &mut |row, rt| {
+                let row = unpack_row(row, *src, *width)?;
+                sink(Cow::Owned(row), rt)
+            })
         }
-        PlanNode::NestLoop {
-            left,
-            right,
-            kind,
-            lateral,
-            on,
-            right_width,
-        } => exec_nestloop(
-            left,
-            right,
-            *kind,
-            *lateral,
-            on.as_ref(),
-            *right_width,
-            env,
-            rt,
-        ),
+        PlanNode::NestLoop { .. } => exec_nestloop(plan, env, rt, sink),
         PlanNode::Agg {
             input,
             keys,
             aggs,
             scalar,
-        } => exec_agg(input, keys, aggs, *scalar, env, rt),
+        } => exec_agg(input, keys, aggs, *scalar, env, rt, sink),
         PlanNode::WindowAgg { input, windows } => {
             let rows = exec(input, env, rt)?;
-            exec_window(rows, windows, env, rt)
+            push_owned(exec_window(rows, windows, env, rt)?, rt, sink)
         }
         PlanNode::Sort { input, keys } => {
             let rows = exec(input, env, rt)?;
-            sort_rows(rows, keys, env, rt)
+            push_owned(sort_rows(rows, keys, env, rt)?, rt, sink)
         }
         PlanNode::Distinct { input } => {
-            let rows = exec(input, env, rt)?;
-            let mut seen = std::collections::HashSet::with_capacity(rows.len());
-            Ok(rows
-                .into_iter()
-                .filter(|r| seen.insert(r.clone()))
-                .collect())
+            let mut seen = std::collections::HashSet::new();
+            exec_into(input, env, rt, &mut |row, rt| {
+                if seen.contains(row.as_ref()) {
+                    return Ok(Flow::More);
+                }
+                seen.insert(row.to_vec());
+                sink(row, rt)
+            })
         }
         PlanNode::Limit {
             input,
             limit,
             offset,
         } => {
-            let off = eval_opt_count(offset.as_ref(), env, rt)?.unwrap_or(0);
-            let lim = eval_opt_count(limit.as_ref(), env, rt)?;
-            // With a known row budget, push the bound through
-            // cardinality-preserving nodes so the input never produces (or
-            // projects) rows past `offset + limit`. The compiled row-loop
-            // fetch (`LIMIT 1 OFFSET i-1`, re-executed per iteration) lives
-            // on this path.
-            let rows = match lim.and_then(|n| n.checked_add(off)) {
-                Some(budget) => exec_bounded(input, env, rt, budget)?,
-                None => exec(input, env, rt)?,
-            };
-            let it = rows.into_iter().skip(off);
-            Ok(match lim {
-                Some(n) => it.take(n).collect(),
-                None => it.collect(),
-            })
+            let mut skip = eval_opt_count(offset.as_ref(), env, rt)?.unwrap_or(0);
+            let mut left = eval_opt_count(limit.as_ref(), env, rt)?;
+            if left == Some(0) {
+                return Ok(Flow::More);
+            }
+            // Stop the input at `offset + limit` rows: the rows past it are
+            // never produced, projected or evaluated (SQL's LIMIT contract).
+            let mut flow = Flow::More;
+            exec_into(input, env, rt, &mut |row, rt| {
+                if skip > 0 {
+                    skip -= 1;
+                    return Ok(Flow::More);
+                }
+                flow = sink(row, rt)?;
+                match left.as_mut() {
+                    Some(n) => {
+                        *n -= 1;
+                        Ok(if *n == 0 { Flow::Stop } else { flow })
+                    }
+                    None => Ok(flow),
+                }
+            })?;
+            Ok(flow)
         }
         PlanNode::Append { inputs } => {
-            let mut out = Vec::new();
             for i in inputs {
-                out.extend(exec(i, env, rt)?);
+                if exec_into(i, env, rt, sink)? == Flow::Stop {
+                    return Ok(Flow::Stop);
+                }
             }
-            Ok(out)
+            Ok(Flow::More)
         }
         PlanNode::SetOpNode {
             op,
@@ -767,40 +815,46 @@ fn exec_node(plan: &PlanNode, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result
         } => {
             let l = exec(left, env, rt)?;
             let r = exec(right, env, rt)?;
-            Ok(exec_setop(*op, *all, l, r))
+            push_owned(exec_setop(*op, *all, l, r), rt, sink)
         }
-        PlanNode::With { ctes, body } => exec_with(ctes, body, env, rt),
+        PlanNode::With { ctes, body } => exec_with(ctes, body, env, rt, sink),
         PlanNode::CteScan { index } => {
-            let rows = rt.ctes.get(index).ok_or_else(|| {
+            let rows = rt.ctes.get(index).cloned().ok_or_else(|| {
                 Error::exec(format!("CTE #{index} not materialized (planner bug)"))
             })?;
-            Ok(rows.as_ref().clone())
+            push_rows(rows.iter(), false, rt, sink)
         }
         PlanNode::WorkingScan { index } => {
-            let rows = rt.working.get(index).ok_or_else(|| {
+            let rows = rt.working.get(index).cloned().ok_or_else(|| {
                 Error::exec(format!(
                     "recursive reference #{index} outside recursion (planner bug)"
                 ))
             })?;
-            Ok(rows.as_ref().clone())
+            push_rows(rows.iter(), false, rt, sink)
         }
         PlanNode::Memoize { input, key } => {
             let site = rt.memo.site(Arc::as_ptr(input) as usize);
             if rt.memo.is_cold(site) {
                 rt.stats.memo_misses += 1;
-                return exec(input, env, rt);
+                return exec_into(input, env, rt, sink);
             }
             let key = MemoKey::new(site, eval_all(key, env, rt)?);
-            if let Some(rows) = rt.memo.lookup(&key).map(<[Row]>::to_vec) {
-                rt.stats.memo_hits += 1;
-                return Ok(rows);
-            }
-            rt.stats.memo_misses += 1;
-            // An error returns before the store: the next call with this key
-            // runs (and fails) again.
-            let rows = exec(input, env, rt)?;
-            rt.memo.store(key, &rows, rt.config.work_mem_bytes);
-            Ok(rows)
+            let rows = match rt.memo.lookup(&key) {
+                Some(rows) => {
+                    rt.stats.memo_hits += 1;
+                    rows
+                }
+                None => {
+                    rt.stats.memo_misses += 1;
+                    // An error returns before the store: the next call with
+                    // this key runs (and fails) again.
+                    let rows = Arc::new(exec(input, env, rt)?);
+                    rt.memo
+                        .store(key, Arc::clone(&rows), rt.config.work_mem_bytes);
+                    rows
+                }
+            };
+            push_rows(rows.iter(), false, rt, sink)
         }
     }
 }
@@ -849,18 +903,24 @@ fn keeps(
     }
 }
 
-/// Replace `row` with the first `width` fields of the record in column
-/// `src`, reusing the row's allocation. Errors mirror the unfused
+/// The first `width` fields of the record in column `src` as a row,
+/// reusing an owned row's allocation. Errors mirror the unfused
 /// `row_field(slot, i)` projection exactly.
-fn unpack_row(row: &mut Row, src: usize, width: usize) -> Result<()> {
-    if src >= row.len() {
-        return Err(Error::exec("column slot out of range (planner bug)"));
-    }
-    let v = std::mem::replace(&mut row[src], Value::Null);
+fn unpack_row(row: Cow<'_, [Value]>, src: usize, width: usize) -> Result<Row> {
+    let v = row
+        .get(src)
+        .cloned()
+        .ok_or_else(|| Error::exec("column slot out of range (planner bug)"))?;
     let rec = take_record(v, width)?;
-    row.clear();
-    row.extend(rec.iter().take(width).cloned());
-    Ok(())
+    let mut out = match row {
+        Cow::Owned(mut row) => {
+            row.clear();
+            row
+        }
+        Cow::Borrowed(_) => Vec::with_capacity(width),
+    };
+    out.extend(rec.iter().take(width).cloned());
+    Ok(out)
 }
 
 /// Extract a record of at least `width` fields, with the exact errors the
@@ -881,129 +941,69 @@ fn take_record(v: Value, width: usize) -> Result<Arc<[Value]>> {
     Ok(rec)
 }
 
-/// Execute `plan` needing at most the first `budget` rows. The bound pushes
-/// through cardinality-preserving nodes (Project / ProjectUnpack / Extend)
-/// down to scans and filters, so `LIMIT k OFFSET n` over a derived table
-/// neither copies nor projects rows past `n + k`. Skipping the evaluation
-/// of projections for never-returned rows is exactly SQL's LIMIT contract.
-fn exec_bounded(
+/// Nested-loop join: streams its left side. A lateral right side runs per
+/// left row; any other runs once, at the first left row (an empty left side
+/// never runs it, as in PostgreSQL), and is borrowed for every later row.
+fn exec_nestloop(
     plan: &PlanNode,
     env: &EvalEnv<'_>,
     rt: &mut Runtime<'_>,
-    budget: usize,
-) -> Result<Vec<Row>> {
-    match plan {
-        PlanNode::SeqScan { table } => {
-            let t = rt.catalog.table(table)?;
-            let n = budget.min(t.rows.len());
-            rt.stats.rows_scanned += n as u64;
-            Ok(t.rows[..n].to_vec())
-        }
-        PlanNode::Project { input, exprs } => {
-            let rows = exec_bounded(input, env, rt, budget)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in &rows {
-                out.push(project_row(exprs, row, env, rt)?);
-            }
-            Ok(out)
-        }
-        PlanNode::ProjectUnpack { input, src, width } => {
-            let rows = exec_bounded(input, env, rt, budget)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for mut row in rows {
-                unpack_row(&mut row, *src, *width)?;
-                out.push(row);
-            }
-            Ok(out)
-        }
-        PlanNode::Extend { input, exprs } => {
-            let rows = exec_bounded(input, env, rt, budget)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for mut row in rows {
-                extend_row(&mut row, exprs, env, rt)?;
-                out.push(row);
-            }
-            Ok(out)
-        }
-        PlanNode::Filter { input, pred } => {
-            // Not cardinality-preserving: the input must stream unbounded,
-            // but the output can stop at the budget.
-            let rows = exec(input, env, rt)?;
-            let mut out = Vec::new();
-            for row in rows {
-                if out.len() >= budget {
-                    break;
-                }
-                if holds(pred, &row, env, rt)? {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-        other => {
-            let mut rows = exec(other, env, rt)?;
-            rows.truncate(budget);
-            Ok(rows)
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_nestloop(
-    left: &PlanNode,
-    right: &PlanNode,
-    kind: JoinKind,
-    lateral: bool,
-    on: Option<&ExprIr>,
-    right_width: usize,
-    env: &EvalEnv<'_>,
-    rt: &mut Runtime<'_>,
-) -> Result<Vec<Row>> {
-    let left_rows = exec(left, env, rt)?;
-    let mut out = Vec::with_capacity(left_rows.len());
-
-    // Non-lateral right side is evaluated exactly once and borrowed per
-    // left row (no wholesale clones).
-    let fixed_right = if lateral {
-        None
-    } else {
-        Some(exec(right, env, rt)?)
+    sink: &mut Sink<'_>,
+) -> Result<Flow> {
+    let PlanNode::NestLoop {
+        left,
+        right,
+        kind,
+        lateral,
+        on,
+        right_width,
+    } = plan
+    else {
+        unreachable!("only nested loops reach the join executor");
     };
-
-    let mut lateral_rows: Vec<Row>;
-    for lrow in left_rows {
-        let right_rows: &[Row] = match &fixed_right {
-            Some(r) => r.as_slice(),
-            None => {
-                let scopes = Scopes {
-                    row: &lrow,
-                    parent: env.scopes,
-                };
-                lateral_rows = exec(right, &env.with_row(&scopes), rt)?;
-                lateral_rows.as_slice()
-            }
-        };
+    let mut fixed_right: Option<Vec<Row>> = None;
+    exec_into(left, env, rt, &mut |lrow, rt| {
         let mut matched = false;
-        for rrow in right_rows {
+        let mut join = |rrow: &[Value], rt: &mut Runtime<'_>| -> Result<Flow> {
             let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
             combined.extend_from_slice(&lrow);
             combined.extend_from_slice(rrow);
-            let keep = match on {
-                None => true,
-                Some(pred) => holds(pred, &combined, env, rt)?,
-            };
-            if keep {
-                matched = true;
-                out.push(combined);
+            if let Some(pred) = on {
+                if !holds(pred, &combined, env, rt)? {
+                    return Ok(Flow::More);
+                }
             }
+            matched = true;
+            sink(Cow::Owned(combined), rt)
+        };
+        let flow = if *lateral {
+            let scopes = Scopes {
+                row: &lrow,
+                parent: env.scopes,
+            };
+            exec_into(right, &env.with_row(&scopes), rt, &mut |rrow, rt| {
+                join(&rrow, rt)
+            })?
+        } else {
+            if fixed_right.is_none() {
+                fixed_right = Some(exec(right, env, rt)?);
+            }
+            let mut flow = Flow::More;
+            for rrow in fixed_right.as_deref().unwrap_or_default() {
+                flow = join(rrow, rt)?;
+                if flow == Flow::Stop {
+                    break;
+                }
+            }
+            flow
+        };
+        if flow == Flow::Stop || matched || *kind != JoinKind::Left {
+            return Ok(flow);
         }
-        if !matched && kind == JoinKind::Left {
-            let mut combined = lrow;
-            combined.extend(std::iter::repeat_with(|| Value::Null).take(right_width));
-            out.push(combined);
-        }
-    }
-    Ok(out)
+        let mut combined = owned_row(lrow, *right_width);
+        combined.extend(std::iter::repeat_with(|| Value::Null).take(*right_width));
+        sink(Cow::Owned(combined), rt)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1113,25 +1113,16 @@ fn exec_agg(
     scalar: bool,
     env: &EvalEnv<'_>,
     rt: &mut Runtime<'_>,
-) -> Result<Vec<Row>> {
-    let rows = exec(input, env, rt)?;
+    sink: &mut Sink<'_>,
+) -> Result<Flow> {
     if scalar {
         let mut accs: Vec<AggAcc> = aggs.iter().map(AggAcc::new).collect();
-        for row in &rows {
-            let scopes = Scopes {
-                row,
-                parent: env.scopes,
-            };
-            let inner = env.with_row(&scopes);
-            for (acc, spec) in accs.iter_mut().zip(aggs) {
-                let v = match &spec.arg {
-                    Some(e) => Some(eval(e, &inner, rt)?),
-                    None => None,
-                };
-                acc.update(v)?;
-            }
-        }
-        return Ok(vec![accs.into_iter().map(AggAcc::finish).collect()]);
+        exec_into(input, env, rt, &mut |row, rt| {
+            update_accs(&mut accs, aggs, &row, env, rt)?;
+            Ok(Flow::More)
+        })?;
+        let row = accs.into_iter().map(AggAcc::finish).collect();
+        return sink(Cow::Owned(row), rt);
     }
 
     // Grouped: preserve first-seen group order for deterministic output.
@@ -1141,9 +1132,9 @@ fn exec_agg(
     let mut group_of: HashMap<Vec<Value>, usize> = HashMap::new();
     let mut groups: Vec<(Vec<Value>, Vec<AggAcc>)> = Vec::new();
     let mut key_scratch: Vec<Value> = Vec::with_capacity(keys.len());
-    for row in &rows {
+    exec_into(input, env, rt, &mut |row, rt| {
         let scopes = Scopes {
-            row,
+            row: &row,
             parent: env.scopes,
         };
         let inner = env.with_row(&scopes);
@@ -1160,21 +1151,40 @@ fn exec_agg(
                 gi
             }
         };
-        for (acc, spec) in groups[gi].1.iter_mut().zip(aggs) {
-            let v = match &spec.arg {
-                Some(e) => Some(eval(e, &inner, rt)?),
-                None => None,
-            };
-            acc.update(v)?;
-        }
-    }
-    Ok(groups
+        update_accs(&mut groups[gi].1, aggs, &row, env, rt)?;
+        Ok(Flow::More)
+    })?;
+    let rows = groups
         .into_iter()
         .map(|(mut key, accs)| {
             key.extend(accs.into_iter().map(AggAcc::finish));
             key
         })
-        .collect())
+        .collect();
+    push_owned(rows, rt, sink)
+}
+
+/// Feed one input row to each aggregate's accumulator.
+fn update_accs(
+    accs: &mut [AggAcc],
+    aggs: &[AggSpec],
+    row: &[Value],
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+) -> Result<()> {
+    let scopes = Scopes {
+        row,
+        parent: env.scopes,
+    };
+    let inner = env.with_row(&scopes);
+    for (acc, spec) in accs.iter_mut().zip(aggs) {
+        let v = match &spec.arg {
+            Some(e) => Some(eval(e, &inner, rt)?),
+            None => None,
+        };
+        acc.update(v)?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1340,11 +1350,12 @@ fn exec_with(
     body: &PlanNode,
     env: &EvalEnv<'_>,
     rt: &mut Runtime<'_>,
-) -> Result<Vec<Row>> {
+    sink: &mut Sink<'_>,
+) -> Result<Flow> {
     // Save shadowed entries so recursive re-entry (e.g. through a UDF that
     // runs the same prepared plan) is safe.
     let mut saved: Vec<SavedCteBinding> = Vec::new();
-    let result = (|| -> Result<Vec<Row>> {
+    let result = (|| -> Result<Flow> {
         for cte in ctes {
             let index = cte.index();
             saved.push((
@@ -1363,10 +1374,7 @@ fn exec_with(
                 }
             }
         }
-        if let Some(result) = exec_cte_body_fused(ctes, body, env, rt) {
-            return result;
-        }
-        exec(body, env, rt)
+        exec_into(body, env, rt, sink)
     })();
     // Restore shadowed entries (in reverse, though indexes are unique here).
     for (index, cte_prev, work_prev) in saved.into_iter().rev() {
@@ -1388,65 +1396,6 @@ fn exec_with(
         }
     }
     result
-}
-
-/// Consume a `WITH` body of the compiled outer-query shape —
-/// `Project(Filter(CteScan))` over a CTE this `WITH` just materialized —
-/// in one pass over *owned* rows. The generic path clones every surviving
-/// CTE row and then projects out of the clone; for a batch-trampoline
-/// result that means copying the full working-table layout of 10⁵+ retired
-/// activations just to keep two columns. Here the freshly built `Arc` is
-/// unwrapped (nothing else holds it yet) and filter + projection run over
-/// each row by value.
-///
-/// Returns `None` when the shape does not match (or the Arc is shared, e.g.
-/// a re-entrant plan) — the caller falls back to `exec(body)`.
-fn exec_cte_body_fused(
-    ctes: &[CtePlan],
-    body: &PlanNode,
-    env: &EvalEnv<'_>,
-    rt: &mut Runtime<'_>,
-) -> Option<Result<Vec<Row>>> {
-    let PlanNode::Project { input, exprs } = body else {
-        return None;
-    };
-    let PlanNode::Filter { input: f_in, pred } = input.as_ref() else {
-        return None;
-    };
-    let PlanNode::CteScan { index } = f_in.as_ref() else {
-        return None;
-    };
-    if !ctes.iter().any(|c| c.index() == *index) {
-        return None;
-    }
-    // The filter predicate or projections could re-read the CTE through a
-    // nested sub-plan; those still need the materialized entry in the map.
-    if expr_scans_cte(pred, *index) || exprs.iter().any(|e| expr_scans_cte(e, *index)) {
-        return None;
-    }
-    let arc = rt.ctes.remove(index)?;
-    let rows = match Arc::try_unwrap(arc) {
-        Ok(rows) => rows,
-        Err(shared) => {
-            rt.ctes.insert(*index, shared);
-            return None;
-        }
-    };
-    // Same direct slot test as the Filter-over-CteScan fast path in `exec`:
-    // the compiled outer predicate is a (negated) boolean column.
-    let slot = bool_slot_test(pred);
-    let run = |rt: &mut Runtime<'_>| -> Result<Vec<Row>> {
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            let keep = keeps(pred, slot, &row, env, rt)?;
-            if !keep {
-                continue;
-            }
-            out.push(project_row(exprs, &row, env, rt)?);
-        }
-        Ok(out)
-    };
-    Some(run(rt))
 }
 
 /// One stage of a fused fixpoint pipeline (borrowed from the recursive plan).
@@ -1504,16 +1453,6 @@ fn pipeline_steps(plan: &PlanNode, index: usize) -> Option<Vec<Step<'_>>> {
         }
     }
     Some(steps)
-}
-
-/// Does the expression hold a sub-plan that scans the materialized CTE
-/// `index`? (Guards the fused `WITH`-body consumer, which takes the CTE's
-/// rows out of the runtime map.)
-fn expr_scans_cte(e: &ExprIr, index: usize) -> bool {
-    expr_holds_node(
-        e,
-        &|p| matches!(p, PlanNode::CteScan { index: i } if *i == index),
-    )
 }
 
 /// Does the expression (or any plan nested inside it) read the working table
@@ -1704,7 +1643,7 @@ fn run_pipeline_row(
             }
             Step::Extend(exprs) => extend_row(&mut row, exprs, env, rt)?,
             Step::Project(exprs) => row = project_row(exprs, &row, env, rt)?,
-            Step::Unpack { src, width } => unpack_row(&mut row, *src, *width)?,
+            Step::Unpack { src, width } => row = unpack_row(Cow::Owned(row), *src, *width)?,
         }
     }
     Ok(Some(row))

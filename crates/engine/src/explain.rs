@@ -2,15 +2,17 @@
 //! while a statement runs, and the renderer that folds them back onto the
 //! plan tree.
 //!
-//! The collection side lives in [`crate::exec::exec`]: when the runtime
-//! carries an [`AnalyzeState`], every dispatched node is bracketed with a
-//! wall clock and counter deltas. The map is keyed by plan-node *address*,
-//! which is stable for the duration of one execution because plans are
-//! immutable behind an `Arc`. Nodes a fast path executes without going
-//! through the dispatcher (fused pipelines, scan short-circuits) simply
-//! have no entry and render as `(never executed)` — the fused work is
-//! still visible through the `fused_rows` and VM-op counters of the
-//! ancestor that drove it, and through the fixpoint summary lines.
+//! The collection side lives in `crate::exec::exec_into`: when the
+//! runtime carries an [`AnalyzeState`], every dispatched node is bracketed
+//! with a wall clock and counter deltas, less the time and VM ops its
+//! consumers spent on the rows it pushed them, so a node's figures include
+//! its children and exclude its consumers. The map is keyed by plan-node
+//! *address*, which is stable for the duration of one execution because
+//! plans are immutable behind an `Arc`. Only a fixpoint's recursive arm,
+//! which the fixpoint loop runs row by row without dispatching its
+//! nodes, has no entry and renders as `(never executed)`; its work is
+//! visible through the `fused_rows` and VM-op counters of the `With` node
+//! that ran it, and through the fixpoint summary lines.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -22,9 +24,10 @@ use crate::ir::PlanNode;
 pub struct NodeObs {
     /// Times the node was dispatched through the executor.
     pub loops: u64,
-    /// Total rows returned across all loops.
+    /// Total rows handed to the consumer across all loops.
     pub rows: u64,
-    /// Cumulative wall time (includes children), summed across loops.
+    /// Cumulative wall time (includes children, excludes the consumer),
+    /// summed across loops.
     pub ns: u64,
     /// Expression-VM opcodes dispatched while this subtree ran (cumulative,
     /// like `ns`).
@@ -106,8 +109,7 @@ impl AnalyzeState {
     }
 
     /// Total wall time observed at the plan root — the cumulative ns of the
-    /// tree's top node (zero when the root never ran, e.g. a fully fused
-    /// plan shape).
+    /// tree's top node (zero when the root never ran).
     pub fn root_ns(&self, plan: &PlanNode) -> u64 {
         self.nodes.get(&key(plan)).map(|o| o.ns).unwrap_or(0)
     }

@@ -11,8 +11,9 @@
 //! * [`session::Session`] — plan cache + instrumented Start/Run/End API,
 //! * [`planner`] — rule-based planning with PL/pgSQL-style parameter
 //!   resolution (free identifiers become plan parameters),
-//! * [`exec`] — materializing executor with LATERAL nested loops, window
-//!   frames, correlated subqueries and recursive UDF calls,
+//! * [`exec`] — push-based executor with LATERAL nested loops, window
+//!   frames, correlated subqueries and recursive UDF calls; scalar,
+//!   `EXISTS`, `IN` and `LIMIT` consumers stop their input early,
 //! * [`exec`]'s recursive-CTE fixpoint with [`tuplestore`] buffer-page
 //!   accounting (Table 2), including the `WITH ITERATE` mode of Passing
 //!   et al. (EDBT 2017) that the paper patches into PostgreSQL 11.3,

@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use plaway_common::Value;
 
@@ -115,7 +116,7 @@ struct Site {
 /// The memo of one execution.
 #[derive(Default)]
 pub struct MemoCache {
-    entries: HashMap<MemoKey, Vec<Row>>,
+    entries: HashMap<MemoKey, Arc<Vec<Row>>>,
     sites: Vec<Site>,
 }
 
@@ -141,20 +142,21 @@ impl MemoCache {
         s.hits == 0 && s.misses >= COLD_MISSES
     }
 
-    /// The rows stored under `key`; counts a hit or a miss for its site.
-    pub(crate) fn lookup(&mut self, key: &MemoKey) -> Option<&[Row]> {
-        let rows = self.entries.get(key);
+    /// The rows stored under `key`, shared rather than copied; counts a
+    /// hit or a miss for its site.
+    pub(crate) fn lookup(&mut self, key: &MemoKey) -> Option<Arc<Vec<Row>>> {
+        let rows = self.entries.get(key).cloned();
         let site = &mut self.sites[key.site];
         match rows {
             Some(_) => site.hits += 1,
             None => site.misses += 1,
         }
-        rows.map(Vec::as_slice)
+        rows
     }
 
     /// Remember `rows` under `key`, unless that would take the site's
     /// entries past `limit` bytes.
-    pub(crate) fn store(&mut self, key: MemoKey, rows: &[Row], limit: usize) {
+    pub(crate) fn store(&mut self, key: MemoKey, rows: Arc<Vec<Row>>, limit: usize) {
         let size = Tuplestore::row_bytes(&key.values)
             + rows.iter().map(|r| Tuplestore::row_bytes(r)).sum::<usize>();
         let used = &mut self.sites[key.site].bytes;
@@ -166,7 +168,7 @@ impl MemoCache {
             // Room for a cold site's worth of misses without regrowing.
             self.entries.reserve(COLD_MISSES as usize);
         }
-        self.entries.insert(key, rows.to_vec());
+        self.entries.insert(key, rows);
     }
 }
 
@@ -302,16 +304,16 @@ mod tests {
         let mut m = MemoCache::default();
         let site = m.site(0x10);
         let key = |values| MemoKey::new(site, values);
-        let int_rows = [vec![Value::text("int")]];
-        m.store(key(vec![Value::Int(3)]), &int_rows, 1 << 20);
+        let int_rows = Arc::new(vec![vec![Value::text("int")]]);
+        m.store(key(vec![Value::Int(3)]), Arc::clone(&int_rows), 1 << 20);
         assert!(m.lookup(&key(vec![Value::Float(3.0)])).is_none());
         assert!(m.lookup(&key(vec![Value::Null])).is_none());
-        m.store(key(vec![Value::Float(0.0)]), &[], 1 << 20);
+        m.store(key(vec![Value::Float(0.0)]), Arc::default(), 1 << 20);
         assert!(m.lookup(&key(vec![Value::Float(-0.0)])).is_none());
         assert!(m.lookup(&key(vec![Value::Float(0.0)])).is_some());
-        assert_eq!(m.lookup(&key(vec![Value::Int(3)])).unwrap(), &int_rows);
+        assert_eq!(m.lookup(&key(vec![Value::Int(3)])).unwrap(), int_rows);
         // Records compare field by field, exactly.
-        m.store(key(vec![Value::coord(1, 2)]), &[], 1 << 20);
+        m.store(key(vec![Value::coord(1, 2)]), Arc::default(), 1 << 20);
         assert!(m.lookup(&key(vec![Value::coord(1, 2)])).is_some());
         let floaty = Value::record(vec![Value::Int(1), Value::Float(2.0)]);
         assert!(m.lookup(&key(vec![floaty])).is_none());
@@ -322,7 +324,8 @@ mod tests {
         let mut m = MemoCache::default();
         let (a, b) = (m.site(0x10), m.site(0x20));
         assert_eq!(m.site(0x10), a);
-        m.store(MemoKey::new(a, vec![]), &[vec![Value::Int(1)]], 1 << 20);
+        let rows = Arc::new(vec![vec![Value::Int(1)]]);
+        m.store(MemoKey::new(a, vec![]), rows, 1 << 20);
         assert!(m.lookup(&MemoKey::new(b, vec![])).is_none());
     }
 
@@ -334,9 +337,9 @@ mod tests {
         // Site b: key rows cost 32 too, so a second entry (2 * 64) would
         // pass the limit.
         for i in 0..4 {
-            m.store(MemoKey::new(a, vec![]), &[vec![Value::Int(i)]], 100);
-            let key = MemoKey::new(b, vec![Value::Int(i)]);
-            m.store(key, &[vec![Value::Int(i)]], 100);
+            let rows = Arc::new(vec![vec![Value::Int(i)]]);
+            m.store(MemoKey::new(a, vec![]), Arc::clone(&rows), 100);
+            m.store(MemoKey::new(b, vec![Value::Int(i)]), rows, 100);
         }
         assert!(m.lookup(&MemoKey::new(a, vec![])).is_some());
         assert!(m.lookup(&MemoKey::new(b, vec![Value::Int(0)])).is_some());
@@ -348,7 +351,11 @@ mod tests {
     fn a_site_without_hits_goes_cold() {
         let mut m = MemoCache::default();
         let (never, once) = (m.site(0x10), m.site(0x20));
-        m.store(MemoKey::new(once, vec![Value::Int(0)]), &[], 1 << 20);
+        m.store(
+            MemoKey::new(once, vec![Value::Int(0)]),
+            Arc::default(),
+            1 << 20,
+        );
         for i in 0..COLD_MISSES as i64 {
             assert!(!m.is_cold(never));
             let fresh = MemoKey::new(never, vec![Value::Int(i)]);

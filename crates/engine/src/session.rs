@@ -1150,11 +1150,27 @@ mod tests {
         assert_eq!(r.rows[2][1], Value::Null); // no match -> NULL
     }
 
+    /// `big(k, v)`: 50 rows, `k` from 0 to 49 and `v = 10 * k`.
+    fn add_big(s: &mut Session) {
+        s.run("CREATE TABLE big (k int, v int)").unwrap();
+        let rows = (0..50).map(|k| vec![Value::Int(k), Value::Int(k * 10)]);
+        s.bulk_insert("big", rows.collect()).unwrap();
+    }
+
     #[test]
     fn subquery_multiple_rows_errors() {
         let mut s = session();
         let err = s.run("SELECT (SELECT a FROM t)").unwrap_err();
         assert!(err.to_string().contains("more than one row"), "{err}");
+        // PostgreSQL's text, raised at the second row: the sub-plan never
+        // reaches `k = 3`, which divides by zero.
+        add_big(&mut s);
+        let err = s.run("SELECT (SELECT 10 / (3 - k) FROM big)").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            Error::exec("more than one row returned by a subquery used as an expression")
+                .to_string()
+        );
     }
 
     #[test]
@@ -1378,6 +1394,19 @@ mod tests {
             s.query_scalar("SELECT 99 NOT IN (SELECT a FROM t)")
                 .unwrap(),
             Value::Null
+        );
+        // EXISTS stops its sub-plan at the first row, as PostgreSQL does:
+        // `k = 3` would divide by zero.
+        add_big(&mut s);
+        assert_eq!(
+            s.query_scalar("SELECT EXISTS (SELECT 10 / (3 - k) FROM big)")
+                .unwrap(),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            s.query_scalar("SELECT NOT EXISTS (SELECT 10 / (3 - k) FROM big)")
+                .unwrap(),
+            Value::Bool(false)
         );
     }
 
@@ -1649,6 +1678,10 @@ mod tests {
             "LIMIT 1 OFFSET 3 must stop the scan after 4 rows ({} scanned)",
             s.stats.rows_scanned
         );
+        // Rows past the limit are never projected: `k = 3` divides by zero.
+        let r = s.run("SELECT 10 / (3 - k) FROM big LIMIT 3").unwrap();
+        let want: Vec<Row> = [3, 5, 10].map(|v| vec![Value::Int(v)]).into();
+        assert_eq!(r.rows, want);
         // Sanity: without the limit the whole table is scanned.
         s.stats.reset();
         s.run("SELECT q.v FROM (SELECT big.v AS v FROM big) AS q")

@@ -39,8 +39,8 @@ use plaway_common::{Error, Result, Type, Value};
 use plaway_sql::ast::BinOp;
 
 use crate::exec::{
-    and3, apply_bin, call_sql_udf, eval_snapshot_op, exec, materialize_snapshot, scalar_from_rows,
-    try_scalar_chain, EvalEnv, Runtime,
+    and3, apply_bin, call_sql_udf, eval_snapshot_op, exec_exists, exec_into, exec_scalar,
+    materialize_snapshot, EvalEnv, Flow, Runtime,
 };
 use crate::functions::{eval_scalar, like_match};
 use crate::ir::{CtePlan, ExprIr, PlanNode, ScalarFn, SnapshotOp};
@@ -719,8 +719,7 @@ impl Compiler {
 type ChainShape<'p> = (&'p [ExprIr], Vec<&'p [ExprIr]>, &'p ExprIr);
 
 /// Match the let-chain plan shape: `Project { [final] }` over zero or more
-/// `Extend` over `Result`. Shared with the executor's scalar-chain fast
-/// path so both accelerate exactly the same plans.
+/// `Extend` over `Result`.
 pub(crate) fn chain_shape(plan: &PlanNode) -> Option<ChainShape<'_>> {
     let PlanNode::Project { input, exprs } = plan else {
         return None;
@@ -1177,7 +1176,7 @@ fn memoized<'r>(
     }
     let v = run(rt)?;
     let limit = rt.config.work_mem_bytes;
-    rt.memo.store(key, &[vec![v.clone()]], limit);
+    rt.memo.store(key, Arc::new(vec![vec![v.clone()]]), limit);
     Ok(v)
 }
 
@@ -1531,25 +1530,27 @@ fn run_plan_op(op: &Op, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Value
     match op {
         Op::Subplan { plan, cached } => memoized(plan, *cached, rt, |rt| {
             rt.stats.subplan_evals += 1;
-            match try_scalar_chain(plan, env, rt)? {
-                Some(v) => Ok(v),
-                None => scalar_from_rows(exec(plan, env, rt)?),
-            }
+            exec_scalar(plan, env, rt)
         }),
         Op::Exists { plan, cached } => memoized(plan, *cached, rt, |rt| {
-            Ok(Value::Bool(!exec(plan, env, rt)?.is_empty()))
+            exec_exists(plan, env, rt).map(Value::Bool)
         }),
         Op::InPlan { plan, negated } => {
-            let rows = exec(plan, env, rt)?;
             let v = rt.vm_stack.pop().expect("IN probe value on the stack");
             let mut verdict = Value::Bool(*negated);
-            for row in &rows {
-                match v.sql_eq(&row[0])? {
-                    Some(true) => return Ok(Value::Bool(!*negated)),
-                    Some(false) => {}
-                    None => verdict = Value::Null,
-                }
-            }
+            exec_into(plan, env, rt, &mut |row, _| {
+                Ok(match v.sql_eq(&row[0])? {
+                    Some(true) => {
+                        verdict = Value::Bool(!*negated);
+                        Flow::Stop
+                    }
+                    Some(false) => Flow::More,
+                    None => {
+                        verdict = Value::Null;
+                        Flow::More
+                    }
+                })
+            })?;
             Ok(verdict)
         }
         Op::UdfCall { name, argc } => {

@@ -54,6 +54,10 @@ fn count_one() {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold for the caller; counting touches only a
+// `const`-initialized thread-local `Cell` without a destructor, which
+// neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();

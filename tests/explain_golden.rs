@@ -218,3 +218,49 @@ fn golden_explain_analyze_correlated_window() {
     );
     assert_golden("explain_analyze_correlated_window.snap", &mask_times(&out));
 }
+
+/// `seeded_session` plus `big(k, v)`: 50 rows, `k` from 0 to 49.
+fn big_session() -> Session {
+    let mut s = seeded_session();
+    s.run("CREATE TABLE big (k int, v int)").unwrap();
+    let rows = (0..50).map(|k| vec![Value::Int(k), Value::Int(k * 10)]);
+    s.bulk_insert("big", rows.collect()).unwrap();
+    s
+}
+
+#[test]
+fn golden_explain_analyze_limit_over_projected_scan() {
+    // LIMIT stops its input at the second row: the projection and the scan
+    // each report the two rows they produced.
+    let mut s = big_session();
+    let out = run_explain(&mut s, "EXPLAIN ANALYZE SELECT big.v + 1 FROM big LIMIT 2");
+    assert_golden(
+        "explain_analyze_limit_over_projected_scan.snap",
+        &mask_times(&out),
+    );
+}
+
+#[test]
+fn golden_explain_analyze_projected_scan() {
+    let mut s = big_session();
+    let out = run_explain(&mut s, "EXPLAIN ANALYZE SELECT big.v + 1 FROM big");
+    assert_golden("explain_analyze_projected_scan.snap", &mask_times(&out));
+}
+
+#[test]
+fn golden_explain_analyze_compiled_outer_query() {
+    // The outer query of every compiled kernel: keep the one trace row
+    // whose `call?` flag is off. Only the fixpoint's recursive arm, which
+    // the fixpoint loop runs row by row, renders as never executed.
+    let mut s = big_session();
+    let out = run_explain(
+        &mut s,
+        "EXPLAIN ANALYZE WITH RECURSIVE c(x, d) AS (SELECT 1, true UNION ALL \
+         SELECT c.x + 1, c.x + 1 < 5 FROM c WHERE c.d) \
+         SELECT c.x FROM c WHERE NOT c.d",
+    );
+    assert_golden(
+        "explain_analyze_compiled_outer_query.snap",
+        &mask_times(&out),
+    );
+}
