@@ -160,11 +160,11 @@ fn main() {
     );
 
     // ---- execution tier per-iteration cost -------------------------------
-    // The fused fixpoint transition in the `Value`-domain VM vs the typed
-    // mono pipeline, on the two shape-recognized kernels. Total wall time
-    // over the `recursive_iterations` delta gives ns per iteration — both
-    // tiers run the same iterations on the same inputs, so the ratio is
-    // exactly the dispatch + boxing the mono tier removes.
+    // The fused fixpoint transition in the VM vs the mono pipeline, on the
+    // two shape-recognized kernels. Total wall time over the
+    // `recursive_iterations` delta gives ns per iteration — both tiers run
+    // the same iterations on the same inputs, so the ratio is exactly the
+    // operand-stack traffic and dispatch the mono tier removes.
     println!("\ntiered execution: ns per fixpoint iteration, VM vs mono:");
     type TierCase = (&'static str, fn(EngineConfig) -> BenchSetup, Vec<Value>);
     let tier_cases: [TierCase; 2] = [

@@ -184,8 +184,8 @@ fn check(
         }
     }
     // The tiered-execution acceptance bar: on both shape-recognized
-    // kernels the typed mono pipeline must run each fixpoint iteration
-    // ≥ 1.5× faster than the `Value`-domain VM. Both keys of each pair
+    // kernels the mono pipeline must run each fixpoint iteration
+    // ≥ 1.5× faster than the VM. Both keys of each pair
     // must exist — a bench refactor silently dropping the tier section
     // must not pass. Per-iteration ns makes the ratio machine-portable:
     // both tiers run the same iterations on the same inputs, so dispatch

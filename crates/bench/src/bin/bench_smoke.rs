@@ -18,8 +18,8 @@
 //! — the same statement over a 10⁵-row indexed ledger in an `Auto` session
 //! (index scans on) vs a `ForceOff` twin (always seq scan) — and the
 //! tiered-execution pairs `tier.{fibonacci,fsa}.{vm,mono}_ns_per_iter`:
-//! the two shape-recognized fixpoints per iteration, in the `Value` VM
-//! (`TierMode::ForceOff`) vs the typed mono pipeline (the default `Auto`).
+//! the two shape-recognized fixpoints per iteration, in the VM
+//! (`TierMode::ForceOff`) vs the mono pipeline (the default `Auto`).
 //!
 //! Writes `BENCH_smoke.json` ({kernel.mode → median ns}, keys sorted so
 //! baseline diffs are stable) to the current directory; CI's `bench-gate`
@@ -179,12 +179,12 @@ fn smoke_index(results: &mut Vec<(String, u128)>) {
 }
 
 /// Tiered execution: the two shape-recognized kernels per iteration, in
-/// each tier. `ForceOff` keeps every fixpoint in the `Value`-domain VM;
-/// the default `Auto` promotes the transition to the typed mono pipeline
-/// before the first iteration. Per-iteration ns (total wall time
-/// over the fixpoint's `recursive_iterations` delta) is the honest unit —
-/// both tiers run the same number of iterations on the same inputs, so
-/// the ratio isolates exactly the dispatch + boxing the mono tier
+/// each tier. `ForceOff` keeps every fixpoint in the VM; the default
+/// `Auto` promotes the transition to the mono pipeline before the first
+/// iteration. Per-iteration ns (total wall time over the fixpoint's
+/// `recursive_iterations` delta) is the honest unit — both tiers run the
+/// same number of iterations on the same inputs, so the ratio isolates
+/// exactly the operand-stack traffic and dispatch the mono tier
 /// removes. Both tiers must return identical rows, and `Auto` must
 /// actually promote — an unpromoted "mono" number would gate nothing.
 fn smoke_tier(results: &mut Vec<(String, u128)>) {

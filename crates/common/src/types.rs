@@ -94,11 +94,6 @@ impl Type {
             _ => false,
         }
     }
-
-    /// Numeric type?
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Type::Int | Type::Float)
-    }
 }
 
 impl fmt::Display for Type {

@@ -8,7 +8,7 @@
 
 use plaway_common::Result;
 use plaway_engine::Catalog;
-use plaway_sql::ast::{Expr, InsertSource, Query, Select, SelectItem, SetExpr, Stmt, TableRef};
+use plaway_sql::ast::{Expr, Query, Select, SelectItem, SetExpr, TableRef};
 
 use crate::cte::bind_args;
 use crate::pipeline::Compiled;
@@ -36,28 +36,6 @@ pub fn inline_into_query(
         Some(err) => Err(err),
         None => Ok(query),
     }
-}
-
-/// Inline into any statement (queries, INSERT ... SELECT, etc.).
-pub fn inline_into_stmt(stmt: Stmt, compiled: &Compiled, catalog: &Catalog) -> Result<Stmt> {
-    Ok(match stmt {
-        Stmt::Query(q) => Stmt::Query(inline_into_query(q, compiled, catalog)?),
-        Stmt::Insert {
-            table,
-            columns,
-            source,
-        } => Stmt::Insert {
-            table,
-            columns,
-            source: match source {
-                InsertSource::Query(q) => {
-                    InsertSource::Query(Box::new(inline_into_query(*q, compiled, catalog)?))
-                }
-                other => other,
-            },
-        },
-        other => other,
-    })
 }
 
 /// Structural expression rewriter over a whole query, bottom-up and in

@@ -428,12 +428,6 @@ impl Catalog {
         }
         Ok(())
     }
-
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.keys().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 /// Derive the output column names of a query without planning it.

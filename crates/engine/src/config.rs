@@ -23,7 +23,7 @@ pub enum IndexMode {
 /// Every plan carries the transitions [`crate::tier::recognize`] compiled
 /// at prepare time, whatever the mode; only the fixpoint driver reads it.
 /// `Auto` is the production setting: a recognized transition whose
-/// captures bind runs in the monomorphized typed tier ([`crate::tier`])
+/// captures bind runs in the monomorphized tier ([`crate::tier`])
 /// from its first iteration. `ForceOff` keeps every fixpoint in the
 /// expression VM; it exists for the differential test harness and the
 /// tier benchmarks, which must see bit-identical results both ways — the
@@ -132,18 +132,6 @@ impl EngineConfig {
             ..Self::postgres_like()
         }
     }
-
-    /// SQLite-like: in-process, cheap switches but slower row-at-a-time
-    /// machinery; mostly used to show the compiler output also runs on an
-    /// engine without any PL/SQL support.
-    pub fn sqlite_like() -> Self {
-        EngineConfig {
-            name: "sqlite",
-            start_penalty_ns: 200,
-            end_penalty_ns: 100,
-            ..Self::postgres_like()
-        }
-    }
 }
 
 impl Default for EngineConfig {
@@ -168,7 +156,7 @@ mod tests {
         // Every preset plans with the cost-based access-path choice and
         // runs recognized transitions in the mono tier; the force modes
         // are reserved for the differential harness.
-        for cfg in [pg, ora, EngineConfig::raw(), EngineConfig::sqlite_like()] {
+        for cfg in [pg, ora, EngineConfig::raw()] {
             assert_eq!(cfg.index_mode, IndexMode::Auto);
             assert_eq!(cfg.tier_mode, TierMode::Auto);
         }

@@ -27,6 +27,7 @@ use crate::config::{EngineConfig, TierMode};
 use crate::ir::{AggFn, AggSpec, CtePlan, ExprIr, PlanNode, RecursionMode, SnapshotOp, SortKey};
 use crate::memo::{MemoCache, MemoKey};
 use crate::planner::{plan_udf_body, PreparedPlan};
+use crate::tier::{Demote, MonoRows};
 use crate::tuplestore::{BufferStats, SnapshotStore, Tuplestore};
 use crate::vm::Access;
 use crate::window::exec_window;
@@ -1664,46 +1665,20 @@ fn iteration_limit_error(mode: RecursionMode, limit: u64) -> Error {
 // ---------------------------------------------------------------------------
 // Fixpoint driver
 
-/// A working-row cell of one execution tier: [`Value`] in the VM, `TCell`
-/// in the mono tier ([`crate::tier`]).
-pub(crate) trait FixCell: Sized {
-    /// The `call?` flag test: does this cell hold `true`?
-    fn is_true(&self) -> bool;
-    /// Copy a row out of the tier into the fixpoint result.
-    fn to_row(row: &[Self]) -> Row;
-    /// Move a retiring row into the fixpoint result. Copying (the default)
-    /// leaves the working set intact for a demoted iteration to re-run.
-    fn retire(row: &mut Vec<Self>) -> Row {
-        Self::to_row(row)
-    }
+/// A fixpoint's row buffers, shared by both execution tiers. An iteration
+/// consumes `cur` and produces `next`; `prev` holds the last consumed
+/// working set (kept only by `WITH ITERATE`), and `pool` recycles spent
+/// rows as output buffers. Rows rotate between the four instead of being
+/// copied.
+pub(crate) struct Rotation {
+    pub(crate) cur: Vec<Row>,
+    pub(crate) next: Vec<Row>,
+    pub(crate) prev: Vec<Row>,
+    pub(crate) pool: Vec<Row>,
 }
 
-impl FixCell for Value {
-    fn is_true(&self) -> bool {
-        Value::is_true(self)
-    }
-    fn to_row(row: &[Value]) -> Row {
-        row.to_vec()
-    }
-    /// The VM never re-runs an iteration, so a retiring row moves out whole.
-    fn retire(row: &mut Row) -> Row {
-        std::mem::take(row)
-    }
-}
-
-/// A fixpoint's row buffers in one tier's cell type. An iteration consumes
-/// `cur` and produces `next`; `prev` holds the last consumed working set
-/// (kept only by `WITH ITERATE`), and `pool` recycles spent rows as output
-/// buffers. Rows rotate between the four instead of being copied.
-pub(crate) struct Rotation<C> {
-    pub(crate) cur: Vec<Vec<C>>,
-    pub(crate) next: Vec<Vec<C>>,
-    pub(crate) prev: Vec<Vec<C>>,
-    pub(crate) pool: Vec<Vec<C>>,
-}
-
-impl<C> Rotation<C> {
-    pub(crate) fn new(cur: Vec<Vec<C>>) -> Self {
+impl Rotation {
+    pub(crate) fn new(cur: Vec<Row>) -> Self {
         Rotation {
             cur,
             next: Vec::new(),
@@ -1752,14 +1727,15 @@ impl Retention {
     /// is already false retires without paying one more transition, and
     /// under UNION ALL a successor whose flag the transition just cleared
     /// retires at once rather than being re-scanned next pass (plain UNION
-    /// must first pass it through the dedup set). Returns how many rows
-    /// `apply` kept. An error takes back the iteration's output and
-    /// retirements.
-    pub(crate) fn step_rows<C: FixCell, E>(
+    /// must first pass it through the dedup set). A working row retires by
+    /// copy, so a demoted mono iteration re-runs in the VM from intact rows;
+    /// a successor retires by move. Returns how many rows `apply` kept. An
+    /// error takes back the iteration's output and retirements.
+    pub(crate) fn step_rows<E>(
         &mut self,
-        bufs: &mut Rotation<C>,
+        bufs: &mut Rotation,
         pred_slot: Option<usize>,
-        mut apply: impl FnMut(&mut Vec<C>, &mut Vec<Vec<C>>) -> std::result::Result<Option<Vec<C>>, E>,
+        mut apply: impl FnMut(&mut Row, &mut Vec<Row>) -> std::result::Result<Option<Row>, E>,
     ) -> std::result::Result<u64, E> {
         let (mut retired, pre, post) = match self {
             Retention::Retire { retired, union_all } => {
@@ -1772,24 +1748,21 @@ impl Retention {
         for row in &mut bufs.cur {
             if let (Some(i), Some(r)) = (pre, retired.as_deref_mut()) {
                 if !row[i].is_true() {
-                    r.push(C::retire(row));
+                    r.push(row.clone());
                     continue;
                 }
             }
             match apply(row, &mut bufs.pool) {
-                Ok(Some(mut out)) => {
+                Ok(Some(out)) => {
                     kept += 1;
                     match (post, retired.as_deref_mut()) {
-                        (Some(i), Some(r)) if !out[i].is_true() => {
-                            r.push(C::retire(&mut out));
-                            bufs.pool.push(out);
-                        }
+                        (Some(i), Some(r)) if !out[i].is_true() => r.push(out),
                         _ => bufs.next.push(out),
                     }
                 }
                 Ok(None) => {
                     if let Some(r) = retired.as_deref_mut() {
-                        r.push(C::retire(row));
+                        r.push(row.clone());
                     }
                 }
                 Err(e) => {
@@ -1806,7 +1779,7 @@ impl Retention {
 
     /// Hand an iteration's output to the policy, then rotate: the output
     /// becomes the next working set.
-    pub(crate) fn keep<C: FixCell>(&mut self, bufs: &mut Rotation<C>) {
+    pub(crate) fn keep(&mut self, bufs: &mut Rotation) {
         match self {
             Retention::IterateOnly => {
                 bufs.pool.append(&mut bufs.prev);
@@ -1814,7 +1787,7 @@ impl Retention {
             }
             _ => {
                 if let Retention::Accumulate(store) = self {
-                    store.extend(bufs.next.iter().map(|r| C::to_row(r)));
+                    store.extend(bufs.next.iter().cloned());
                 }
                 bufs.pool.append(&mut bufs.cur);
             }
@@ -1857,12 +1830,33 @@ enum Arm<'p> {
     },
 }
 
-impl Arm<'_> {
+impl<'p> Arm<'p> {
+    /// Choose how the VM runs `recursive`. `WITH RETIRE` needs the
+    /// row-at-a-time shape.
+    fn new(recursive: &'p PlanNode, index: usize, mode: RecursionMode) -> Result<Self> {
+        match pipeline_steps(recursive, index) {
+            Some(steps) => Ok(Arm::Rows {
+                trans: try_transition(&steps),
+                steps,
+            }),
+            None if mode == RecursionMode::Retire => Err(Error::exec(
+                "WITH RETIRE requires a pipeline-shaped recursive arm \
+                 (a single scan of the working table; joins and sub-query \
+                 self-references cannot retire individual rows)",
+            )),
+            None => Ok(Arm::Plan {
+                plan: recursive,
+                index,
+                slot: Arc::new(Vec::new()),
+            }),
+        }
+    }
+
     /// Run one VM iteration from `bufs.cur` into `bufs.next`. Returns the
     /// rows the fused transition kept.
     fn step(
         &mut self,
-        bufs: &mut Rotation<Value>,
+        bufs: &mut Rotation,
         retention: &mut Retention,
         env: &EvalEnv<'_>,
         rt: &mut Runtime<'_>,
@@ -1934,15 +1928,22 @@ impl Arm<'_> {
     }
 }
 
+/// The tier running a fixpoint.
+enum Running<'p, 'c> {
+    Mono(MonoRows<'p, 'c>),
+    Vm(Arm<'p>),
+}
+
 /// Run a recursive CTE to its fixpoint, one loop for every recursion mode
 /// and tier. The tier is chosen once, before the loop: a recognized
 /// transition runs in the mono tier from its first iteration unless
-/// `tier_mode` is `ForceOff` or its captures or base rows fall outside the
-/// typed domain. Each iteration stops on an empty working set, counts
+/// `tier_mode` is `ForceOff` or its captures or probe targets do not bind.
+/// The VM's [`Arm`] is built only when the VM runs: at entry, or when the
+/// mono tier demotes. Each iteration stops on an empty working set, counts
 /// itself against `max_recursive_iterations`, tracks the working-set
-/// peak, runs one step (the mono step while promoted, else the VM's
-/// [`Arm`]), deduplicates under UNION, and hands its output to the
-/// [`Retention`] policy.
+/// peak, runs one step of its tier over the shared [`Rotation`],
+/// deduplicates under UNION, and hands its output to the [`Retention`]
+/// policy.
 fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Vec<Row>> {
     let CtePlan::Recursive {
         index,
@@ -1961,44 +1962,29 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
     if !union_all {
         working.retain(|r| seen.insert(r.clone()));
     }
-    let mut arm = match pipeline_steps(recursive, index) {
-        Some(steps) => Arm::Rows {
-            trans: try_transition(&steps),
-            steps,
-        },
-        None if mode == RecursionMode::Retire => {
-            return Err(Error::exec(
-                "WITH RETIRE requires a pipeline-shaped recursive arm \
-                 (a single scan of the working table; joins and sub-query \
-                 self-references cannot retire individual rows)",
-            ));
-        }
-        None => Arm::Plan {
-            plan: recursive,
-            index,
-            slot: Arc::new(Vec::new()),
-        },
-    };
     let limit = rt.config.max_recursive_iterations;
     let mut retention = Retention::new(mode, union_all, &working, rt.config.work_mem_bytes);
     // Working-set high-water mark, reported by EXPLAIN ANALYZE (and folded
     // into the batch counters for Retire).
     let mut peak = working.len();
-    let mut vm = Rotation::new(working);
-    // The typed working set, while the mono tier runs the fixpoint. An
-    // empty base runs no iteration, so it does not promote. The catalog
+    let mut bufs = Rotation::new(working);
+    // An empty base runs no iteration, so it does not promote. The catalog
     // reference is copied out so the bound probes' borrows stay disjoint
     // from the runtime's mutable state.
     let catalog = rt.catalog;
-    let mut mono = match tier.as_deref() {
-        Some(prog) if rt.config.tier_mode == TierMode::Auto && !vm.cur.is_empty() => {
-            crate::tier::MonoRows::enter(prog, env, catalog, &mut vm, rt.stats)
+    let mono = match tier.as_deref() {
+        Some(prog) if rt.config.tier_mode == TierMode::Auto && !bufs.cur.is_empty() => {
+            MonoRows::enter(prog, env, catalog, &bufs.cur, rt.stats)
         }
         _ => None,
     };
+    let mut running = match mono {
+        Some(m) => Running::Mono(m),
+        None => Running::Vm(Arm::new(recursive, index, mode)?),
+    };
     let mut iters: u64 = 0;
     loop {
-        let len = mono.as_ref().map_or(vm.cur.len(), |m| m.bufs.cur.len());
+        let len = bufs.cur.len();
         if len == 0 {
             break;
         }
@@ -2007,42 +1993,36 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
             return Err(iteration_limit_error(mode, limit));
         }
         peak = peak.max(len);
-        let kept = match mono.as_mut() {
-            Some(m) => {
-                let Ok(kept) = m.step(&mut retention, rt.stats) else {
-                    // Demoted: the iteration is not counted; the VM re-runs
-                    // it and every later one.
+        let kept = match &mut running {
+            Running::Mono(m) => match m.step(&mut bufs, &mut retention, rt.stats) {
+                Ok(kept) => kept,
+                Err(Demote) => {
+                    // The iteration is not counted; the VM re-runs it and
+                    // every later one.
                     iters -= 1;
-                    if let Some(m) = mono.take() {
-                        m.leave(&mut vm);
-                    }
+                    running = Running::Vm(Arm::new(recursive, index, mode)?);
                     continue;
-                };
-                retention.keep(&mut m.bufs);
-                kept
-            }
-            None => {
-                let kept = arm.step(&mut vm, &mut retention, env, rt)?;
-                if !union_all {
-                    vm.next.retain(|r| seen.insert(r.clone()));
                 }
-                retention.keep(&mut vm);
-                kept
-            }
+            },
+            Running::Vm(arm) => arm.step(&mut bufs, &mut retention, env, rt)?,
         };
+        if !union_all {
+            bufs.next.retain(|r| seen.insert(r.clone()));
+        }
+        retention.keep(&mut bufs);
         // Rows the transition kept, counted once for whichever tier ran it.
-        let counter = match mono {
-            Some(_) => &mut rt.stats.tier.tier_mono_rows,
-            None => &mut rt.stats.fused_transition_rows,
+        let counter = match running {
+            Running::Mono(_) => &mut rt.stats.tier.tier_mono_rows,
+            Running::Vm(_) => &mut rt.stats.fused_transition_rows,
         };
         *counter += kept;
     }
     // The tier this fixpoint ended the execution in.
-    let tier_label = if mono.is_some() { "mono" } else { "vm" };
-    if let Some(m) = mono {
-        m.leave(&mut vm);
-    }
-    let result = retention.finish(std::mem::take(&mut vm.prev), peak, rt);
+    let tier_label = match running {
+        Running::Mono(_) => "mono",
+        Running::Vm(_) => "vm",
+    };
+    let result = retention.finish(std::mem::take(&mut bufs.prev), peak, rt);
     rt.stats.recursive_iterations += iters;
     if let Some(state) = rt.analyze.as_deref_mut() {
         let retired = match mode {

@@ -31,13 +31,13 @@ pub struct BatchCounters {
 
 /// Counters for the tiered-execution layer (`crate::tier`): how many
 /// fixpoint transitions were promoted from the VM to the monomorphized
-/// typed tier, and how many rows the mono tier drove. Embedded in
+/// tier, and how many rows the mono tier drove. Embedded in
 /// [`crate::RuntimeStats`] next to the batch counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierCounters {
     /// Transitions promoted VM → mono (per promotion event, not per row).
     pub tier_promotions: u64,
-    /// Rows the monomorphized typed transition kept: the mono tier's
+    /// Rows the monomorphized transition kept: the mono tier's
     /// counterpart of `RuntimeStats::fused_transition_rows`.
     pub tier_mono_rows: u64,
 }

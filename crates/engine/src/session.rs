@@ -286,16 +286,6 @@ impl Session {
         self.run_stmt(&stmt, sql)
     }
 
-    /// Run a `;`-separated script; returns the result of the last statement.
-    pub fn run_script(&mut self, sql: &str) -> Result<QueryResult> {
-        let stmts = plaway_sql::parse_statements(sql)?;
-        let mut last = QueryResult::empty();
-        for stmt in &stmts {
-            last = self.run_stmt(stmt, sql)?;
-        }
-        Ok(last)
-    }
-
     /// Convenience: run a query and return its single scalar result.
     pub fn query_scalar(&mut self, sql: &str) -> Result<Value> {
         self.run(sql)?.scalar()

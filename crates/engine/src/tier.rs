@@ -1,35 +1,39 @@
-//! Tiered execution: monomorphized typed pipelines for fixpoint
+//! Tiered execution: monomorphized closure pipelines for fixpoint
 //! transitions.
 //!
 //! The expression VM, the engine's one evaluator, runs the fused
-//! `Extend → Filter → Unpack` transition without tree-walking dispatch, but
-//! every cell still travels as a boxed [`Value`] and every opcode still
-//! pays one dispatch branch. This module removes both for the common
-//! *typed* shape: at prepare time [`recognize`] inspects the recursive arm
-//! and, when it matches, compiles the whole per-row transition into
-//! statically-typed Rust closures over `TCell` — a four-variant cell
-//! (NULL / bool / int / text) with no float, no record, and no per-op
-//! dispatch loop.
+//! `Extend → Filter → Unpack` transition as bytecode: every operand goes
+//! through its value stack and every opcode pays one dispatch branch. This
+//! module removes both for the common shape: at prepare time [`recognize`]
+//! inspects the recursive arm and, when it matches, compiles the whole
+//! per-row transition into Rust closures that read their operands in place
+//! and write the successor row directly.
+//!
+//! The tier has no value type and no operator semantics of its own. Its
+//! cells are the VM's [`Value`]s, and it computes every operator with the
+//! functions the VM calls: `fast_int_bin`, then `apply_bin`, plus `and3`,
+//! `Value::sql_cmp`, `sql_eq`, `as_bool` and `cast`, [`like_match`] and
+//! [`eval_scalar`]. The two tiers can differ only in control flow.
 //!
 //! Promotion happens once, at fixpoint entry (see `DESIGN.md` §7).
 //! Recognition, the costly compile, already ran at prepare time, so a
-//! later promotion would defer only a bind and a working-set conversion.
-//! Under `tier_mode = Auto` a recognized transition whose captures bind
-//! and whose base rows are typed runs in the mono tier from its first
-//! iteration; `ForceOff` keeps it in the VM for the differential harness
-//! and the benchmarks.
+//! later promotion would defer only a bind. Under `tier_mode = Auto` a
+//! recognized transition whose captures and probe targets bind runs in the
+//! mono tier from its first iteration; `ForceOff` keeps it in the VM for
+//! the differential harness and the benchmarks.
 //!
-//! The tier owns no loop of its own. The one fixpoint driver
-//! (`exec_recursive_cte`) runs every iteration, and once `MonoRows::enter`
-//! has promoted it, it runs each one as a `MonoRows::step` over typed rows
-//! under the same retention policy (`Retention`) as the VM.
+//! The tier owns no loop and no rows. The one fixpoint driver
+//! (`exec_recursive_cte`) runs every iteration over its row buffers
+//! (`Rotation`), and once `MonoRows::enter` has promoted the fixpoint it
+//! runs each iteration as a `MonoRows::step` under the same retention
+//! policy (`Retention`) as the VM.
 //!
-//! Fallback is total: any situation the typed tier cannot reproduce
-//! bit-for-bit — a float or record cell, integer overflow, division by
-//! zero, a scalar error, more than one probe match — raises `Demote`,
-//! the in-flight iteration is discarded, and the *same* iteration re-runs
-//! in the VM, which reproduces the exact value or error. A demoted
-//! transition stays in the VM for the rest of the statement.
+//! Fallback is total: an operator error (integer overflow, division by
+//! zero, a type mismatch, a failing builtin), more than one probe match or
+//! a kept row whose body is not a row raises `Demote`. The in-flight
+//! iteration is discarded, and the *same* iteration re-runs in the VM,
+//! which reproduces the exact value or error. A demoted transition stays
+//! in the VM for the rest of the statement.
 
 use std::fmt;
 use std::sync::Arc;
@@ -38,91 +42,35 @@ use plaway_common::{SessionRng, Value};
 use plaway_sql::ast::BinOp;
 
 use crate::catalog::{Catalog, Index, Row};
-use crate::exec::{EvalEnv, FixCell, Retention, Rotation, RuntimeStats};
+use crate::exec::{and3, apply_bin, EvalEnv, Retention, Rotation, RuntimeStats};
 use crate::functions::{eval_scalar, like_match};
 use crate::ir::{ExprIr, PlanNode};
-use crate::vm::{chain_flattenable, chain_shape, plan_free_scopes};
+use crate::vm::{chain_flattenable, chain_shape, fast_int_bin, plan_free_scopes};
 
 /// Let-chain register ceiling; compiled kernels use a handful of cells.
 const MAX_CHAIN: usize = 16;
 
 // ---------------------------------------------------------------------------
-// Typed cells and runtime frames
-
-/// A typed cell: the value domain the mono tier handles natively. Floats
-/// and records are deliberately absent — rows carrying them never promote
-/// (or demote on first contact), keeping every closure a two-or-three-arm
-/// match instead of a full `Value` dispatch.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) enum TCell {
-    #[default]
-    Null,
-    Bool(bool),
-    Int(i64),
-    Text(Arc<str>),
-}
+// Runtime frames
 
 /// The mono tier cannot (or must not) continue: re-run this iteration in
 /// the VM, which reproduces the exact value or error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Demote;
 
-type TResult = std::result::Result<TCell, Demote>;
-
-fn tcell_of(v: &Value) -> Option<TCell> {
-    match v {
-        Value::Null => Some(TCell::Null),
-        Value::Bool(b) => Some(TCell::Bool(*b)),
-        Value::Int(i) => Some(TCell::Int(*i)),
-        Value::Text(t) => Some(TCell::Text(Arc::clone(t))),
-        Value::Float(_) | Value::Record(_) => None,
-    }
-}
-
-fn value_of(c: &TCell) -> Value {
-    match c {
-        TCell::Null => Value::Null,
-        TCell::Bool(b) => Value::Bool(*b),
-        TCell::Int(i) => Value::Int(*i),
-        TCell::Text(t) => Value::Text(Arc::clone(t)),
-    }
-}
-
-type TRow = Vec<TCell>;
-
-fn row_of(r: &[TCell]) -> Row {
-    r.iter().map(value_of).collect()
-}
-
-fn to_typed(rows: &[Row], width: usize) -> Option<Vec<TRow>> {
-    rows.iter()
-        .map(|r| {
-            if r.len() != width {
-                return None;
-            }
-            r.iter().map(tcell_of).collect()
-        })
-        .collect()
-}
-
-/// One runtime frame: either a typed row owned by the mono driver, or a raw
-/// base-table row borrowed during an index probe (converted per access).
-#[derive(Clone, Copy)]
-enum FrameRef<'a> {
-    Typed(&'a [TCell]),
-    Raw(&'a [Value]),
-}
+type TResult = std::result::Result<Value, Demote>;
 
 /// Linked frame stack, mirroring [`crate::exec::Scopes`]: depth 0 is the
-/// innermost frame. Outer scopes beyond the compiled stack never appear
+/// innermost frame (the working row, a chain's registers or a probed
+/// base-table row). Outer scopes beyond the compiled stack never appear
 /// here — they are captured as constants at bind time.
 struct TFrames<'a> {
-    cur: FrameRef<'a>,
+    cur: &'a [Value],
     parent: Option<&'a TFrames<'a>>,
 }
 
 impl<'a> TFrames<'a> {
-    fn at_depth(&self, depth: usize) -> std::result::Result<FrameRef<'a>, Demote> {
+    fn at_depth(&self, depth: usize) -> std::result::Result<&'a [Value], Demote> {
         let mut cur = self;
         for _ in 0..depth {
             cur = cur.parent.ok_or(Demote)?;
@@ -168,7 +116,7 @@ enum Leaf {
         depth: usize,
         index: usize,
     },
-    Const(TCell),
+    Const(Value),
     /// A cell captured at promotion time (statement param / outer scope).
     Bind(usize),
 }
@@ -179,13 +127,13 @@ enum Leaf {
 /// avoiding a clone — which for `Text` cells is an atomic refcount
 /// round-trip — per operand touch.
 enum CellRef<'r> {
-    Ref(&'r TCell),
-    Owned(TCell),
+    Ref(&'r Value),
+    Owned(Value),
 }
 
 impl CellRef<'_> {
     #[inline(always)]
-    fn get(&self) -> &TCell {
+    fn get(&self) -> &Value {
         match self {
             CellRef::Ref(r) => r,
             CellRef::Owned(c) => c,
@@ -193,7 +141,7 @@ impl CellRef<'_> {
     }
 
     #[inline(always)]
-    fn into_owned(self) -> TCell {
+    fn into_owned(self) -> Value {
         match self {
             CellRef::Ref(r) => r.clone(),
             CellRef::Owned(c) => c,
@@ -205,146 +153,76 @@ type TCResult<'r> = std::result::Result<CellRef<'r>, Demote>;
 
 impl Leaf {
     #[inline(always)]
-    fn eval_c<'r>(&'r self, f: &TFrames<'r>, b: &'r TierBound<'_>) -> TCResult<'r> {
-        #[inline(always)]
-        fn slot(fr: FrameRef<'_>, index: usize) -> TCResult<'_> {
-            match fr {
-                FrameRef::Typed(cells) => cells.get(index).map(CellRef::Ref).ok_or(Demote),
-                FrameRef::Raw(row) => tcell_of(row.get(index).ok_or(Demote)?)
-                    .map(CellRef::Owned)
-                    .ok_or(Demote),
-            }
-        }
-        match self {
-            Leaf::Slot0(i) => slot(f.cur, *i),
-            Leaf::SlotN { depth, index } => slot(f.at_depth(*depth)?, *index),
-            Leaf::Const(c) => Ok(CellRef::Ref(c)),
-            Leaf::Bind(i) => Ok(CellRef::Ref(&b.binds[*i])),
-        }
+    fn eval_c<'r>(
+        &'r self,
+        f: &TFrames<'r>,
+        b: &'r TierBound<'_>,
+    ) -> std::result::Result<&'r Value, Demote> {
+        let cell = match self {
+            Leaf::Slot0(i) => f.cur.get(*i),
+            Leaf::SlotN { depth, index } => f.at_depth(*depth)?.get(*index),
+            Leaf::Const(c) => Some(c),
+            Leaf::Bind(i) => b.binds.get(*i),
+        };
+        cell.ok_or(Demote)
     }
 
     #[inline(always)]
     fn eval(&self, f: &TFrames<'_>, b: &TierBound<'_>) -> TResult {
-        Ok(self.eval_c(f, b)?.into_owned())
+        Ok(self.eval_c(f, b)?.clone())
     }
 }
 
-/// Checked integer arithmetic; `None` (overflow, zero divisor) demotes,
-/// and the VM re-raises the exact error.
-#[derive(Clone, Copy)]
-enum ArithOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-}
-
-impl ArithOp {
-    #[inline(always)]
-    fn apply(self, x: i64, y: i64) -> Option<i64> {
-        match self {
-            ArithOp::Add => x.checked_add(y),
-            ArithOp::Sub => x.checked_sub(y),
-            ArithOp::Mul => x.checked_mul(y),
-            ArithOp::Div => x.checked_div(y),
-            ArithOp::Mod => {
-                if y == 0 {
-                    None
-                } else {
-                    Some(x.wrapping_rem(y))
-                }
-            }
-        }
+/// Apply a strict binary operator exactly as the VM's binary ops do: the
+/// integer fast path first, then the `Value` operator. An error (overflow,
+/// a zero divisor, incomparable operands) demotes, and the VM re-raises it.
+#[inline(always)]
+fn binary(op: BinOp, x: &Value, y: &Value) -> TResult {
+    match fast_int_bin(op, x, y) {
+        Some(v) => Ok(v),
+        None => apply_bin(op, x, y).map_err(|_| Demote),
     }
 }
 
-#[derive(Clone, Copy)]
-enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
+/// `AND` and `OR` must short-circuit lazily, so they stay in the closure
+/// compiler; every other operator evaluates both operands.
+fn strict(op: &BinOp) -> bool {
+    !matches!(op, BinOp::And | BinOp::Or)
 }
 
-impl CmpOp {
-    #[inline(always)]
-    fn test(self, o: std::cmp::Ordering) -> bool {
-        use std::cmp::Ordering as O;
-        match self {
-            CmpOp::Eq => o == O::Equal,
-            CmpOp::Ne => o != O::Equal,
-            CmpOp::Lt => o == O::Less,
-            CmpOp::Le => o != O::Greater,
-            CmpOp::Gt => o == O::Greater,
-            CmpOp::Ge => o != O::Less,
-        }
-    }
-}
-
-/// A strict binary primitive: checked NULL-propagating arithmetic or a
-/// three-valued comparison. Both operands are always evaluated, so only
-/// operators without short-circuit semantics qualify (`AND`/`OR` stay in
-/// the closure compiler).
-#[derive(Clone, Copy)]
-enum Prim {
-    Arith(ArithOp),
-    Cmp(CmpOp),
-}
-
-impl Prim {
-    #[inline(always)]
-    fn apply(self, x: &TCell, y: &TCell) -> TResult {
-        match self {
-            Prim::Arith(op) => match (x, y) {
-                (TCell::Int(a), TCell::Int(b)) => op.apply(*a, *b).map(TCell::Int).ok_or(Demote),
-                (TCell::Null, _) | (_, TCell::Null) => Ok(TCell::Null),
-                _ => Err(Demote),
-            },
-            Prim::Cmp(op) => Ok(match tcell_cmp(x, y)? {
-                Some(o) => TCell::Bool(op.test(o)),
-                None => TCell::Null,
-            }),
-        }
-    }
-}
-
-/// An expression of depth ≤ 1: a leaf, or one primitive over leaves.
+/// An expression of depth ≤ 1: a leaf, or one strict operator over leaves.
 enum Node {
     Leaf(Leaf),
-    Prim { op: Prim, l: Leaf, r: Leaf },
+    Prim { op: BinOp, l: Leaf, r: Leaf },
 }
 
 impl Node {
     #[inline(always)]
     fn eval_c<'r>(&'r self, f: &TFrames<'r>, b: &'r TierBound<'_>) -> TCResult<'r> {
         match self {
-            Node::Leaf(l) => l.eval_c(f, b),
+            Node::Leaf(l) => Ok(CellRef::Ref(l.eval_c(f, b)?)),
             Node::Prim { op, l, r } => {
-                let lv = l.eval_c(f, b)?;
-                let rv = r.eval_c(f, b)?;
-                Ok(CellRef::Owned(op.apply(lv.get(), rv.get())?))
+                let v = binary(*op, l.eval_c(f, b)?, r.eval_c(f, b)?)?;
+                Ok(CellRef::Owned(v))
             }
         }
     }
 }
 
 /// A compiled operand. The shapes the kernels overwhelmingly evaluate —
-/// leaves and up to two levels of arithmetic / comparison over them
-/// (`a + b`, `(a + b) % m`, `i <= n`) — are enum arms matched inline at
-/// the use site instead of paying a boxed indirect call each; anything
-/// deeper falls back to a boxed closure whose own operands are again
-/// `Atom`s, so nesting costs one indirection per *three* levels, not per
-/// node. Deliberately non-recursive: the small `eval` bodies inline into
-/// the row loops, which is where the mono tier earns its keep over the
-/// expression VM's per-opcode dispatch.
+/// leaves and up to two levels of strict operators over them (`a + b`,
+/// `(a + b) % m`, `i <= n`) — are enum arms matched inline at the use site
+/// instead of paying a boxed indirect call each; anything deeper falls
+/// back to a boxed closure whose own operands are again `Atom`s, so
+/// nesting costs one indirection per *three* levels, not per node.
+/// Deliberately non-recursive: the small `eval` bodies inline into the row
+/// loops, which is where the mono tier earns its keep over the expression
+/// VM's per-opcode dispatch.
 enum Atom {
     Node(Node),
-    /// One primitive over depth-≤1 operands (depth-2 trees, inline).
+    /// One strict operator over depth-≤1 operands (depth-2 trees, inline).
     Prim2 {
-        op: Prim,
+        op: BinOp,
         l: Node,
         r: Node,
     },
@@ -364,7 +242,7 @@ impl Atom {
             Atom::Prim2 { op, l, r } => {
                 let lv = l.eval_c(f, b)?;
                 let rv = r.eval_c(f, b)?;
-                Ok(CellRef::Owned(op.apply(lv.get(), rv.get())?))
+                Ok(CellRef::Owned(binary(*op, lv.get(), rv.get())?))
             }
             Atom::Expr(e) => Ok(CellRef::Owned(e(f, b, s)?)),
         }
@@ -374,6 +252,16 @@ impl Atom {
     fn eval(&self, f: &TFrames<'_>, b: &TierBound<'_>, s: &mut TierRowStats) -> TResult {
         Ok(self.eval_c(f, b, s)?.into_owned())
     }
+}
+
+/// Read a cell as a boolean, as the VM's `Not`, `AND` and `OR` do.
+fn as_bool(v: &Value) -> std::result::Result<Option<bool>, Demote> {
+    v.as_bool().map_err(|_| Demote)
+}
+
+/// A three-valued boolean as a cell.
+fn bool_cell(b: Option<bool>) -> Value {
+    b.map_or(Value::Null, Value::Bool)
 }
 
 /// A value captured at promotion time: statement parameters and outer-scope
@@ -404,18 +292,18 @@ struct BoundProbe<'a> {
 /// Per-promotion bindings: captured outer cells plus resolved probe
 /// targets. Borrows the catalog, which is frozen for the statement.
 pub(crate) struct TierBound<'a> {
-    binds: Vec<TCell>,
+    binds: Vec<Value>,
     probes: Vec<BoundProbe<'a>>,
 }
+
+/// One chain's register file, preallocated per fixpoint (not per row) and
+/// indexed by chain nesting depth. Only the written prefix is ever exposed
+/// through a frame, so stale cells from earlier rows are never read.
+type TRegs = [Value; MAX_CHAIN];
 
 /// The row constructor of the transition body. `Cases` mirrors CASE
 /// dispatch over whole-row branches; `Chain` mirrors a flattened let-chain
 /// whose final expression builds the row.
-/// One chain's register file, preallocated per fixpoint (not per row) and
-/// indexed by chain nesting depth. Only the written prefix is ever exposed
-/// through a frame, so stale cells from earlier rows are never read.
-type TRegs = [TCell; MAX_CHAIN];
-
 enum RowProducer {
     /// The fast path: every output cell is a leaf (slot copy, constant,
     /// bind) — one tight loop, no per-cell operand dispatch.
@@ -436,6 +324,15 @@ enum RowProducer {
     },
 }
 
+/// Whether a CASE branch fires: the operand equals the `WHEN` value, or,
+/// without an operand, the `WHEN` condition is true.
+fn case_fires(operand: Option<&CellRef<'_>>, when: &Value) -> std::result::Result<bool, Demote> {
+    Ok(match operand {
+        Some(v) => v.get().sql_eq(when).map_err(|_| Demote)? == Some(true),
+        None => when.is_true(),
+    })
+}
+
 impl RowProducer {
     /// Build the output row into `out`. `Ok(true)` means `out` was filled;
     /// `Ok(false)` means a CASE with no ELSE fell through — the body's
@@ -448,7 +345,7 @@ impl RowProducer {
         f: &TFrames<'_>,
         b: &TierBound<'_>,
         s: &mut TierRowStats,
-        out: &mut [TCell],
+        out: &mut [Value],
         scratch: &mut [TRegs],
     ) -> std::result::Result<bool, Demote> {
         match self {
@@ -474,12 +371,7 @@ impl RowProducer {
                     None => None,
                 };
                 for (when, then) in branches {
-                    let wv = when.eval_c(f, b, s)?;
-                    let fire = match &ov {
-                        Some(v) => tcell_eq(v.get(), wv.get())? == Some(true),
-                        None => matches!(wv.get(), TCell::Bool(true)),
-                    };
-                    if fire {
+                    if case_fires(ov.as_ref(), when.eval_c(f, b, s)?.get())? {
                         return then.run(f, b, s, out, scratch);
                     }
                 }
@@ -498,22 +390,9 @@ impl RowProducer {
                     s.subplan_evals += 1;
                 }
                 let (regs, rest) = scratch.split_first_mut().ok_or(Demote)?;
-                for (i, setter) in setters.iter().enumerate() {
-                    // Seed bindings (`Result` exprs) evaluate in the outer
-                    // env — the chain frame is NOT pushed for them; each
-                    // extend expr sees the row-so-far as depth 0.
-                    regs[i] = if i < *first_n {
-                        setter.eval(f, b, s)?
-                    } else {
-                        let cf = TFrames {
-                            cur: FrameRef::Typed(&regs[..i]),
-                            parent: Some(f),
-                        };
-                        setter.eval(&cf, b, s)?
-                    };
-                }
+                fill_chain(regs, *first_n, setters, f, b, s)?;
                 let cf = TFrames {
-                    cur: FrameRef::Typed(&regs[..setters.len()]),
+                    cur: &regs[..setters.len()],
                     parent: Some(f),
                 };
                 inner.run(&cf, b, s, out, rest)
@@ -536,100 +415,49 @@ impl RowProducer {
     }
 }
 
-/// Allocate the chain scratch for one fixpoint run of `produce`.
-fn chain_scratch(produce: &RowProducer) -> Vec<TRegs> {
-    (0..produce.chain_depth())
-        .map(|_| std::array::from_fn(|_| TCell::Null))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Typed primitive semantics (exact mirrors of `Value` / `eval`)
-
-fn t_as_bool(c: &TCell) -> std::result::Result<Option<bool>, Demote> {
-    match c {
-        TCell::Null => Ok(None),
-        TCell::Bool(b) => Ok(Some(*b)),
-        _ => Err(Demote),
+/// Evaluate a let-chain's setters into `regs`. Seed bindings (`Result`
+/// exprs) evaluate in the outer env — the chain frame is NOT pushed for
+/// them; each extend expr sees the row-so-far as depth 0. Always inlined:
+/// as an out-of-line call it made a hand-built let-chain transition about
+/// 1.6× slower per iteration.
+#[inline(always)]
+fn fill_chain(
+    regs: &mut TRegs,
+    first_n: usize,
+    setters: &[Atom],
+    f: &TFrames<'_>,
+    b: &TierBound<'_>,
+    s: &mut TierRowStats,
+) -> std::result::Result<(), Demote> {
+    for (i, setter) in setters.iter().enumerate() {
+        regs[i] = if i < first_n {
+            setter.eval(f, b, s)?
+        } else {
+            let cf = TFrames {
+                cur: &regs[..i],
+                parent: Some(f),
+            };
+            setter.eval(&cf, b, s)?
+        };
     }
+    Ok(())
 }
 
-fn and3(l: Option<bool>, r: Option<bool>) -> Option<bool> {
-    match (l, r) {
-        (Some(false), _) | (_, Some(false)) => Some(false),
-        (Some(true), Some(true)) => Some(true),
-        _ => None,
-    }
-}
-
-/// Mirror of `Value::sql_cmp` over the typed domain; mixed or unordered
-/// pairs (which the VM reports as comparison errors) demote.
-fn tcell_cmp(a: &TCell, b: &TCell) -> std::result::Result<Option<std::cmp::Ordering>, Demote> {
-    match (a, b) {
-        (TCell::Int(x), TCell::Int(y)) => Ok(Some(x.cmp(y))),
-        (TCell::Null, _) | (_, TCell::Null) => Ok(None),
-        (TCell::Bool(x), TCell::Bool(y)) => Ok(Some(x.cmp(y))),
-        (TCell::Text(x), TCell::Text(y)) => Ok(Some(x.as_ref().cmp(y.as_ref()))),
-        _ => Err(Demote),
-    }
-}
-
-fn tcell_eq(a: &TCell, b: &TCell) -> std::result::Result<Option<bool>, Demote> {
-    Ok(tcell_cmp(a, b)?.map(|o| o == std::cmp::Ordering::Equal))
-}
-
-fn push_plain(out: &mut String, c: &TCell) {
-    use std::fmt::Write;
-    match c {
-        TCell::Null => {}
-        TCell::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        TCell::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        TCell::Text(t) => out.push_str(t),
-    }
-}
-
-/// The binary operators the [`Atom`] walk evaluates without a boxed
-/// closure (when the operand tree is shallow enough). `Concat` allocates,
-/// and `And`/`Or` must short-circuit lazily, so they stay in the closure
-/// compiler.
-fn prim_of(op: &BinOp) -> Option<Prim> {
-    Some(match op {
-        BinOp::Add => Prim::Arith(ArithOp::Add),
-        BinOp::Sub => Prim::Arith(ArithOp::Sub),
-        BinOp::Mul => Prim::Arith(ArithOp::Mul),
-        // `checked_div(x, 0)` is `None`, so the zero-divisor error lands on
-        // the same Demote path as overflow — the VM re-raises it exactly.
-        BinOp::Div => Prim::Arith(ArithOp::Div),
-        BinOp::Mod => Prim::Arith(ArithOp::Mod),
-        BinOp::Eq => Prim::Cmp(CmpOp::Eq),
-        BinOp::NotEq => Prim::Cmp(CmpOp::Ne),
-        BinOp::Lt => Prim::Cmp(CmpOp::Lt),
-        BinOp::LtEq => Prim::Cmp(CmpOp::Le),
-        BinOp::Gt => Prim::Cmp(CmpOp::Gt),
-        BinOp::GtEq => Prim::Cmp(CmpOp::Ge),
-        BinOp::And | BinOp::Or | BinOp::Concat => return None,
-    })
-}
-
-fn arith(l: Atom, r: Atom, op: ArithOp) -> TExpr {
-    texpr(move |f, b, s| {
-        let lv = l.eval_c(f, b, s)?;
-        let rv = r.eval_c(f, b, s)?;
-        Prim::Arith(op).apply(lv.get(), rv.get())
-    })
+/// A fresh register file.
+fn new_regs() -> TRegs {
+    std::array::from_fn(|_| Value::Null)
 }
 
 // ---------------------------------------------------------------------------
 // Compilation
 
-/// Compile-time frame model, innermost first. `Typed(w)` is a mono row
-/// with `w` visible cells; `Raw` is a probed base-table row.
+/// Compile-time frame model, innermost first. `Row(w)` is a working row or
+/// a chain's registers with `w` visible cells; `Probed` is a base-table row
+/// read during an index probe, whose width is checked per access.
 #[derive(Clone, Copy)]
 enum CFrame {
-    Typed(usize),
-    Raw,
+    Row(usize),
+    Probed,
 }
 
 #[derive(Default)]
@@ -647,15 +475,14 @@ impl Compiler {
         self.binds.len() - 1
     }
 
-    /// Compile a leaf operand, or `None` if `e` is not a leaf (or is a
-    /// leaf the typed domain cannot carry — a float constant, an
-    /// out-of-width slot; those also fail in `scalar`, so falling through
-    /// to it changes nothing). Bounds are checked here, at compile time.
+    /// Compile a leaf operand, or `None` if `e` is not a leaf or reads a
+    /// slot beyond its frame's width. Bounds are checked here, at compile
+    /// time.
     fn leaf(&mut self, e: &ExprIr, frames: &[CFrame]) -> Option<Leaf> {
         Some(match e {
-            ExprIr::Const(v) => Leaf::Const(tcell_of(v)?),
+            ExprIr::Const(v) => Leaf::Const(v.clone()),
             ExprIr::Slot { depth, index } if *depth < frames.len() => {
-                if let CFrame::Typed(w) = frames[*depth] {
+                if let CFrame::Row(w) = frames[*depth] {
                     if *index >= w {
                         return None;
                     }
@@ -678,16 +505,17 @@ impl Compiler {
         })
     }
 
-    /// Compile a depth-≤1 operand: a leaf, or one primitive over leaves.
+    /// Compile a depth-≤1 operand: a leaf, or one strict operator over
+    /// leaves.
     fn node(&mut self, e: &ExprIr, frames: &[CFrame]) -> Option<Node> {
         if let Some(l) = self.leaf(e, frames) {
             return Some(Node::Leaf(l));
         }
         if let ExprIr::Binary { op, left, right } = e {
-            if let Some(op) = prim_of(op) {
+            if strict(op) {
                 if let Some(l) = self.leaf(left, frames) {
                     if let Some(r) = self.leaf(right, frames) {
-                        return Some(Node::Prim { op, l, r });
+                        return Some(Node::Prim { op: *op, l, r });
                     }
                 }
             }
@@ -695,19 +523,19 @@ impl Compiler {
         None
     }
 
-    /// Compile an operand position. Trees of depth ≤ 2 built from leaves,
-    /// arithmetic and comparisons become inline [`Atom`] arms (no boxed
-    /// call); anything deeper falls back to the closure compiler wrapped
-    /// in [`Atom::Expr`], whose operands are again atoms.
+    /// Compile an operand position. Trees of depth ≤ 2 built from leaves
+    /// and strict operators become inline [`Atom`] arms (no boxed call);
+    /// anything deeper falls back to the closure compiler wrapped in
+    /// [`Atom::Expr`], whose operands are again atoms.
     fn atom(&mut self, e: &ExprIr, frames: &[CFrame]) -> Option<Atom> {
         if let Some(n) = self.node(e, frames) {
             return Some(Atom::Node(n));
         }
         if let ExprIr::Binary { op, left, right } = e {
-            if let Some(op) = prim_of(op) {
+            if strict(op) {
                 if let Some(l) = self.node(left, frames) {
                     if let Some(r) = self.node(right, frames) {
-                        return Some(Atom::Prim2 { op, l, r });
+                        return Some(Atom::Prim2 { op: *op, l, r });
                     }
                 }
             }
@@ -716,131 +544,53 @@ impl Compiler {
     }
 
     /// Compile a scalar expression, or `None` when the shape is outside the
-    /// tier grammar (the transition then simply never promotes).
+    /// tier grammar (the transition then simply never promotes). Leaves
+    /// reach this only after [`Compiler::leaf`] refused them, so they fail
+    /// here too.
     fn scalar(&mut self, e: &ExprIr, frames: &[CFrame]) -> Option<TExpr> {
         Some(match e {
-            ExprIr::Const(v) => {
-                let c = tcell_of(v)?;
-                texpr(move |_, _, _| Ok(c.clone()))
-            }
-            ExprIr::Slot { depth, index } => {
-                let (depth, index) = (*depth, *index);
-                if depth < frames.len() {
-                    if let CFrame::Typed(w) = frames[depth] {
-                        if index >= w {
-                            return None;
-                        }
-                    }
-                    texpr(move |f, _, _| match f.at_depth(depth)? {
-                        FrameRef::Typed(cells) => cells.get(index).cloned().ok_or(Demote),
-                        FrameRef::Raw(row) => tcell_of(row.get(index).ok_or(Demote)?).ok_or(Demote),
-                    })
-                } else {
-                    let bi = self.bind(BindSpec::Outer {
-                        depth: depth - frames.len(),
-                        index,
-                    });
-                    texpr(move |_, b, _| Ok(b.binds[bi].clone()))
-                }
-            }
-            ExprIr::Param(i) => {
-                let bi = self.bind(BindSpec::Param(*i));
-                texpr(move |_, b, _| Ok(b.binds[bi].clone()))
-            }
             ExprIr::Neg(x) => {
                 let x = self.atom(x, frames)?;
-                texpr(move |f, b, s| match x.eval_c(f, b, s)?.get() {
-                    TCell::Null => Ok(TCell::Null),
-                    TCell::Int(i) => i.checked_neg().map(TCell::Int).ok_or(Demote),
-                    _ => Err(Demote),
-                })
+                texpr(move |f, b, s| x.eval_c(f, b, s)?.get().neg().map_err(|_| Demote))
             }
             ExprIr::Not(x) => {
                 let x = self.atom(x, frames)?;
-                texpr(move |f, b, s| {
-                    Ok(match t_as_bool(x.eval_c(f, b, s)?.get())? {
-                        Some(v) => TCell::Bool(!v),
-                        None => TCell::Null,
-                    })
-                })
+                texpr(move |f, b, s| Ok(bool_cell(as_bool(x.eval_c(f, b, s)?.get())?.map(|v| !v))))
             }
             ExprIr::IsNull { expr, negated } => {
                 let x = self.atom(expr, frames)?;
                 let negated = *negated;
-                texpr(move |f, b, s| {
-                    let is_null = matches!(x.eval_c(f, b, s)?.get(), TCell::Null);
-                    Ok(TCell::Bool(is_null != negated))
-                })
+                texpr(move |f, b, s| Ok(Value::Bool(x.eval_c(f, b, s)?.get().is_null() != negated)))
             }
             ExprIr::Binary { op, left, right } => {
                 let l = self.atom(left, frames)?;
                 let r = self.atom(right, frames)?;
-                match op {
-                    BinOp::Add => arith(l, r, ArithOp::Add),
-                    BinOp::Sub => arith(l, r, ArithOp::Sub),
-                    BinOp::Mul => arith(l, r, ArithOp::Mul),
-                    BinOp::Div => arith(l, r, ArithOp::Div),
-                    BinOp::Mod => arith(l, r, ArithOp::Mod),
+                match *op {
                     BinOp::And => texpr(move |f, b, s| {
-                        let lv = t_as_bool(l.eval_c(f, b, s)?.get())?;
+                        let lv = as_bool(l.eval_c(f, b, s)?.get())?;
                         if lv == Some(false) {
-                            return Ok(TCell::Bool(false));
+                            return Ok(Value::Bool(false));
                         }
-                        let rv = t_as_bool(r.eval_c(f, b, s)?.get())?;
-                        Ok(match and3(lv, rv) {
-                            Some(v) => TCell::Bool(v),
-                            None => TCell::Null,
-                        })
+                        let rv = as_bool(r.eval_c(f, b, s)?.get())?;
+                        Ok(bool_cell(and3(lv, rv)))
                     }),
                     BinOp::Or => texpr(move |f, b, s| {
-                        let lv = t_as_bool(l.eval_c(f, b, s)?.get())?;
+                        let lv = as_bool(l.eval_c(f, b, s)?.get())?;
                         if lv == Some(true) {
-                            return Ok(TCell::Bool(true));
+                            return Ok(Value::Bool(true));
                         }
-                        let rv = t_as_bool(r.eval_c(f, b, s)?.get())?;
+                        let rv = as_bool(r.eval_c(f, b, s)?.get())?;
                         Ok(match (lv, rv) {
-                            (_, Some(true)) => TCell::Bool(true),
-                            (Some(false), Some(false)) => TCell::Bool(false),
-                            _ => TCell::Null,
+                            (_, Some(true)) => Value::Bool(true),
+                            (Some(false), Some(false)) => Value::Bool(false),
+                            _ => Value::Null,
                         })
                     }),
-                    BinOp::Concat => texpr(move |f, b, s| {
+                    op => texpr(move |f, b, s| {
                         let lv = l.eval_c(f, b, s)?;
                         let rv = r.eval_c(f, b, s)?;
-                        match (lv.get(), rv.get()) {
-                            (TCell::Null, _) | (_, TCell::Null) => Ok(TCell::Null),
-                            (x, y) => {
-                                let mut out = String::new();
-                                push_plain(&mut out, x);
-                                push_plain(&mut out, y);
-                                Ok(TCell::Text(Arc::from(out)))
-                            }
-                        }
+                        binary(op, lv.get(), rv.get())
                     }),
-                    BinOp::Eq
-                    | BinOp::NotEq
-                    | BinOp::Lt
-                    | BinOp::LtEq
-                    | BinOp::Gt
-                    | BinOp::GtEq => {
-                        let test = match op {
-                            BinOp::Eq => CmpOp::Eq,
-                            BinOp::NotEq => CmpOp::Ne,
-                            BinOp::Lt => CmpOp::Lt,
-                            BinOp::LtEq => CmpOp::Le,
-                            BinOp::Gt => CmpOp::Gt,
-                            BinOp::GtEq => CmpOp::Ge,
-                            _ => unreachable!(),
-                        };
-                        texpr(move |f, b, s| {
-                            let lv = l.eval_c(f, b, s)?;
-                            let rv = r.eval_c(f, b, s)?;
-                            Ok(match tcell_cmp(lv.get(), rv.get())? {
-                                Some(o) => TCell::Bool(test.test(o)),
-                                None => TCell::Null,
-                            })
-                        })
-                    }
                 }
             }
             ExprIr::Between {
@@ -856,13 +606,10 @@ impl Compiler {
                 texpr(move |f, b, s| {
                     use std::cmp::Ordering as O;
                     let v = x.eval_c(f, b, s)?;
-                    let ge = tcell_cmp(v.get(), lo.eval_c(f, b, s)?.get())?.map(|o| o != O::Less);
-                    let le =
-                        tcell_cmp(v.get(), hi.eval_c(f, b, s)?.get())?.map(|o| o != O::Greater);
-                    Ok(match and3(ge, le) {
-                        Some(v) => TCell::Bool(v != negated),
-                        None => TCell::Null,
-                    })
+                    let cmp = |bound: &Value| v.get().sql_cmp(bound).map_err(|_| Demote);
+                    let ge = cmp(lo.eval_c(f, b, s)?.get())?.map(|o| o != O::Less);
+                    let le = cmp(hi.eval_c(f, b, s)?.get())?.map(|o| o != O::Greater);
+                    Ok(bool_cell(and3(ge, le).map(|v| v != negated)))
                 })
             }
             ExprIr::Case {
@@ -888,18 +635,13 @@ impl Compiler {
                         None => None,
                     };
                     for (when, then) in &br {
-                        let wv = when.eval_c(f, b, s)?;
-                        let fire = match &ov {
-                            Some(v) => tcell_eq(v.get(), wv.get())? == Some(true),
-                            None => matches!(wv.get(), TCell::Bool(true)),
-                        };
-                        if fire {
+                        if case_fires(ov.as_ref(), when.eval_c(f, b, s)?.get())? {
                             return then.eval(f, b, s);
                         }
                     }
                     match &els {
                         Some(e) => e.eval(f, b, s),
-                        None => Ok(TCell::Null),
+                        None => Ok(Value::Null),
                     }
                 })
             }
@@ -911,11 +653,11 @@ impl Compiler {
                 texpr(move |f, b, s| {
                     for c in &cs {
                         let v = c.eval(f, b, s)?;
-                        if !matches!(v, TCell::Null) {
+                        if !v.is_null() {
                             return Ok(v);
                         }
                     }
-                    Ok(TCell::Null)
+                    Ok(Value::Null)
                 })
             }
             ExprIr::InList {
@@ -933,16 +675,17 @@ impl Compiler {
                     let v = x.eval_c(f, b, s)?;
                     let mut any_null = false;
                     for item in &items {
-                        match tcell_eq(v.get(), item.eval_c(f, b, s)?.get())? {
-                            Some(true) => return Ok(TCell::Bool(!negated)),
-                            Some(false) => {}
-                            None => any_null = true,
+                        match v.get().sql_eq(item.eval_c(f, b, s)?.get()) {
+                            Ok(Some(true)) => return Ok(Value::Bool(!negated)),
+                            Ok(Some(false)) => {}
+                            Ok(None) => any_null = true,
+                            Err(_) => return Err(Demote),
                         }
                     }
                     Ok(if any_null {
-                        TCell::Null
+                        Value::Null
                     } else {
-                        TCell::Bool(negated)
+                        Value::Bool(negated)
                     })
                 })
             }
@@ -957,11 +700,12 @@ impl Compiler {
                 texpr(move |f, b, s| {
                     let xv = x.eval_c(f, b, s)?;
                     let pv = p.eval_c(f, b, s)?;
-                    match (xv.get(), pv.get()) {
-                        (TCell::Null, _) | (_, TCell::Null) => Ok(TCell::Null),
-                        (TCell::Text(v), TCell::Text(pat)) => {
-                            Ok(TCell::Bool(like_match(v, pat) != negated))
-                        }
+                    let (v, pat) = (xv.get(), pv.get());
+                    if v.is_null() || pat.is_null() {
+                        return Ok(Value::Null);
+                    }
+                    match (v.as_text(), pat.as_text()) {
+                        (Ok(v), Ok(pat)) => Ok(Value::Bool(like_match(v, pat) != negated)),
                         _ => Err(Demote),
                     }
                 })
@@ -969,12 +713,7 @@ impl Compiler {
             ExprIr::Cast { expr, ty } => {
                 let x = self.atom(expr, frames)?;
                 let ty = ty.clone();
-                texpr(
-                    move |f, b, s| match value_of(x.eval_c(f, b, s)?.get()).cast(&ty) {
-                        Ok(v) => tcell_of(&v).ok_or(Demote),
-                        Err(_) => Err(Demote),
-                    },
-                )
+                texpr(move |f, b, s| x.eval_c(f, b, s)?.get().cast(&ty).map_err(|_| Demote))
             }
             ExprIr::Scalar { func, args } => {
                 // Volatile builtins (random, raise_error) must go through
@@ -996,21 +735,21 @@ impl Compiler {
                 texpr(move |f, b, s| {
                     let mut vals: [Value; MAX_ARGS] = std::array::from_fn(|_| Value::Null);
                     for (slot, c) in vals.iter_mut().zip(&cs) {
-                        *slot = value_of(c.eval_c(f, b, s)?.get());
+                        *slot = c.eval(f, b, s)?;
                     }
                     // Non-volatile builtins never touch the RNG; a dummy
                     // keeps `eval_scalar`'s exact semantics reachable here.
                     let mut rng = SessionRng::new(1);
-                    match eval_scalar(func, &vals[..cs.len()], &mut rng) {
-                        Ok(v) => tcell_of(&v).ok_or(Demote),
-                        Err(_) => Err(Demote),
-                    }
+                    eval_scalar(func, &vals[..cs.len()], &mut rng).map_err(|_| Demote)
                 })
             }
             ExprIr::Subplan(p) => return self.subplan(p, frames),
             // Rows, UDF calls, EXISTS/IN sub-plans, snapshot state and
             // pre-compiled programs: VM only.
-            ExprIr::Row(_)
+            ExprIr::Const(_)
+            | ExprIr::Slot { .. }
+            | ExprIr::Param(_)
+            | ExprIr::Row(_)
             | ExprIr::UdfCall { .. }
             | ExprIr::Exists { .. }
             | ExprIr::InPlan { .. }
@@ -1020,8 +759,8 @@ impl Compiler {
         })
     }
 
-    /// A scalar sub-query: either a let-chain (inlined into typed
-    /// registers) or an index probe (`Project [Filter] IndexLookup`).
+    /// A scalar sub-query: either a let-chain (inlined into registers) or
+    /// an index probe (`Project [Filter] IndexLookup`).
     fn subplan(&mut self, p: &Arc<PlanNode>, frames: &[CFrame]) -> Option<TExpr> {
         // Closed sub-plans are memoized per execution by the VM
         // (`Op::Subplan { cached: true }`); re-evaluating them per row would
@@ -1036,20 +775,10 @@ impl Compiler {
                 if bump {
                     s.subplan_evals += 1;
                 }
-                let mut regs: [TCell; MAX_CHAIN] = std::array::from_fn(|_| TCell::Null);
-                for (i, setter) in setters.iter().enumerate() {
-                    regs[i] = if i < first_n {
-                        setter.eval(f, b, s)?
-                    } else {
-                        let cf = TFrames {
-                            cur: FrameRef::Typed(&regs[..i]),
-                            parent: Some(f),
-                        };
-                        setter.eval(&cf, b, s)?
-                    };
-                }
+                let mut regs = new_regs();
+                fill_chain(&mut regs, first_n, &setters, f, b, s)?;
                 let cf = TFrames {
-                    cur: FrameRef::Typed(&regs[..setters.len()]),
+                    cur: &regs[..setters.len()],
                     parent: Some(f),
                 };
                 final_c.eval(&cf, b, s)
@@ -1077,7 +806,7 @@ impl Compiler {
         let mut n = first_n;
         for group in &extends {
             for e in *group {
-                let mut inner = vec![CFrame::Typed(n)];
+                let mut inner = vec![CFrame::Row(n)];
                 inner.extend_from_slice(frames);
                 setters.push(self.atom(e, &inner)?);
                 n += 1;
@@ -1086,7 +815,7 @@ impl Compiler {
         if n > MAX_CHAIN {
             return None;
         }
-        let mut chain_frames = vec![CFrame::Typed(n)];
+        let mut chain_frames = vec![CFrame::Row(n)];
         chain_frames.extend_from_slice(frames);
         Some((first_n, setters, chain_frames, !chain_flattenable(p)))
     }
@@ -1112,7 +841,7 @@ impl Compiler {
         // Key in the enclosing env (probe row NOT pushed), filter and
         // output with the probed row pushed at depth 0.
         let key_c = self.atom(key, frames)?;
-        let mut inner = vec![CFrame::Raw];
+        let mut inner = vec![CFrame::Probed];
         inner.extend_from_slice(frames);
         let pred_c = match pred_e {
             Some(p) => Some(self.atom(p, &inner)?),
@@ -1126,24 +855,23 @@ impl Compiler {
         });
         Some(texpr(move |f, b, s| {
             s.subplan_evals += 1;
-            let k = key_c.eval(f, b, s)?;
-            if matches!(k, TCell::Null) {
-                return Ok(TCell::Null);
+            let k = key_c.eval_c(f, b, s)?;
+            if k.get().is_null() {
+                return Ok(Value::Null);
             }
             let probe = &b.probes[pi];
-            let kv = value_of(&k);
-            let positions = probe.index.lookup(&kv);
+            let positions = probe.index.lookup(k.get());
             s.index_probes += 1;
             s.rows_scanned += positions.len() as u64;
-            let mut hit: Option<TCell> = None;
+            let mut hit: Option<Value> = None;
             for &pos in positions {
                 let row: &[Value] = probe.rows.get(pos).ok_or(Demote)?;
                 let pf = TFrames {
-                    cur: FrameRef::Raw(row),
+                    cur: row,
                     parent: Some(f),
                 };
                 let keep = match &pred_c {
-                    Some(pred) => matches!(pred.eval_c(&pf, b, s)?.get(), TCell::Bool(true)),
+                    Some(pred) => pred.eval_c(&pf, b, s)?.get().is_true(),
                     None => true,
                 };
                 if keep {
@@ -1155,7 +883,7 @@ impl Compiler {
                     hit = Some(out_c.eval(&pf, b, s)?);
                 }
             }
-            Ok(hit.unwrap_or(TCell::Null))
+            Ok(hit.unwrap_or(Value::Null))
         }))
     }
 
@@ -1250,7 +978,7 @@ impl fmt::Debug for TierProgram {
 /// Recognize a fused fixpoint transition and compile it for the mono tier.
 /// The shape is the one `try_transition` fuses — a single-scan
 /// `Extend[1] → Filter → Unpack` over the working table with `src == width`
-/// — restricted further to expressions the typed grammar covers.
+/// — restricted further to expressions the closure grammar covers.
 pub fn recognize(index: usize, recursive: &PlanNode, union_all: bool) -> Option<TierProgram> {
     // UNION dedup hashes whole rows between iterations; keep that in the
     // VM driver.
@@ -1286,7 +1014,7 @@ pub fn recognize(index: usize, recursive: &PlanNode, union_all: bool) -> Option<
         return None;
     }
     let mut c = Compiler::default();
-    let frames = [CFrame::Typed(src)];
+    let frames = [CFrame::Row(src)];
     let produce = c.produce(body, &frames, width)?;
     let pred_c = c.atom(pred, &frames)?;
     let pred_slot = match pred {
@@ -1304,98 +1032,86 @@ pub fn recognize(index: usize, recursive: &PlanNode, union_all: bool) -> Option<
 }
 
 /// Resolve bind-time state: captured outer cells and probe targets. `None`
-/// (an unconvertible outer value, a vanished index) leaves the transition
-/// in the VM for this statement.
+/// (a capture with no value, a vanished table or index) leaves the
+/// transition in the VM for this statement.
 fn bind<'c>(prog: &TierProgram, env: &EvalEnv<'_>, catalog: &'c Catalog) -> Option<TierBound<'c>> {
-    let mut binds = Vec::with_capacity(prog.binds.len());
-    for spec in &prog.binds {
-        let v: Option<TCell> = match spec {
-            BindSpec::Param(i) => env.params.get(*i).and_then(tcell_of),
+    let binds = prog
+        .binds
+        .iter()
+        .map(|spec| match spec {
+            BindSpec::Param(i) => env.params.get(*i).cloned(),
             BindSpec::Outer { depth, index } => env
                 .scopes
                 .and_then(|s| s.at_depth(*depth).ok())
                 .and_then(|row| row.get(*index))
-                .and_then(tcell_of),
-        };
-        binds.push(v?);
-    }
-    let mut probes = Vec::with_capacity(prog.probes.len());
-    for target in &prog.probes {
-        let table = catalog.table(&target.table).ok()?;
-        let index = table.index_on(target.column)?;
-        probes.push(BoundProbe {
-            rows: &table.rows,
-            index,
-        });
-    }
+                .cloned(),
+        })
+        .collect::<Option<_>>()?;
+    let probes = prog
+        .probes
+        .iter()
+        .map(|target| {
+            let table = catalog.table(&target.table).ok()?;
+            Some(BoundProbe {
+                rows: &table.rows,
+                index: table.index_on(target.column)?,
+            })
+        })
+        .collect::<Option<_>>()?;
     Some(TierBound { binds, probes })
 }
 
 // ---------------------------------------------------------------------------
 // The mono step
 
-impl FixCell for TCell {
-    fn is_true(&self) -> bool {
-        matches!(self, TCell::Bool(true))
-    }
-    fn to_row(row: &[TCell]) -> Row {
-        row_of(row)
-    }
-}
-
 /// A fixpoint running in the mono tier: its program, the captures and
-/// probe targets bound for this execution, and the typed working set with
-/// its let-chain register scratch. Rows stay typed from fixpoint entry
-/// until the working set drains or a row demotes.
+/// probe targets bound for this execution, and its let-chain register
+/// scratch. The rows stay in the driver's [`Rotation`].
 pub(crate) struct MonoRows<'p, 'c> {
     prog: &'p TierProgram,
     bound: TierBound<'c>,
-    pub(crate) bufs: Rotation<TCell>,
     scratch: Vec<TRegs>,
 }
 
 impl<'p, 'c> MonoRows<'p, 'c> {
-    /// Promote a fixpoint at entry: bind the program's captures and take
-    /// over the VM's base working set. `None` (a capture or base cell
-    /// outside the typed domain, a vanished index) leaves the fixpoint in
-    /// the VM for the statement.
+    /// Promote a fixpoint at entry: bind the program's captures and probe
+    /// targets. `None` (a capture or probe target that does not bind, a
+    /// base row of another width) leaves the fixpoint in the VM for the
+    /// statement.
     pub(crate) fn enter(
         prog: &'p TierProgram,
         env: &EvalEnv<'_>,
         catalog: &'c Catalog,
-        vm: &mut Rotation<Value>,
+        base: &[Row],
         stats: &mut RuntimeStats,
     ) -> Option<Self> {
+        if base.iter().any(|r| r.len() != prog.width) {
+            return None;
+        }
         let bound = bind(prog, env, catalog)?;
-        let cur = to_typed(&vm.cur, prog.width)?;
-        vm.cur.clear();
         stats.tier.tier_promotions += 1;
         Some(MonoRows {
             prog,
             bound,
-            bufs: Rotation::new(cur),
-            scratch: chain_scratch(&prog.produce),
+            scratch: (0..prog.produce.chain_depth())
+                .map(|_| new_regs())
+                .collect(),
         })
     }
 
-    /// Hand the working set and the last consumed iteration back to the
-    /// VM: on demotion, or once the fixpoint drains.
-    pub(crate) fn leave(self, vm: &mut Rotation<Value>) {
-        vm.cur = self.bufs.cur.iter().map(|r| row_of(r)).collect();
-        vm.prev = self.bufs.prev.iter().map(|r| row_of(r)).collect();
-    }
-
-    /// Run one iteration in the typed tier under the retention policy and
-    /// return the rows the transition kept. `Err(Demote)` leaves the working
-    /// set as it was, for the VM to re-run the iteration.
+    /// Run one iteration from `bufs.cur` into `bufs.next` under the
+    /// retention policy and return the rows the transition kept.
+    /// `Err(Demote)` leaves the working set as it was, for the VM to re-run
+    /// the iteration.
     pub(crate) fn step(
         &mut self,
+        bufs: &mut Rotation,
         retention: &mut Retention,
         stats: &mut RuntimeStats,
     ) -> std::result::Result<u64, Demote> {
         let mut local = TierRowStats::default();
         let (prog, bound, scratch) = (self.prog, &self.bound, &mut self.scratch);
-        let kept = retention.step_rows(&mut self.bufs, prog.pred_slot, |row, pool| {
+        let kept = retention.step_rows(bufs, prog.pred_slot, |row, pool| {
             mono_row(prog, bound, row, pool, &mut local, scratch)
         })?;
         stats.subplan_evals += local.subplan_evals;
@@ -1406,24 +1122,24 @@ impl<'p, 'c> MonoRows<'p, 'c> {
 }
 
 /// Run one input row: body first (matching Extend-then-Filter order), then
-/// the keep decision on the *input* row. `Ok(None)` = dropped.
+/// the keep decision on the *input* row, which is never written. The
+/// successor goes into a pooled row. `Ok(None)` = dropped.
 fn mono_row(
     prog: &TierProgram,
     bound: &TierBound<'_>,
-    trow: &[TCell],
-    pool: &mut Vec<TRow>,
+    row: &[Value],
+    pool: &mut Vec<Row>,
     local: &mut TierRowStats,
     scratch: &mut [TRegs],
-) -> std::result::Result<Option<TRow>, Demote> {
+) -> std::result::Result<Option<Row>, Demote> {
     let frames = TFrames {
-        cur: FrameRef::Typed(trow),
+        cur: row,
         parent: None,
     };
-    // Pooled rows always carry `width` cells (they were produced by this
-    // function or width-checked by `to_typed`), and a filled row writes
-    // every slot, so recycling needs no re-null.
-    let mut out = pool.pop().unwrap_or_else(|| vec![TCell::Null; prog.width]);
-    debug_assert_eq!(out.len(), prog.width);
+    // A filled row writes every one of its `width` cells, so a recycled
+    // row needs no re-null, only the right length.
+    let mut out = pool.pop().unwrap_or_default();
+    out.resize(prog.width, Value::Null);
     let filled = match prog.produce.run(&frames, bound, local, &mut out, scratch) {
         Ok(filled) => filled,
         Err(e) => {
@@ -1432,11 +1148,8 @@ fn mono_row(
         }
     };
     let keep = match prog.pred_slot {
-        Some(i) => matches!(trow[i], TCell::Bool(true)),
-        None => matches!(
-            prog.pred.eval_c(&frames, bound, local)?.get(),
-            TCell::Bool(true)
-        ),
+        Some(i) => row[i].is_true(),
+        None => prog.pred.eval_c(&frames, bound, local)?.get().is_true(),
     };
     if !keep {
         // Filter drops the row before the unpack — a CASE fallthrough on a
@@ -1503,8 +1216,8 @@ mod tests {
     /// Drive the mono step under `WITH ITERATE` the way the fixpoint
     /// driver does (one step per iteration, kept rows counted as
     /// `tier_mono_rows`) until the working set drains or a row demotes.
-    /// Returns the outcome plus the VM's working set and last iteration
-    /// after the hand-back.
+    /// Returns the outcome plus the working set and last iteration it left
+    /// for the VM.
     fn drive_iterate(
         prog: &TierProgram,
         working: Vec<Row>,
@@ -1512,25 +1225,24 @@ mod tests {
         stats: &mut RuntimeStats,
     ) -> (MonoOutcome, Vec<Row>, Vec<Row>) {
         let catalog = Catalog::new();
-        let mut vm = Rotation::new(working);
+        let mut bufs = Rotation::new(working);
         let mut retention = Retention::IterateOnly;
-        let Some(mut mono) = MonoRows::enter(prog, &EvalEnv::EMPTY, &catalog, &mut vm, stats)
+        let Some(mut mono) = MonoRows::enter(prog, &EvalEnv::EMPTY, &catalog, &bufs.cur, stats)
         else {
-            return (MonoOutcome::Demoted, vm.cur, vm.prev);
+            return (MonoOutcome::Demoted, bufs.cur, bufs.prev);
         };
         let outcome = loop {
-            if mono.bufs.cur.is_empty() {
+            if bufs.cur.is_empty() {
                 break MonoOutcome::Finished;
             }
-            let Ok(kept) = mono.step(&mut retention, stats) else {
+            let Ok(kept) = mono.step(&mut bufs, &mut retention, stats) else {
                 break MonoOutcome::Demoted;
             };
-            retention.keep(&mut mono.bufs);
+            retention.keep(&mut bufs);
             *iters += 1;
             stats.tier.tier_mono_rows += kept;
         };
-        mono.leave(&mut vm);
-        (outcome, vm.cur, vm.prev)
+        (outcome, bufs.cur, bufs.prev)
     }
 
     #[test]
@@ -1553,12 +1265,15 @@ mod tests {
             ExprIr::Const(Value::Bool(false)),
         ]);
         assert!(recognize(0, &transition_plan(raise, ExprIr::slot(1)), true).is_none());
-        // A float constant is outside the typed cell domain.
+        // A body row narrower than the working row.
+        let narrow = ExprIr::Row(vec![ExprIr::Const(Value::Bool(false))]);
+        assert!(recognize(0, &transition_plan(narrow, ExprIr::slot(1)), true).is_none());
+        // A float constant is an ordinary cell.
         let floaty = ExprIr::Row(vec![
             ExprIr::Const(Value::Float(1.5)),
             ExprIr::Const(Value::Bool(false)),
         ]);
-        assert!(recognize(0, &transition_plan(floaty, ExprIr::slot(1)), true).is_none());
+        assert!(recognize(0, &transition_plan(floaty, ExprIr::slot(1)), true).is_some());
     }
 
     #[test]
@@ -1583,16 +1298,52 @@ mod tests {
         assert_eq!(stats.tier.tier_mono_rows, 11);
     }
 
+    /// ROW(c + 1, 10 / (3 - c) < 100): divides by zero once c reaches 3.
+    fn zero_divisor_body() -> ExprIr {
+        ExprIr::Row(vec![
+            ExprIr::Binary {
+                op: BinOp::Add,
+                left: Box::new(ExprIr::slot(0)),
+                right: Box::new(ExprIr::Const(Value::Int(1))),
+            },
+            ExprIr::Binary {
+                op: BinOp::Lt,
+                left: Box::new(ExprIr::Binary {
+                    op: BinOp::Div,
+                    left: Box::new(ExprIr::Const(Value::Int(10))),
+                    right: Box::new(ExprIr::Binary {
+                        op: BinOp::Sub,
+                        left: Box::new(ExprIr::Const(Value::Int(3))),
+                        right: Box::new(ExprIr::slot(0)),
+                    }),
+                }),
+                right: Box::new(ExprIr::Const(Value::Int(100))),
+            },
+        ])
+    }
+
     #[test]
-    fn unconvertible_rows_demote_without_consuming_the_working_set() {
-        let prog = recognized();
-        let snapshot: Vec<Row> = vec![vec![Value::Float(0.5), Value::Bool(true)]];
+    fn a_demoted_iteration_leaves_its_working_set_intact() {
+        let prog = recognize(
+            0,
+            &transition_plan(zero_divisor_body(), ExprIr::slot(1)),
+            true,
+        )
+        .expect("division is in the tier grammar");
         let (mut iters, mut stats) = (0u64, RuntimeStats::default());
-        let (outcome, working, _) = drive_iterate(&prog, snapshot.clone(), &mut iters, &mut stats);
+        let (outcome, working, prev) = drive_iterate(
+            &prog,
+            vec![vec![Value::Int(0), Value::Bool(true)]],
+            &mut iters,
+            &mut stats,
+        );
         assert!(matches!(outcome, MonoOutcome::Demoted));
-        assert_eq!(working, snapshot);
-        assert_eq!(iters, 0, "no iteration committed");
-        assert_eq!(stats.tier.tier_mono_rows, 0);
+        // 0 → 1 → 2 → 3 committed; the fourth iteration divides by zero and
+        // leaves its input, and the iteration before it, for the VM.
+        assert_eq!(iters, 3);
+        assert_eq!(working, vec![vec![Value::Int(3), Value::Bool(true)]]);
+        assert_eq!(prev, vec![vec![Value::Int(2), Value::Bool(true)]]);
+        assert_eq!(stats.tier.tier_mono_rows, 3);
     }
 
     #[test]
@@ -1652,13 +1403,13 @@ mod tests {
 
     /// Run `WITH RECURSIVE r AS (base UNION ALL transition) SELECT * FROM
     /// r` through the real fixpoint driver, planned the way `prepare` plans
-    /// it, and return the rows and the counters it added.
+    /// it, and return the rows (or the error) and the counters it added.
     fn run_fixpoint(
         body: ExprIr,
         base: Vec<Value>,
         params: &[Value],
         mode: crate::config::TierMode,
-    ) -> (Vec<Row>, RuntimeStats) {
+    ) -> (plaway_common::Result<Vec<Row>>, RuntimeStats) {
         let base = PlanNode::Values {
             rows: vec![base.into_iter().map(ExprIr::Const).collect()],
         };
@@ -1681,7 +1432,7 @@ mod tests {
             scopes: None,
             params,
         };
-        let rows = crate::exec::exec(&plan, &env, &mut session.runtime()).unwrap();
+        let rows = crate::exec::exec(&plan, &env, &mut session.runtime());
         (rows, session.stats)
     }
 
@@ -1696,7 +1447,7 @@ mod tests {
         let (want, vm) = run_fixpoint(counter_body(), start(), &[], TierMode::ForceOff);
         assert_eq!((vm.tier.tier_promotions, vm.fused_transition_rows), (0, 11));
         let (got, mono) = run_fixpoint(counter_body(), start(), &[], TierMode::Auto);
-        assert_eq!(got, want);
+        assert_eq!(got.unwrap(), want.unwrap());
         assert_eq!(mono.recursive_iterations, vm.recursive_iterations);
         assert_eq!(mono.tier.tier_promotions, 1);
         assert_eq!(
@@ -1704,7 +1455,7 @@ mod tests {
             (11, 0)
         );
 
-        // A failed bind pins the VM: a float parameter has no typed cell.
+        // A float capture promotes and computes with `Value`'s arithmetic.
         let add_param = ExprIr::Row(vec![
             ExprIr::Binary {
                 op: BinOp::Add,
@@ -1718,61 +1469,66 @@ mod tests {
             },
         ]);
         let float = [Value::Float(2.5)];
-        let (rows, stats) = run_fixpoint(add_param.clone(), start(), &float, TierMode::Auto);
-        assert_eq!(rows.len(), 6);
-        assert_eq!(stats.tier.tier_promotions, 0);
+        let (want, _) = run_fixpoint(add_param.clone(), start(), &float, TierMode::ForceOff);
+        let (got, stats) = run_fixpoint(add_param, start(), &float, TierMode::Auto);
+        let got = got.unwrap();
+        assert_eq!(got.len(), 6);
+        assert_eq!(format!("{got:?}"), format!("{:?}", want.unwrap()));
+        assert_eq!(stats.tier.tier_promotions, 1);
         assert_eq!(
             (stats.tier.tier_mono_rows, stats.fused_transition_rows),
-            (0, 5)
+            (5, 0)
         );
-        // The same program promotes once its capture binds.
-        let (_, stats) = run_fixpoint(add_param, start(), &[Value::Int(2)], TierMode::Auto);
-        assert_eq!(stats.tier.tier_promotions, 1);
 
-        // A demotion pins the VM. ROW(c + CAST(CASE WHEN c = 3 THEN
-        // sqrt(c + 1) ELSE 1 END AS int), c < 10) meets its one float on
-        // iteration 4, which the VM re-runs; every later row is typed
-        // again, yet the fixpoint never re-promotes.
-        let detour = ExprIr::Row(vec![
+        // A failed bind pins the VM: the probe's table has vanished. The
+        // probe sits in a branch that never fires, so the VM never reads
+        // it. ROW(c + 1, CASE WHEN c < 0 THEN (SELECT x FROM gone WHERE
+        // key = c) ELSE c < 10 END).
+        let probe = PlanNode::Project {
+            input: Box::new(PlanNode::IndexLookup {
+                table: "gone".into(),
+                column: 0,
+                key: ExprIr::slot(0),
+            }),
+            exprs: vec![ExprIr::slot(0)],
+        };
+        let below = |n: i64| ExprIr::Binary {
+            op: BinOp::Lt,
+            left: Box::new(ExprIr::slot(0)),
+            right: Box::new(ExprIr::Const(Value::Int(n))),
+        };
+        let vanished = ExprIr::Row(vec![
             ExprIr::Binary {
                 op: BinOp::Add,
                 left: Box::new(ExprIr::slot(0)),
-                right: Box::new(ExprIr::Cast {
-                    expr: Box::new(ExprIr::Case {
-                        operand: None,
-                        branches: vec![(
-                            ExprIr::Binary {
-                                op: BinOp::Eq,
-                                left: Box::new(ExprIr::slot(0)),
-                                right: Box::new(ExprIr::Const(Value::Int(3))),
-                            },
-                            ExprIr::Scalar {
-                                func: crate::ir::ScalarFn::Sqrt,
-                                args: vec![ExprIr::Binary {
-                                    op: BinOp::Add,
-                                    left: Box::new(ExprIr::slot(0)),
-                                    right: Box::new(ExprIr::Const(Value::Int(1))),
-                                }],
-                            },
-                        )],
-                        else_: Some(Box::new(ExprIr::Const(Value::Int(1)))),
-                    }),
-                    ty: plaway_common::Type::Int,
-                }),
+                right: Box::new(ExprIr::Const(Value::Int(1))),
             },
-            ExprIr::Binary {
-                op: BinOp::Lt,
-                left: Box::new(ExprIr::slot(0)),
-                right: Box::new(ExprIr::Const(Value::Int(10))),
+            ExprIr::Case {
+                operand: None,
+                branches: vec![(below(0), ExprIr::Subplan(Arc::new(probe)))],
+                else_: Some(Box::new(below(10))),
             },
         ]);
-        let (want, vm) = run_fixpoint(detour.clone(), start(), &[], TierMode::ForceOff);
-        let (got, stats) = run_fixpoint(detour, start(), &[], TierMode::Auto);
-        assert_eq!(got, want);
-        // 0 → 1 → 2 → 3 in mono; 3 → 5 → … → 11 in the VM.
+        assert!(recognize(0, &transition_plan(vanished.clone(), ExprIr::slot(1)), true).is_some());
+        let (rows, stats) = run_fixpoint(vanished, start(), &[], TierMode::Auto);
+        assert_eq!(rows.unwrap().len(), 12);
+        assert_eq!(stats.tier.tier_promotions, 0);
+        assert_eq!(
+            (stats.tier.tier_mono_rows, stats.fused_transition_rows),
+            (0, 11)
+        );
+
+        // A demotion hands the failing iteration to the VM, which raises
+        // the error `ForceOff` raises: 0 → 1 → 2 → 3 in mono, then a zero
+        // divisor.
+        let (want, vm) = run_fixpoint(zero_divisor_body(), start(), &[], TierMode::ForceOff);
+        let (got, stats) = run_fixpoint(zero_divisor_body(), start(), &[], TierMode::Auto);
+        assert_eq!(got.unwrap_err().to_string(), want.unwrap_err().to_string());
+        assert_eq!(vm.fused_transition_rows, 3);
         assert_eq!(stats.tier.tier_promotions, 1);
-        assert_eq!(stats.tier.tier_mono_rows, 3);
-        assert_eq!(stats.fused_transition_rows, vm.fused_transition_rows - 3);
-        assert_eq!(stats.recursive_iterations, vm.recursive_iterations);
+        assert_eq!(
+            (stats.tier.tier_mono_rows, stats.fused_transition_rows),
+            (3, 0)
+        );
     }
 }

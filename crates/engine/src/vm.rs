@@ -1110,7 +1110,7 @@ fn try_memoize(plan: &mut PlanNode) -> bool {
 /// [`apply_bin`], which also produces the overflow / division-by-zero
 /// errors (so returning `None` on overflow is correct, not just safe).
 #[inline(always)]
-fn fast_int_bin(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
+pub(crate) fn fast_int_bin(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
     let (Value::Int(a), Value::Int(b)) = (l, r) else {
         return None;
     };

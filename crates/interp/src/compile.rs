@@ -28,12 +28,6 @@ pub enum CExpr {
     Query { sql: String, scope: ParamScope },
 }
 
-impl CExpr {
-    pub fn is_query(&self) -> bool {
-        matches!(self, CExpr::Query { .. })
-    }
-}
-
 /// Compiled statements with slot-resolved variables.
 #[derive(Debug, Clone)]
 pub enum CStmt {

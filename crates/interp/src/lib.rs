@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use plaway_common::{Error, Result, Type, Value};
 use plaway_engine::{Phase, Session};
-use plaway_plsql::ast::{PlFunction, RaiseLevel};
+use plaway_plsql::ast::RaiseLevel;
 use plaway_sql::ast::Language;
 
 use compile::{CExpr, CStmt, PlCompiled};
@@ -103,17 +103,6 @@ impl Interpreter {
         self.compiled
             .insert(name.to_string(), (schema, Arc::clone(&compiled)));
         Ok(compiled)
-    }
-
-    /// Call an already-parsed function (bypasses the catalog).
-    pub fn call_parsed(
-        &mut self,
-        session: &mut Session,
-        f: &PlFunction,
-        args: &[Value],
-    ) -> Result<Value> {
-        let compiled = Arc::new(compile::compile(session, f)?);
-        self.run_compiled(session, &compiled, args)
     }
 
     /// Execute a compiled function. Wall-clock time not spent in executor

@@ -85,11 +85,6 @@ impl Parser {
         })
     }
 
-    /// Build a parser from pre-lexed tokens (used by the PL/pgSQL parser).
-    pub fn from_tokens(toks: Vec<Token>) -> Self {
-        Parser { toks, at: 0 }
-    }
-
     // ------------------------------------------------------------ plumbing
 
     pub fn peek(&self) -> &TokenKind {

@@ -102,7 +102,7 @@ BEGIN {
         printf "| %s | %s | %s |\n", probe, speedup(b, k, sk), speedup(f, k, sk)
     }
     # Tiered execution: per-iteration ns of the fused fixpoint transition
-    # in the Value VM vs the typed mono pipeline, per recognized kernel.
+    # in the VM vs the mono pipeline, per recognized kernel.
     # The speedup column is the ratio bench_gate enforces >= 1.5x on both
     # kernels (vm ns / mono ns; per-iteration so the unit is machine- and
     # input-size-portable).

@@ -307,8 +307,8 @@ fn racing_sessions_metrics_merge_exactly() {
         (READER_THREADS * STRESS_ITERS * 2) as u64,
         "sanity: every thread ran 2 statements per iteration"
     );
-    // The fixpoints must have executed somewhere: in the Value VM, or in
-    // the typed mono tier, where no VM ops run at all.
+    // The fixpoints must have executed somewhere: in the VM, or in the
+    // mono tier, where no VM ops run at all.
     assert!(sum.recursive_iterations > 0);
     assert!(sum.vm_ops_executed > 0 || sum.tier_promotions > 0);
     assert!(sum.memo_hits > 0 && sum.memo_misses > 0);

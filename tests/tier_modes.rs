@@ -1,16 +1,15 @@
 //! Tiered-execution differential sweep — the correctness contract of the
 //! monomorphized tier (DESIGN.md §7):
 //!
-//! > For any program, executing its fixpoint transitions in the typed
-//! > mono tier wherever one was recognized (`Auto`, the default) or in
-//! > the VM only (`ForceOff`) produces *bit-identical* results.
+//! > For any program, executing its fixpoint transitions in the mono
+//! > tier wherever one was recognized (`Auto`, the default) or in the VM
+//! > only (`ForceOff`) produces *bit-identical* results.
 //!
 //! The sweep covers generated programs (`genprog`, same seed space as the
 //! other differential suites), all six paper kernels, and hand-written
-//! functions that exercise the fallback edges: NULL-carrying rows the
-//! typed tier must run natively, float-bearing base rows that keep a
-//! fixpoint in the VM, and a builtin error that demotes mid-execution
-//! without consuming the in-flight iteration.
+//! functions that exercise the edges: NULL- and float-carrying rows the
+//! mono tier must run natively, and a builtin error that demotes
+//! mid-execution without consuming the in-flight iteration.
 //!
 //! Bit-identical is pinned by comparing the `Debug` rendering of results
 //! (which distinguishes float bit patterns `PartialEq` may conflate), and
@@ -172,13 +171,14 @@ fn tier_modes_are_bit_identical_on_all_kernels() {
     }
 }
 
-/// The fallback edges, hand-written:
+/// The cell kinds beyond integers, hand-written:
 ///
 /// * `nully` drives a NULL through the accumulator mid-fixpoint — the
-///   typed tier carries NULL natively and must reproduce exact 3VL;
-/// * `floaty` makes the working set carry a float column, which the typed
-///   domain cannot represent: its base row fails the conversion at
-///   fixpoint entry, so the whole fixpoint runs in the VM.
+///   mono tier must reproduce exact 3VL;
+/// * `floaty` makes the working set carry a float column, which the mono
+///   tier computes with the VM's own `Value` arithmetic.
+///
+/// Both promote under `Auto`.
 #[test]
 fn null_and_float_rows_match_the_vm_bit_for_bit() {
     const NULLY: &str = "CREATE FUNCTION nully(n int) RETURNS int AS $$
@@ -222,11 +222,17 @@ fn null_and_float_rows_match_the_vm_bit_for_bit() {
                 None => reference = Some(rendering),
                 Some(want) => assert_eq!(&rendering, want, "{name}: {mode:?} diverged"),
             }
+            if mode == TierMode::Auto {
+                assert!(
+                    session.metrics.tier_promotions > 0,
+                    "{name}: Auto never promoted"
+                );
+            }
         }
     }
 }
 
-/// A builtin that fails mid-fixpoint: the typed tier demotes on the
+/// A builtin that fails mid-fixpoint: the mono tier demotes on the
 /// `repeat` error, and the VM re-raises it exactly as the interpreter does.
 #[test]
 fn builtin_errors_reraise_in_every_tier() {
