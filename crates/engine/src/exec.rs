@@ -27,7 +27,7 @@ use crate::config::{EngineConfig, TierMode};
 use crate::ir::{AggFn, AggSpec, CtePlan, ExprIr, PlanNode, RecursionMode, SnapshotOp, SortKey};
 use crate::memo::{MemoCache, MemoKey};
 use crate::planner::{plan_udf_body, PreparedPlan};
-use crate::tier::{Demote, MonoRows};
+use crate::tier::MonoRows;
 use crate::tuplestore::{BufferStats, SnapshotStore, Tuplestore};
 use crate::vm::Access;
 use crate::window::exec_window;
@@ -430,6 +430,11 @@ pub(crate) fn apply_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
+/// PostgreSQL's error for a scalar sub-query that returns a second row.
+pub(crate) fn second_row_error() -> Error {
+    Error::exec("more than one row returned by a subquery used as an expression")
+}
+
 /// Run a scalar sub-query: NULL when it returns no row, the one column of
 /// its one row otherwise. A second row fails at once, with PostgreSQL's
 /// text, without running the sub-plan further.
@@ -441,9 +446,7 @@ pub(crate) fn exec_scalar(
     let mut value = None;
     exec_into(plan, env, rt, &mut |row, _| {
         if value.is_some() {
-            return Err(Error::exec(
-                "more than one row returned by a subquery used as an expression",
-            ));
+            return Err(second_row_error());
         }
         if row.len() != 1 {
             return Err(Error::exec(format!(
@@ -927,7 +930,7 @@ fn unpack_row(row: Cow<'_, [Value]>, src: usize, width: usize) -> Result<Row> {
 /// Extract a record of at least `width` fields, with the exact errors the
 /// unfused `row_field(x, i)` projection would raise — shared by every
 /// unpack path so they cannot drift.
-fn take_record(v: Value, width: usize) -> Result<Arc<[Value]>> {
+pub(crate) fn take_record(v: Value, width: usize) -> Result<Arc<[Value]>> {
     let rec = match v {
         Value::Record(rec) => rec,
         other => return Err(other.as_record().unwrap_err()),
@@ -1727,10 +1730,8 @@ impl Retention {
     /// is already false retires without paying one more transition, and
     /// under UNION ALL a successor whose flag the transition just cleared
     /// retires at once rather than being re-scanned next pass (plain UNION
-    /// must first pass it through the dedup set). A working row retires by
-    /// copy, so a demoted mono iteration re-runs in the VM from intact rows;
-    /// a successor retires by move. Returns how many rows `apply` kept. An
-    /// error takes back the iteration's output and retirements.
+    /// must first pass it through the dedup set). Rows retire by move.
+    /// Returns how many rows `apply` kept; an error fails the fixpoint.
     pub(crate) fn step_rows<E>(
         &mut self,
         bufs: &mut Rotation,
@@ -1743,34 +1744,26 @@ impl Retention {
             }
             _ => (None, None, None),
         };
-        let mark = retired.as_ref().map_or(0, |r| r.len());
         let mut kept = 0;
         for row in &mut bufs.cur {
             if let (Some(i), Some(r)) = (pre, retired.as_deref_mut()) {
                 if !row[i].is_true() {
-                    r.push(row.clone());
+                    r.push(std::mem::take(row));
                     continue;
                 }
             }
-            match apply(row, &mut bufs.pool) {
-                Ok(Some(out)) => {
+            match apply(row, &mut bufs.pool)? {
+                Some(out) => {
                     kept += 1;
                     match (post, retired.as_deref_mut()) {
                         (Some(i), Some(r)) if !out[i].is_true() => r.push(out),
                         _ => bufs.next.push(out),
                     }
                 }
-                Ok(None) => {
+                None => {
                     if let Some(r) = retired.as_deref_mut() {
-                        r.push(row.clone());
+                        r.push(std::mem::take(row));
                     }
-                }
-                Err(e) => {
-                    if let Some(r) = retired {
-                        r.truncate(mark);
-                    }
-                    bufs.pool.append(&mut bufs.next);
-                    return Err(e);
                 }
             }
         }
@@ -1937,13 +1930,13 @@ enum Running<'p, 'c> {
 /// Run a recursive CTE to its fixpoint, one loop for every recursion mode
 /// and tier. The tier is chosen once, before the loop: a recognized
 /// transition runs in the mono tier from its first iteration unless
-/// `tier_mode` is `ForceOff` or its captures or probe targets do not bind.
-/// The VM's [`Arm`] is built only when the VM runs: at entry, or when the
-/// mono tier demotes. Each iteration stops on an empty working set, counts
-/// itself against `max_recursive_iterations`, tracks the working-set
-/// peak, runs one step of its tier over the shared [`Rotation`],
-/// deduplicates under UNION, and hands its output to the [`Retention`]
-/// policy.
+/// `tier_mode` is `ForceOff` or its captures or probe targets do not bind,
+/// and the VM's [`Arm`] is built only when the VM runs. The tier runs the
+/// fixpoint to its end or to its error. Each iteration stops on an empty
+/// working set, counts itself against `max_recursive_iterations`, tracks
+/// the working-set peak, runs one step of its tier over the shared
+/// [`Rotation`], deduplicates under UNION, and hands its output to the
+/// [`Retention`] policy.
 fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Vec<Row>> {
     let CtePlan::Recursive {
         index,
@@ -1994,16 +1987,7 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
         }
         peak = peak.max(len);
         let kept = match &mut running {
-            Running::Mono(m) => match m.step(&mut bufs, &mut retention, rt.stats) {
-                Ok(kept) => kept,
-                Err(Demote) => {
-                    // The iteration is not counted; the VM re-runs it and
-                    // every later one.
-                    iters -= 1;
-                    running = Running::Vm(Arm::new(recursive, index, mode)?);
-                    continue;
-                }
-            },
+            Running::Mono(m) => m.step(&mut bufs, &mut retention, rt.stats)?,
             Running::Vm(arm) => arm.step(&mut bufs, &mut retention, env, rt)?,
         };
         if !union_all {
@@ -2017,7 +2001,7 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
         };
         *counter += kept;
     }
-    // The tier this fixpoint ended the execution in.
+    // The tier that ran this fixpoint.
     let tier_label = match running {
         Running::Mono(_) => "mono",
         Running::Vm(_) => "vm",

@@ -28,21 +28,22 @@
 //! runs each iteration as a `MonoRows::step` under the same retention
 //! policy (`Retention`) as the VM.
 //!
-//! Fallback is total: an operator error (integer overflow, division by
-//! zero, a type mismatch, a failing builtin), more than one probe match or
-//! a kept row whose body is not a row raises `Demote`. The in-flight
-//! iteration is discarded, and the *same* iteration re-runs in the VM,
-//! which reproduces the exact value or error. A demoted transition stays
-//! in the VM for the rest of the statement.
+//! An error in the tier is the statement's error. An operator error comes
+//! from the function the VM would call at the same point; a second probe
+//! match and a kept row whose body is not a row raise the executor's texts
+//! (`second_row_error`, `take_record`). The tier evaluates in the VM's
+//! order, so it fails on the same row with the same error.
 
 use std::fmt;
 use std::sync::Arc;
 
-use plaway_common::{SessionRng, Value};
+use plaway_common::{Error, SessionRng, Value};
 use plaway_sql::ast::BinOp;
 
 use crate::catalog::{Catalog, Index, Row};
-use crate::exec::{and3, apply_bin, EvalEnv, Retention, Rotation, RuntimeStats};
+use crate::exec::{
+    and3, apply_bin, second_row_error, take_record, EvalEnv, Retention, Rotation, RuntimeStats,
+};
 use crate::functions::{eval_scalar, like_match};
 use crate::ir::{ExprIr, PlanNode};
 use crate::vm::{chain_flattenable, chain_shape, fast_int_bin, plan_free_scopes};
@@ -53,12 +54,15 @@ const MAX_CHAIN: usize = 16;
 // ---------------------------------------------------------------------------
 // Runtime frames
 
-/// The mono tier cannot (or must not) continue: re-run this iteration in
-/// the VM, which reproduces the exact value or error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Demote;
+/// A closure's result. The error is boxed so that the result of a hot
+/// closure is no larger than a [`Value`].
+type TResult<T = Value> = std::result::Result<T, Box<Error>>;
 
-type TResult = std::result::Result<Value, Demote>;
+/// The error for a frame or slot the compiler proved present: like the
+/// VM's, it can only mean a planner bug.
+fn planner_bug(what: &str) -> Box<Error> {
+    Box::new(Error::exec(format!("{what} (planner bug)")))
+}
 
 /// Linked frame stack, mirroring [`crate::exec::Scopes`]: depth 0 is the
 /// innermost frame (the working row, a chain's registers or a probed
@@ -70,18 +74,19 @@ struct TFrames<'a> {
 }
 
 impl<'a> TFrames<'a> {
-    fn at_depth(&self, depth: usize) -> std::result::Result<&'a [Value], Demote> {
+    fn at_depth(&self, depth: usize) -> TResult<&'a [Value]> {
         let mut cur = self;
         for _ in 0..depth {
-            cur = cur.parent.ok_or(Demote)?;
+            cur = cur
+                .parent
+                .ok_or_else(|| planner_bug("scope stack underflow"))?;
         }
         Ok(cur.cur)
     }
 }
 
-/// Iteration-local counters, flushed into [`RuntimeStats`] only when the
-/// iteration commits — a demoted iteration re-runs in the VM, which then
-/// does its own counting.
+/// Iteration-local counters, flushed into [`RuntimeStats`] at the end of
+/// each iteration.
 #[derive(Debug, Clone, Copy, Default)]
 struct TierRowStats {
     subplan_evals: u64,
@@ -149,38 +154,29 @@ impl CellRef<'_> {
     }
 }
 
-type TCResult<'r> = std::result::Result<CellRef<'r>, Demote>;
+type TCResult<'r> = TResult<CellRef<'r>>;
 
 impl Leaf {
     #[inline(always)]
-    fn eval_c<'r>(
-        &'r self,
-        f: &TFrames<'r>,
-        b: &'r TierBound<'_>,
-    ) -> std::result::Result<&'r Value, Demote> {
+    fn eval_c<'r>(&'r self, f: &TFrames<'r>, b: &'r TierBound<'_>) -> TResult<&'r Value> {
         let cell = match self {
             Leaf::Slot0(i) => f.cur.get(*i),
             Leaf::SlotN { depth, index } => f.at_depth(*depth)?.get(*index),
             Leaf::Const(c) => Some(c),
             Leaf::Bind(i) => b.binds.get(*i),
         };
-        cell.ok_or(Demote)
-    }
-
-    #[inline(always)]
-    fn eval(&self, f: &TFrames<'_>, b: &TierBound<'_>) -> TResult {
-        Ok(self.eval_c(f, b)?.clone())
+        cell.ok_or_else(|| planner_bug("column slot out of range"))
     }
 }
 
 /// Apply a strict binary operator exactly as the VM's binary ops do: the
-/// integer fast path first, then the `Value` operator. An error (overflow,
-/// a zero divisor, incomparable operands) demotes, and the VM re-raises it.
+/// integer fast path first, then the `Value` operator and its error
+/// (overflow, a zero divisor, incomparable operands).
 #[inline(always)]
 fn binary(op: BinOp, x: &Value, y: &Value) -> TResult {
     match fast_int_bin(op, x, y) {
         Some(v) => Ok(v),
-        None => apply_bin(op, x, y).map_err(|_| Demote),
+        None => Ok(apply_bin(op, x, y)?),
     }
 }
 
@@ -254,11 +250,6 @@ impl Atom {
     }
 }
 
-/// Read a cell as a boolean, as the VM's `Not`, `AND` and `OR` do.
-fn as_bool(v: &Value) -> std::result::Result<Option<bool>, Demote> {
-    v.as_bool().map_err(|_| Demote)
-}
-
 /// A three-valued boolean as a cell.
 fn bool_cell(b: Option<bool>) -> Value {
     b.map_or(Value::Null, Value::Bool)
@@ -326,38 +317,45 @@ enum RowProducer {
 
 /// Whether a CASE branch fires: the operand equals the `WHEN` value, or,
 /// without an operand, the `WHEN` condition is true.
-fn case_fires(operand: Option<&CellRef<'_>>, when: &Value) -> std::result::Result<bool, Demote> {
+#[inline(always)]
+fn case_fires(operand: Option<&CellRef<'_>>, when: &Value) -> TResult<bool> {
     Ok(match operand {
-        Some(v) => v.get().sql_eq(when).map_err(|_| Demote)? == Some(true),
+        Some(v) => v.get().sql_eq(when)? == Some(true),
         None => when.is_true(),
     })
 }
 
 impl RowProducer {
-    /// Build the output row into `out`. `Ok(true)` means `out` was filled;
-    /// `Ok(false)` means a CASE with no ELSE fell through — the body's
-    /// value is the scalar NULL, not a record. Whether that is an error
-    /// depends on the predicate: the VM only unpacks (and only raises) for
-    /// rows the filter keeps, so the caller decides after evaluating it.
-    /// `scratch` holds one register file per chain nesting level.
+    /// Build the output row into `out`, which is cleared and refilled by
+    /// `push`: a cell written over an old one went through a stack copy
+    /// that stalled on store forwarding and cost the let-chain kernels
+    /// about a third of their per-iteration time. `Ok(true)` means `out`
+    /// holds the row; `Ok(false)` means a CASE with no ELSE fell through —
+    /// the body's value is the scalar NULL, not a record. Whether that is
+    /// an error depends on the predicate: the VM only unpacks (and only
+    /// raises) for rows the filter keeps, so the caller decides after
+    /// evaluating it. `scratch` holds one register file per chain nesting
+    /// level.
     fn run(
         &self,
         f: &TFrames<'_>,
         b: &TierBound<'_>,
         s: &mut TierRowStats,
-        out: &mut [Value],
+        out: &mut Row,
         scratch: &mut [TRegs],
-    ) -> std::result::Result<bool, Demote> {
+    ) -> TResult<bool> {
         match self {
             RowProducer::LeafRow(leaves) => {
-                for (slot, l) in out.iter_mut().zip(leaves) {
-                    *slot = l.eval(f, b)?;
+                out.clear();
+                for l in leaves {
+                    out.push(l.eval_c(f, b)?.clone());
                 }
                 Ok(true)
             }
             RowProducer::Row(exprs) => {
-                for (slot, e) in out.iter_mut().zip(exprs) {
-                    *slot = e.eval(f, b, s)?;
+                out.clear();
+                for e in exprs {
+                    out.push(e.eval_c(f, b, s)?.into_owned());
                 }
                 Ok(true)
             }
@@ -389,7 +387,9 @@ impl RowProducer {
                 if *bump {
                     s.subplan_evals += 1;
                 }
-                let (regs, rest) = scratch.split_first_mut().ok_or(Demote)?;
+                let (regs, rest) = scratch
+                    .split_first_mut()
+                    .ok_or_else(|| planner_bug("let-chain registers missing"))?;
                 fill_chain(regs, *first_n, setters, f, b, s)?;
                 let cf = TFrames {
                     cur: &regs[..setters.len()],
@@ -428,16 +428,16 @@ fn fill_chain(
     f: &TFrames<'_>,
     b: &TierBound<'_>,
     s: &mut TierRowStats,
-) -> std::result::Result<(), Demote> {
+) -> TResult<()> {
     for (i, setter) in setters.iter().enumerate() {
         regs[i] = if i < first_n {
-            setter.eval(f, b, s)?
+            setter.eval_c(f, b, s)?.into_owned()
         } else {
             let cf = TFrames {
                 cur: &regs[..i],
                 parent: Some(f),
             };
-            setter.eval(&cf, b, s)?
+            setter.eval_c(&cf, b, s)?.into_owned()
         };
     }
     Ok(())
@@ -551,11 +551,11 @@ impl Compiler {
         Some(match e {
             ExprIr::Neg(x) => {
                 let x = self.atom(x, frames)?;
-                texpr(move |f, b, s| x.eval_c(f, b, s)?.get().neg().map_err(|_| Demote))
+                texpr(move |f, b, s| Ok(x.eval_c(f, b, s)?.get().neg()?))
             }
             ExprIr::Not(x) => {
                 let x = self.atom(x, frames)?;
-                texpr(move |f, b, s| Ok(bool_cell(as_bool(x.eval_c(f, b, s)?.get())?.map(|v| !v))))
+                texpr(move |f, b, s| Ok(bool_cell(x.eval_c(f, b, s)?.get().as_bool()?.map(|v| !v))))
             }
             ExprIr::IsNull { expr, negated } => {
                 let x = self.atom(expr, frames)?;
@@ -567,19 +567,19 @@ impl Compiler {
                 let r = self.atom(right, frames)?;
                 match *op {
                     BinOp::And => texpr(move |f, b, s| {
-                        let lv = as_bool(l.eval_c(f, b, s)?.get())?;
+                        let lv = l.eval_c(f, b, s)?.get().as_bool()?;
                         if lv == Some(false) {
                             return Ok(Value::Bool(false));
                         }
-                        let rv = as_bool(r.eval_c(f, b, s)?.get())?;
+                        let rv = r.eval_c(f, b, s)?.get().as_bool()?;
                         Ok(bool_cell(and3(lv, rv)))
                     }),
                     BinOp::Or => texpr(move |f, b, s| {
-                        let lv = as_bool(l.eval_c(f, b, s)?.get())?;
+                        let lv = l.eval_c(f, b, s)?.get().as_bool()?;
                         if lv == Some(true) {
                             return Ok(Value::Bool(true));
                         }
-                        let rv = as_bool(r.eval_c(f, b, s)?.get())?;
+                        let rv = r.eval_c(f, b, s)?.get().as_bool()?;
                         Ok(match (lv, rv) {
                             (_, Some(true)) => Value::Bool(true),
                             (Some(false), Some(false)) => Value::Bool(false),
@@ -605,10 +605,13 @@ impl Compiler {
                 let negated = *negated;
                 texpr(move |f, b, s| {
                     use std::cmp::Ordering as O;
+                    // All three operands first, then both comparisons, in
+                    // the VM's order.
                     let v = x.eval_c(f, b, s)?;
-                    let cmp = |bound: &Value| v.get().sql_cmp(bound).map_err(|_| Demote);
-                    let ge = cmp(lo.eval_c(f, b, s)?.get())?.map(|o| o != O::Less);
-                    let le = cmp(hi.eval_c(f, b, s)?.get())?.map(|o| o != O::Greater);
+                    let lo = lo.eval_c(f, b, s)?;
+                    let hi = hi.eval_c(f, b, s)?;
+                    let ge = v.get().sql_cmp(lo.get())?.map(|o| o != O::Less);
+                    let le = v.get().sql_cmp(hi.get())?.map(|o| o != O::Greater);
                     Ok(bool_cell(and3(ge, le).map(|v| v != negated)))
                 })
             }
@@ -675,11 +678,10 @@ impl Compiler {
                     let v = x.eval_c(f, b, s)?;
                     let mut any_null = false;
                     for item in &items {
-                        match v.get().sql_eq(item.eval_c(f, b, s)?.get()) {
-                            Ok(Some(true)) => return Ok(Value::Bool(!negated)),
-                            Ok(Some(false)) => {}
-                            Ok(None) => any_null = true,
-                            Err(_) => return Err(Demote),
+                        match v.get().sql_eq(item.eval_c(f, b, s)?.get())? {
+                            Some(true) => return Ok(Value::Bool(!negated)),
+                            Some(false) => {}
+                            None => any_null = true,
                         }
                     }
                     Ok(if any_null {
@@ -704,16 +706,15 @@ impl Compiler {
                     if v.is_null() || pat.is_null() {
                         return Ok(Value::Null);
                     }
-                    match (v.as_text(), pat.as_text()) {
-                        (Ok(v), Ok(pat)) => Ok(Value::Bool(like_match(v, pat) != negated)),
-                        _ => Err(Demote),
-                    }
+                    Ok(Value::Bool(
+                        like_match(v.as_text()?, pat.as_text()?) != negated,
+                    ))
                 })
             }
             ExprIr::Cast { expr, ty } => {
                 let x = self.atom(expr, frames)?;
                 let ty = ty.clone();
-                texpr(move |f, b, s| x.eval_c(f, b, s)?.get().cast(&ty).map_err(|_| Demote))
+                texpr(move |f, b, s| Ok(x.eval_c(f, b, s)?.get().cast(&ty)?))
             }
             ExprIr::Scalar { func, args } => {
                 // Volatile builtins (random, raise_error) must go through
@@ -740,7 +741,7 @@ impl Compiler {
                     // Non-volatile builtins never touch the RNG; a dummy
                     // keeps `eval_scalar`'s exact semantics reachable here.
                     let mut rng = SessionRng::new(1);
-                    eval_scalar(func, &vals[..cs.len()], &mut rng).map_err(|_| Demote)
+                    Ok(eval_scalar(func, &vals[..cs.len()], &mut rng)?)
                 })
             }
             ExprIr::Subplan(p) => return self.subplan(p, frames),
@@ -822,8 +823,9 @@ impl Compiler {
 
     /// `Project [out] ∘ (Filter)? ∘ IndexLookup`: the compiled per-row index
     /// probe (the fsa/parse shape). Mirrors the executor arm exactly: a NULL
-    /// key yields NULL without touching the probe counters; more than one
-    /// surviving row is a runtime error, so it demotes.
+    /// key yields NULL without touching the probe counters, and a second
+    /// surviving row raises `exec_scalar`'s error once its output is
+    /// evaluated.
     fn probe(&mut self, plan: &PlanNode, frames: &[CFrame]) -> Option<TExpr> {
         let PlanNode::Project { input, exprs } = plan else {
             return None;
@@ -865,7 +867,10 @@ impl Compiler {
             s.rows_scanned += positions.len() as u64;
             let mut hit: Option<Value> = None;
             for &pos in positions {
-                let row: &[Value] = probe.rows.get(pos).ok_or(Demote)?;
+                let row: &[Value] = probe
+                    .rows
+                    .get(pos)
+                    .ok_or_else(|| planner_bug("index position out of range"))?;
                 let pf = TFrames {
                     cur: row,
                     parent: Some(f),
@@ -875,12 +880,11 @@ impl Compiler {
                     None => true,
                 };
                 if keep {
+                    let v = out_c.eval(&pf, b, s)?;
                     if hit.is_some() {
-                        // "more than one row returned by a subquery" — a
-                        // real error; the VM raises it.
-                        return Err(Demote);
+                        return Err(Box::new(second_row_error()));
                     }
-                    hit = Some(out_c.eval(&pf, b, s)?);
+                    hit = Some(v);
                 }
             }
             Ok(hit.unwrap_or(Value::Null))
@@ -1101,19 +1105,21 @@ impl<'p, 'c> MonoRows<'p, 'c> {
 
     /// Run one iteration from `bufs.cur` into `bufs.next` under the
     /// retention policy and return the rows the transition kept.
-    /// `Err(Demote)` leaves the working set as it was, for the VM to re-run
-    /// the iteration.
     pub(crate) fn step(
         &mut self,
         bufs: &mut Rotation,
         retention: &mut Retention,
         stats: &mut RuntimeStats,
-    ) -> std::result::Result<u64, Demote> {
+    ) -> plaway_common::Result<u64> {
         let mut local = TierRowStats::default();
         let (prog, bound, scratch) = (self.prog, &self.bound, &mut self.scratch);
-        let kept = retention.step_rows(bufs, prog.pred_slot, |row, pool| {
-            mono_row(prog, bound, row, pool, &mut local, scratch)
-        })?;
+        // The error stays boxed per row, so that a row's result is no
+        // larger than the row.
+        let kept = retention
+            .step_rows(bufs, prog.pred_slot, |row, pool| {
+                mono_row(prog, bound, row, pool, &mut local, scratch)
+            })
+            .map_err(|e| *e)?;
         stats.subplan_evals += local.subplan_evals;
         stats.index_probes += local.index_probes;
         stats.rows_scanned += local.rows_scanned;
@@ -1122,8 +1128,8 @@ impl<'p, 'c> MonoRows<'p, 'c> {
 }
 
 /// Run one input row: body first (matching Extend-then-Filter order), then
-/// the keep decision on the *input* row, which is never written. The
-/// successor goes into a pooled row. `Ok(None)` = dropped.
+/// the keep decision on the *input* row. The successor goes into a pooled
+/// row. `Ok(None)` = dropped.
 fn mono_row(
     prog: &TierProgram,
     bound: &TierBound<'_>,
@@ -1131,22 +1137,15 @@ fn mono_row(
     pool: &mut Vec<Row>,
     local: &mut TierRowStats,
     scratch: &mut [TRegs],
-) -> std::result::Result<Option<Row>, Demote> {
+) -> TResult<Option<Row>> {
     let frames = TFrames {
         cur: row,
         parent: None,
     };
-    // A filled row writes every one of its `width` cells, so a recycled
-    // row needs no re-null, only the right length.
-    let mut out = pool.pop().unwrap_or_default();
-    out.resize(prog.width, Value::Null);
-    let filled = match prog.produce.run(&frames, bound, local, &mut out, scratch) {
-        Ok(filled) => filled,
-        Err(e) => {
-            pool.push(out);
-            return Err(e);
-        }
-    };
+    // The producer clears the row before it fills it, so any pooled row
+    // will do.
+    let mut out = pool.pop().unwrap_or_else(|| Vec::with_capacity(prog.width));
+    let filled = prog.produce.run(&frames, bound, local, &mut out, scratch)?;
     let keep = match prog.pred_slot {
         Some(i) => row[i].is_true(),
         None => prog.pred.eval_c(&frames, bound, local)?.get().is_true(),
@@ -1158,10 +1157,10 @@ fn mono_row(
         return Ok(None);
     }
     if !filled {
-        // Kept but the body fell through to scalar NULL: the VM raises the
-        // row_field unpack error here, so re-run the iteration there.
-        pool.push(out);
-        return Err(Demote);
+        // Kept, but the body fell through to scalar NULL: the VM's unpack
+        // error.
+        let err = take_record(Value::Null, prog.width).expect_err("NULL is not a record");
+        return Err(Box::new(err));
     }
     Ok(Some(out))
 }
@@ -1205,44 +1204,31 @@ mod tests {
             .expect("counter transition is in the tier grammar")
     }
 
-    /// How a mono run ended.
-    enum MonoOutcome {
-        /// The working set drained.
-        Finished,
-        /// A row demoted; the VM holds the restored working set.
-        Demoted,
-    }
-
     /// Drive the mono step under `WITH ITERATE` the way the fixpoint
     /// driver does (one step per iteration, kept rows counted as
-    /// `tier_mono_rows`) until the working set drains or a row demotes.
-    /// Returns the outcome plus the working set and last iteration it left
-    /// for the VM.
+    /// `tier_mono_rows`) until the working set drains or a row fails.
+    /// Returns how the run ended and the last iteration it consumed.
     fn drive_iterate(
         prog: &TierProgram,
         working: Vec<Row>,
         iters: &mut u64,
         stats: &mut RuntimeStats,
-    ) -> (MonoOutcome, Vec<Row>, Vec<Row>) {
+    ) -> (plaway_common::Result<()>, Vec<Row>) {
         let catalog = Catalog::new();
         let mut bufs = Rotation::new(working);
         let mut retention = Retention::IterateOnly;
-        let Some(mut mono) = MonoRows::enter(prog, &EvalEnv::EMPTY, &catalog, &bufs.cur, stats)
-        else {
-            return (MonoOutcome::Demoted, bufs.cur, bufs.prev);
-        };
-        let outcome = loop {
-            if bufs.cur.is_empty() {
-                break MonoOutcome::Finished;
-            }
-            let Ok(kept) = mono.step(&mut bufs, &mut retention, stats) else {
-                break MonoOutcome::Demoted;
+        let mut mono = MonoRows::enter(prog, &EvalEnv::EMPTY, &catalog, &bufs.cur, stats)
+            .expect("the test programs bind");
+        while !bufs.cur.is_empty() {
+            let kept = match mono.step(&mut bufs, &mut retention, stats) {
+                Ok(kept) => kept,
+                Err(e) => return (Err(e), bufs.prev),
             };
             retention.keep(&mut bufs);
             *iters += 1;
             stats.tier.tier_mono_rows += kept;
-        };
-        (outcome, bufs.cur, bufs.prev)
+        }
+        (Ok(()), bufs.prev)
     }
 
     #[test]
@@ -1280,17 +1266,16 @@ mod tests {
     fn mono_iterate_runs_the_counter_to_its_fixpoint() {
         let prog = recognized();
         let (mut iters, mut stats) = (0u64, RuntimeStats::default());
-        let (outcome, working, prev) = drive_iterate(
+        let (end, prev) = drive_iterate(
             &prog,
             vec![vec![Value::Int(0), Value::Bool(true)]],
             &mut iters,
             &mut stats,
         );
-        assert!(matches!(outcome, MonoOutcome::Finished));
+        end.unwrap();
         // 0→1→…→10 keeps the flag true; row [11, false] fails the filter
         // next pass, so the last surviving iteration holds it.
         assert_eq!(prev, vec![vec![Value::Int(11), Value::Bool(false)]]);
-        assert!(working.is_empty());
         assert_eq!(iters, 12);
         // The transition kept 11 rows; the row the filter drops on the
         // last iteration is not counted, exactly like the VM's
@@ -1323,7 +1308,7 @@ mod tests {
     }
 
     #[test]
-    fn a_demoted_iteration_leaves_its_working_set_intact() {
+    fn a_zero_divisor_raises_the_vms_error() {
         let prog = recognize(
             0,
             &transition_plan(zero_divisor_body(), ExprIr::slot(1)),
@@ -1331,23 +1316,22 @@ mod tests {
         )
         .expect("division is in the tier grammar");
         let (mut iters, mut stats) = (0u64, RuntimeStats::default());
-        let (outcome, working, prev) = drive_iterate(
+        let (end, _) = drive_iterate(
             &prog,
             vec![vec![Value::Int(0), Value::Bool(true)]],
             &mut iters,
             &mut stats,
         );
-        assert!(matches!(outcome, MonoOutcome::Demoted));
-        // 0 → 1 → 2 → 3 committed; the fourth iteration divides by zero and
-        // leaves its input, and the iteration before it, for the VM.
+        // 0 → 1 → 2 → 3 ran; the fourth iteration divides by zero and
+        // fails with the error of the VM's division.
+        let vm = apply_bin(BinOp::Div, &Value::Int(10), &Value::Int(0)).unwrap_err();
+        assert_eq!(end.unwrap_err(), vm);
         assert_eq!(iters, 3);
-        assert_eq!(working, vec![vec![Value::Int(3), Value::Bool(true)]]);
-        assert_eq!(prev, vec![vec![Value::Int(2), Value::Bool(true)]]);
         assert_eq!(stats.tier.tier_mono_rows, 3);
     }
 
     #[test]
-    fn integer_overflow_demotes_and_restores_the_iteration_input() {
+    fn integer_overflow_raises_the_vms_error() {
         // ROW(c + max_int, true): overflows on the second iteration.
         let body = ExprIr::Row(vec![
             ExprIr::Binary {
@@ -1359,17 +1343,16 @@ mod tests {
         ]);
         let prog = recognize(0, &transition_plan(body, ExprIr::slot(1)), true).unwrap();
         let (mut iters, mut stats) = (0u64, RuntimeStats::default());
-        let (outcome, working, _) = drive_iterate(
+        let (end, _) = drive_iterate(
             &prog,
             vec![vec![Value::Int(1), Value::Bool(true)]],
             &mut iters,
             &mut stats,
         );
-        assert!(matches!(outcome, MonoOutcome::Demoted));
-        // Iteration 1 committed ([1+MAX] overflows? No: 1 + MAX overflows
-        // immediately), so nothing committed and the input row survives.
-        assert_eq!(working, vec![vec![Value::Int(1), Value::Bool(true)]]);
-        assert_eq!(stats.tier.tier_mono_rows, 0);
+        // 1 + MAX overflows on the first iteration.
+        let vm = apply_bin(BinOp::Add, &Value::Int(1), &Value::Int(i64::MAX)).unwrap_err();
+        assert_eq!(end.unwrap_err(), vm);
+        assert_eq!((iters, stats.tier.tier_mono_rows), (0, 0));
     }
 
     #[test]
@@ -1387,13 +1370,13 @@ mod tests {
         };
         let prog = recognize(0, &transition_plan(counter_body(), pred), true).unwrap();
         let (mut iters, mut stats) = (0u64, RuntimeStats::default());
-        let (outcome, _, prev) = drive_iterate(
+        let (end, prev) = drive_iterate(
             &prog,
             vec![vec![Value::Int(0), Value::Null]],
             &mut iters,
             &mut stats,
         );
-        assert!(matches!(outcome, MonoOutcome::Finished));
+        end.unwrap();
         // The single row is dropped by the NULL predicate on iteration 1
         // (AND with NULL is NULL, not an error), so the last *consumed*
         // working set — what `WITH ITERATE` returns — is the input row.
@@ -1518,17 +1501,43 @@ mod tests {
             (0, 11)
         );
 
-        // A demotion hands the failing iteration to the VM, which raises
-        // the error `ForceOff` raises: 0 → 1 → 2 → 3 in mono, then a zero
-        // divisor.
+        // An operator error in mono is the error `ForceOff` raises: 0 → 1
+        // → 2 → 3 in mono, then a zero divisor.
         let (want, vm) = run_fixpoint(zero_divisor_body(), start(), &[], TierMode::ForceOff);
         let (got, stats) = run_fixpoint(zero_divisor_body(), start(), &[], TierMode::Auto);
-        assert_eq!(got.unwrap_err().to_string(), want.unwrap_err().to_string());
+        assert_eq!(got.unwrap_err(), want.unwrap_err());
         assert_eq!(vm.fused_transition_rows, 3);
         assert_eq!(stats.tier.tier_promotions, 1);
         assert_eq!(
             (stats.tier.tier_mono_rows, stats.fused_transition_rows),
             (3, 0)
+        );
+
+        // A kept row whose body falls through a CASE without ELSE raises
+        // the VM's unpack error: ROW(c + 1, true) while c < 3, then NULL.
+        let fallthrough = ExprIr::Case {
+            operand: None,
+            branches: vec![(
+                below(3),
+                ExprIr::Row(vec![
+                    ExprIr::Binary {
+                        op: BinOp::Add,
+                        left: Box::new(ExprIr::slot(0)),
+                        right: Box::new(ExprIr::Const(Value::Int(1))),
+                    },
+                    ExprIr::Const(Value::Bool(true)),
+                ]),
+            )],
+            else_: None,
+        };
+        let (want, _) = run_fixpoint(fallthrough.clone(), start(), &[], TierMode::ForceOff);
+        let (got, stats) = run_fixpoint(fallthrough, start(), &[], TierMode::Auto);
+        let want = want.unwrap_err();
+        assert!(want.to_string().contains("expected record"), "{want}");
+        assert_eq!(got.unwrap_err(), want);
+        assert_eq!(
+            (stats.tier.tier_promotions, stats.tier.tier_mono_rows),
+            (1, 3)
         );
     }
 }

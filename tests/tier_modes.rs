@@ -8,8 +8,8 @@
 //! The sweep covers generated programs (`genprog`, same seed space as the
 //! other differential suites), all six paper kernels, and hand-written
 //! functions that exercise the edges: NULL- and float-carrying rows the
-//! mono tier must run natively, and a builtin error that demotes
-//! mid-execution without consuming the in-flight iteration.
+//! mono tier must run natively, and a builtin error mid-execution that
+//! every tier raises with the interpreter's text.
 //!
 //! Bit-identical is pinned by comparing the `Debug` rendering of results
 //! (which distinguishes float bit patterns `PartialEq` may conflate), and
@@ -232,8 +232,8 @@ fn null_and_float_rows_match_the_vm_bit_for_bit() {
     }
 }
 
-/// A builtin that fails mid-fixpoint: the mono tier demotes on the
-/// `repeat` error, and the VM re-raises it exactly as the interpreter does.
+/// A builtin that fails mid-fixpoint: the mono tier and the VM raise the
+/// `repeat` error exactly as the interpreter does.
 #[test]
 fn builtin_errors_reraise_in_every_tier() {
     const PADDED: &str = "CREATE FUNCTION padded(n int) RETURNS int AS $$
@@ -308,8 +308,8 @@ fn explain_analyze_renders_the_executing_tier() {
 /// The fixpoint counters that must not depend on the executing tier: the
 /// iteration count, the batch working-set counters, and the rows the
 /// transition kept — counted by the VM as `fused_transition_rows` and by
-/// the mono tier as `tier_mono_rows`. A demotion switches tiers mid-run,
-/// so only their sum is tier-independent.
+/// the mono tier as `tier_mono_rows`. Each fixpoint counts them in the one
+/// tier that ran it, so only their sum is tier-independent.
 fn tier_free_counters(session: &Session, before: &plsql_away::engine::RuntimeStats) -> [u64; 4] {
     let d = session.stats.delta_since(before);
     [
