@@ -4,9 +4,12 @@
 //!    "disappointing performance characteristics") vs WITH RECURSIVE vs
 //!    WITH ITERATE,
 //! 2. argument layout: flattened columns vs packed ROW (Figure 8),
-//! 3. SSA optimization passes on/off.
+//! 3. SSA optimization passes on/off,
 //!
-//! Usage: `cargo run --release -p plaway-bench --bin ablation [-- udf]`
+//! and closes with the per-iteration cost of each kernel's fixpoint in each
+//! tier (the slopes DESIGN.md's fast-path table cites).
+//!
+//! Usage: `cargo run --release -p plaway-bench --bin ablation [-- udf | slopes [batches]]`
 
 use std::time::Instant;
 
@@ -23,6 +26,10 @@ fn time_ms(f: impl FnMut()) -> f64 {
 }
 
 fn main() {
+    if std::env::args().any(|a| a == "slopes") {
+        slopes();
+        return;
+    }
     let only_udf = std::env::args().any(|a| a == "udf");
     let steps = 2_000i64;
     let runs = 3;
@@ -159,44 +166,164 @@ fn main() {
         counters.batch_rows_retired
     );
 
-    // ---- execution tier per-iteration cost -------------------------------
-    // The fused fixpoint transition in the VM vs the mono pipeline, on the
-    // two shape-recognized kernels. Total wall time over the
-    // `recursive_iterations` delta gives ns per iteration — both tiers run
-    // the same iterations on the same inputs, so the ratio is exactly the
-    // operand-stack traffic and dispatch the mono tier removes.
-    println!("\ntiered execution: ns per fixpoint iteration, VM vs mono:");
-    type TierCase = (&'static str, fn(EngineConfig) -> BenchSetup, Vec<Value>);
-    let tier_cases: [TierCase; 2] = [
-        ("fibonacci(500)", setup_fib, fib_args(500)),
-        ("parse(150)", setup_parse, parse_args(150)),
-    ];
-    for (name, setup, args) in tier_cases {
-        let mut per_iter = [0u128; 2];
-        for (t, mode) in [TierMode::ForceOff, TierMode::Auto].into_iter().enumerate() {
-            let mut config = EngineConfig::postgres_like();
-            config.tier_mode = mode;
-            let mut b = setup(config);
-            let compiled = b.compile(CompileOptions::iterate()).unwrap();
-            let plan = compiled.prepare(&mut b.session).unwrap();
-            b.session.set_seed(1);
+    slopes();
+}
+
+/// One kernel the per-iteration section times: its label, a session holding
+/// its tables at `size`, and its arguments at `size`.
+struct SlopeCase {
+    name: &'static str,
+    setup: fn(EngineConfig, i64) -> BenchSetup,
+    args: Box<dyn Fn(i64) -> Vec<Value>>,
+    sizes: [i64; 2],
+    modes: &'static [(&'static str, TierMode)],
+}
+
+const BOTH_TIERS: &[(&str, TierMode)] = &[("vm", TierMode::ForceOff), ("mono", TierMode::Auto)];
+const VM_ONLY: &[(&str, TierMode)] = &[("vm", TierMode::ForceOff)];
+
+/// The first start node whose traversal of the bench graph runs `hops`
+/// hops without reaching a sink, so that its iterations scale with `hops`.
+fn long_traversal_start(hops: i64) -> i64 {
+    let mut b = setup_traverse(EngineConfig::raw());
+    let plan = b
+        .compile(CompileOptions::iterate())
+        .unwrap()
+        .prepare(&mut b.session)
+        .unwrap();
+    (1..5_000)
+        .find(|&start| {
             let before = b.session.stats.recursive_iterations;
-            b.session.execute_prepared(&plan, args.clone()).unwrap();
-            let iters = ((b.session.stats.recursive_iterations - before) as u128).max(1);
-            let mut best = u128::MAX;
-            for _ in 0..5 {
-                b.session.set_seed(1);
-                let t0 = Instant::now();
-                b.session.execute_prepared(&plan, args.clone()).unwrap();
-                best = best.min(t0.elapsed().as_nanos());
-            }
-            per_iter[t] = best / iters;
+            let args = vec![Value::Int(start), Value::Int(hops)];
+            b.session.execute_prepared(&plan, args).unwrap();
+            b.session.stats.recursive_iterations - before > hops as u64
+        })
+        .expect("the bench graph has a sink-free cycle")
+}
+
+/// `settle` over a generated ledger of `rows` entries: its loop runs once
+/// per row.
+fn setup_settle_rows(config: EngineConfig, rows: i64) -> BenchSetup {
+    let mut b = setup_settle(config);
+    plaway_workloads::rowagg::Ledger::generate(rows as usize, 7)
+        .install(&mut b.session)
+        .unwrap();
+    b
+}
+
+/// Best time of one `execute_prepared` on `args` over `batches` batches,
+/// and the iterations it runs.
+fn best_call_ns(b: &mut BenchSetup, size: i64, case: &SlopeCase, batches: usize) -> (f64, u64) {
+    let plan = b
+        .compile(CompileOptions::iterate())
+        .unwrap()
+        .prepare(&mut b.session)
+        .unwrap();
+    let args = (case.args)(size);
+    let call = |b: &mut BenchSetup| {
+        b.session.set_seed(1);
+        let before = b.session.stats.recursive_iterations;
+        let t0 = Instant::now();
+        b.session.execute_prepared(&plan, args.clone()).unwrap();
+        (t0.elapsed(), b.session.stats.recursive_iterations - before)
+    };
+    let (first, iters) = call(b);
+    // Batches of at least ~2 ms, so timer resolution does not matter.
+    let reps = (2_000_000 / first.as_nanos().max(1)).clamp(1, 1_000) as u32;
+    let mut best = f64::MAX;
+    for _ in 0..batches {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            call(b);
         }
-        println!(
-            "  {name:<28} vm {:>6} ns/iter   mono {:>6} ns/iter   ({:.1}x)",
-            per_iter[0],
-            per_iter[1],
-            per_iter[0] as f64 / per_iter[1] as f64
-        );
+        best = best.min(t0.elapsed().as_nanos() as f64 / reps as f64);
+    }
+    (best, iters)
+}
+
+/// Per-iteration cost of the fixpoint under `EngineConfig::raw` (no
+/// modeled executor cost), as the slope of the best call time between two
+/// sizes: a whole call divided by its iterations would fold the fixed cost
+/// of a call into every iteration. Every kernel runs `WITH ITERATE`; the
+/// three the mono tier recognizes run in both tiers.
+///
+/// Usage: `cargo run --release -p plaway-bench --bin ablation -- slopes [batches]`
+fn slopes() {
+    let batches: usize = std::env::args()
+        .skip_while(|a| a != "slopes")
+        .nth(1)
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(7);
+    let start = long_traversal_start(1_100);
+    println!("\nper-iteration slopes, raw config, WITH ITERATE, best of {batches} batches:");
+    let cases = [
+        SlopeCase {
+            name: "fibonacci",
+            setup: |c, _| setup_fib(c),
+            args: Box::new(fib_args),
+            sizes: [50, 1_050],
+            modes: BOTH_TIERS,
+        },
+        SlopeCase {
+            name: "parse",
+            setup: |c, _| setup_parse(c),
+            args: Box::new(|n| parse_args(n as usize)),
+            sizes: [50, 1_050],
+            modes: BOTH_TIERS,
+        },
+        SlopeCase {
+            name: "checked_sum",
+            setup: |c, _| setup_checked(c),
+            args: Box::new(|n| checked_args(n as usize)),
+            sizes: [50, 1_050],
+            modes: BOTH_TIERS,
+        },
+        SlopeCase {
+            name: "walk",
+            setup: |c, _| setup_walk(c),
+            args: Box::new(walk_args),
+            sizes: [50, 550],
+            modes: VM_ONLY,
+        },
+        SlopeCase {
+            name: "traverse",
+            setup: |c, _| setup_traverse(c),
+            args: Box::new(move |n| vec![Value::Int(start), Value::Int(n)]),
+            sizes: [50, 1_050],
+            modes: VM_ONLY,
+        },
+        SlopeCase {
+            name: "settle",
+            setup: setup_settle_rows,
+            args: Box::new(|_| settle_args()),
+            sizes: [100, 1_100],
+            modes: VM_ONLY,
+        },
+    ];
+    for case in &cases {
+        for &(tier, mode) in case.modes {
+            let mut points = [(0.0, 0u64); 2];
+            for (point, &size) in points.iter_mut().zip(&case.sizes) {
+                let config = EngineConfig {
+                    tier_mode: mode,
+                    ..EngineConfig::raw()
+                };
+                let mut b = (case.setup)(config, size);
+                *point = best_call_ns(&mut b, size, case, batches);
+                if mode == TierMode::Auto {
+                    assert!(
+                        b.session.metrics.tier_promotions > 0,
+                        "{}: Auto never promoted",
+                        case.name
+                    );
+                }
+            }
+            let [(small, i0), (large, i1)] = points;
+            println!(
+                "  {:<12} {tier:<5} {:>9.1} ns/iter   ({i0}..{i1} iterations)",
+                case.name,
+                (large - small) / (i1 - i0) as f64
+            );
+        }
     }
 }

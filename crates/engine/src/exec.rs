@@ -883,6 +883,15 @@ fn bool_slot_test(pred: &ExprIr) -> Option<(usize, bool)> {
     }
 }
 
+/// The `call?` flag of a fused transition: its filter's bare depth-0
+/// column ([`bool_slot_test`]), which the retire policy reads.
+pub(crate) fn retire_flag(pred: &ExprIr) -> Option<usize> {
+    match bool_slot_test(pred) {
+        Some((i, true)) => Some(i),
+        _ => None,
+    }
+}
+
 /// Does the filter predicate keep `row`? `slot` is its
 /// [`bool_slot_test`]: a bare slot test is `is_true()` (false on
 /// non-booleans); NOT of a non-boolean errors — both exactly as the
@@ -1507,9 +1516,8 @@ pub(crate) fn walk_expr_plans(e: &ExprIr, f: &mut impl FnMut(&PlanNode)) {
 struct Transition<'p> {
     prog: crate::vm::ExprProgram,
     pred: &'p ExprIr,
-    /// When the predicate is a bare depth-0 column read (the `call?` flag of
-    /// Figure 8), test it directly instead of calling the evaluator.
-    pred_slot: Option<usize>,
+    /// The predicate's [`bool_slot_test`]: the `call?` flag of Figure 8.
+    test: Option<(usize, bool)>,
     src: usize,
     width: usize,
 }
@@ -1530,14 +1538,10 @@ fn try_transition<'p>(steps: &[Step<'p>]) -> Option<Transition<'p>> {
         ExprIr::Vm(p) => (**p).clone(),
         tree => crate::vm::compile(tree),
     };
-    let pred_slot = match pred {
-        ExprIr::Slot { depth: 0, index } => Some(*index),
-        _ => None,
-    };
     Some(Transition {
         prog: crate::vm::splat_transform(base_prog, *width),
         pred,
-        pred_slot,
+        test: bool_slot_test(pred),
         src: *src,
         width: *width,
     })
@@ -1593,11 +1597,7 @@ fn run_transition_row(
     // Body first (matching Extend-then-Filter evaluation order), values
     // parked on the VM stack.
     crate::vm::run_splat(&t.prog, &inner, rt)?;
-    let keep = match t.pred_slot {
-        Some(i) => Ok(row[i].is_true()),
-        None => eval(t.pred, &inner, rt).map(|v| v.is_true()),
-    };
-    match keep {
+    match keeps(t.pred, t.test, row, env, rt) {
         Ok(true) => Ok(Some(base)),
         Ok(false) => {
             rt.vm_stack.truncate(base);
@@ -1725,33 +1725,26 @@ impl Retention {
     /// Run one iteration's working rows through `apply`, which returns a
     /// row's successor (built in place or in a buffer from the pool) when
     /// the filter keeps it; successors go to `bufs.next`. Under `Retire` a
-    /// row the filter drops retires instead of vanishing, and with a slot
-    /// predicate (the `call?` flag) two shortcuts apply: a row whose flag
-    /// is already false retires without paying one more transition, and
-    /// under UNION ALL a successor whose flag the transition just cleared
+    /// row the filter drops retires instead of vanishing. When the filter
+    /// is a bare column `flag` ([`retire_flag`]) and the arms are joined by
+    /// UNION ALL, a successor whose flag the transition just cleared
     /// retires at once rather than being re-scanned next pass (plain UNION
     /// must first pass it through the dedup set). Rows retire by move.
     /// Returns how many rows `apply` kept; an error fails the fixpoint.
     pub(crate) fn step_rows<E>(
         &mut self,
         bufs: &mut Rotation,
-        pred_slot: Option<usize>,
+        flag: Option<usize>,
         mut apply: impl FnMut(&mut Row, &mut Vec<Row>) -> std::result::Result<Option<Row>, E>,
     ) -> std::result::Result<u64, E> {
-        let (mut retired, pre, post) = match self {
+        let (mut retired, post) = match self {
             Retention::Retire { retired, union_all } => {
-                (Some(retired), pred_slot, pred_slot.filter(|_| *union_all))
+                (Some(retired), flag.filter(|_| *union_all))
             }
-            _ => (None, None, None),
+            _ => (None, None),
         };
         let mut kept = 0;
         for row in &mut bufs.cur {
-            if let (Some(i), Some(r)) = (pre, retired.as_deref_mut()) {
-                if !row[i].is_true() {
-                    r.push(std::mem::take(row));
-                    continue;
-                }
-            }
             match apply(row, &mut bufs.pool)? {
                 Some(out) => {
                     kept += 1;
@@ -1814,13 +1807,8 @@ enum Arm<'p> {
         trans: Option<Transition<'p>>,
     },
     /// The general plan over the whole working table (joins, sub-query
-    /// self-references, ...): PostgreSQL's algorithm. The working-table
-    /// `Arc` is recycled when sole owner.
-    Plan {
-        plan: &'p PlanNode,
-        index: usize,
-        slot: Arc<Vec<Row>>,
-    },
+    /// self-references, ...): PostgreSQL's algorithm.
+    Plan { plan: &'p PlanNode, index: usize },
 }
 
 impl<'p> Arm<'p> {
@@ -1840,7 +1828,6 @@ impl<'p> Arm<'p> {
             None => Ok(Arm::Plan {
                 plan: recursive,
                 index,
-                slot: Arc::new(Vec::new()),
             }),
         }
     }
@@ -1864,55 +1851,44 @@ impl<'p> Arm<'p> {
                 let keep_last = matches!(retention, Retention::IterateOnly);
                 let copy_input = !matches!(retention, Retention::Accumulate(_));
                 let trans = trans.as_ref();
-                let kept =
-                    retention.step_rows(bufs, trans.and_then(|t| t.pred_slot), |row, pool| {
-                        match trans {
-                            Some(t) if row.len() == t.src => {
-                                let Some(base) = run_transition_row(t, row, env, rt)? else {
-                                    return Ok(None);
-                                };
-                                if !keep_last {
-                                    write_successor(t, base, row, rt)?;
-                                    return Ok(Some(std::mem::take(row)));
-                                }
-                                let mut out = pool.pop().unwrap_or_default();
-                                write_successor(t, base, &mut out, rt)?;
-                                Ok(Some(out))
-                            }
-                            _ => {
-                                let input = if copy_input {
-                                    let mut input = pool.pop().unwrap_or_default();
-                                    input.clone_from(row);
-                                    input
-                                } else {
-                                    std::mem::take(row)
-                                };
-                                run_pipeline_row(steps, input, env, rt)
-                            }
+                let flag = trans.and_then(|t| retire_flag(t.pred));
+                let kept = retention.step_rows(bufs, flag, |row, pool| match trans {
+                    Some(t) if row.len() == t.src => {
+                        let Some(base) = run_transition_row(t, row, env, rt)? else {
+                            return Ok(None);
+                        };
+                        if !keep_last {
+                            write_successor(t, base, row, rt)?;
+                            return Ok(Some(std::mem::take(row)));
                         }
-                    })?;
+                        let mut out = pool.pop().unwrap_or_default();
+                        write_successor(t, base, &mut out, rt)?;
+                        Ok(Some(out))
+                    }
+                    _ => {
+                        let input = if copy_input {
+                            let mut input = pool.pop().unwrap_or_default();
+                            input.clone_from(row);
+                            input
+                        } else {
+                            std::mem::take(row)
+                        };
+                        run_pipeline_row(steps, input, env, rt)
+                    }
+                })?;
                 // Only the fused transition counts the rows it kept.
                 Ok(if trans.is_some() { kept } else { 0 })
             }
-            Arm::Plan { plan, index, slot } => {
-                match Arc::get_mut(slot) {
-                    Some(buf) => {
-                        buf.clear();
-                        buf.append(&mut bufs.cur);
-                    }
-                    None => *slot = Arc::new(std::mem::take(&mut bufs.cur)),
-                }
-                rt.working.insert(*index, Arc::clone(slot));
+            Arm::Plan { plan, index } => {
+                let table = Arc::new(std::mem::take(&mut bufs.cur));
+                rt.working.insert(*index, Arc::clone(&table));
                 let next = exec(plan, env, rt);
                 rt.working.remove(index);
                 bufs.next = next?;
                 if matches!(retention, Retention::IterateOnly) {
                     // ITERATE keeps the consumed working table as its last
                     // iteration. Nothing here draws on the row pool.
-                    bufs.cur = match Arc::get_mut(slot) {
-                        Some(buf) => std::mem::take(buf),
-                        None => slot.to_vec(),
-                    };
+                    bufs.cur = Arc::unwrap_or_clone(table);
                     bufs.pool.clear();
                 }
                 Ok(0)

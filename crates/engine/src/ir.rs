@@ -615,6 +615,55 @@ pub enum PlanNode {
     },
 }
 
+/// The one match behind both child visitors of [`PlanNode`]. `Memoize`
+/// holds its input in an `Arc`, so each visitor says how to reach it.
+macro_rules! plan_children {
+    ($node:expr, $f:expr, $memo:ident => $visit_memo:expr) => {
+        match $node {
+            PlanNode::SeqScan { .. }
+            | PlanNode::IndexLookup { .. }
+            | PlanNode::IndexRange { .. }
+            | PlanNode::Values { .. }
+            | PlanNode::Result { .. }
+            | PlanNode::CteScan { .. }
+            | PlanNode::WorkingScan { .. } => {}
+            PlanNode::Filter { input, .. }
+            | PlanNode::Project { input, .. }
+            | PlanNode::ProjectUnpack { input, .. }
+            | PlanNode::Extend { input, .. }
+            | PlanNode::Agg { input, .. }
+            | PlanNode::WindowAgg { input, .. }
+            | PlanNode::Sort { input, .. }
+            | PlanNode::Distinct { input }
+            | PlanNode::Limit { input, .. } => $f(input),
+            PlanNode::Memoize { input: $memo, .. } => $visit_memo,
+            PlanNode::NestLoop { left, right, .. } | PlanNode::SetOpNode { left, right, .. } => {
+                $f(left);
+                $f(right);
+            }
+            PlanNode::Append { inputs } => {
+                for i in inputs {
+                    $f(i);
+                }
+            }
+            PlanNode::With { ctes, body } => {
+                for c in ctes {
+                    match c {
+                        CtePlan::Plain { plan, .. } => $f(plan),
+                        CtePlan::Recursive {
+                            base, recursive, ..
+                        } => {
+                            $f(base);
+                            $f(recursive);
+                        }
+                    }
+                }
+                $f(body);
+            }
+        }
+    };
+}
+
 /// The one match behind both expression visitors of [`PlanNode`], like
 /// `expr_children!` for [`ExprIr`].
 macro_rules! plan_exprs {
@@ -701,53 +750,20 @@ impl PlanNode {
         n
     }
 
+    /// Visit the direct child plans, inputs before bodies.
     pub(crate) fn for_each_child(&self, f: &mut impl FnMut(&PlanNode)) {
-        match self {
-            PlanNode::SeqScan { .. }
-            | PlanNode::IndexLookup { .. }
-            | PlanNode::IndexRange { .. }
-            | PlanNode::Values { .. }
-            | PlanNode::Result { .. }
-            | PlanNode::CteScan { .. }
-            | PlanNode::WorkingScan { .. } => {}
-            PlanNode::Filter { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::ProjectUnpack { input, .. }
-            | PlanNode::Extend { input, .. }
-            | PlanNode::Agg { input, .. }
-            | PlanNode::WindowAgg { input, .. }
-            | PlanNode::Sort { input, .. }
-            | PlanNode::Distinct { input }
-            | PlanNode::Limit { input, .. } => f(input),
-            PlanNode::Memoize { input, .. } => f(input),
-            PlanNode::NestLoop { left, right, .. } => {
-                f(left);
-                f(right);
+        plan_children!(self, f, input => f(input));
+    }
+
+    /// [`PlanNode::for_each_child`] over mutable children. A `Memoize`
+    /// input is visited only while its `Arc` is unshared, as
+    /// [`crate::vm::precompile_plan`] does.
+    pub(crate) fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut PlanNode)) {
+        plan_children!(self, f, input => {
+            if let Some(p) = Arc::get_mut(input) {
+                f(p)
             }
-            PlanNode::Append { inputs } => {
-                for i in inputs {
-                    f(i);
-                }
-            }
-            PlanNode::SetOpNode { left, right, .. } => {
-                f(left);
-                f(right);
-            }
-            PlanNode::With { ctes, body } => {
-                for c in ctes {
-                    match c {
-                        CtePlan::Plain { plan, .. } => f(plan),
-                        CtePlan::Recursive {
-                            base, recursive, ..
-                        } => {
-                            f(base);
-                            f(recursive);
-                        }
-                    }
-                }
-                f(body);
-            }
-        }
+        });
     }
 
     /// Visit the expressions held directly by this node (not by children).

@@ -321,8 +321,8 @@ impl<'a> Planner<'a> {
                 body: Box::new(plan),
             };
         }
-        plan = fuse_lateral_chains(plan);
-        plan = fuse_project_unpack(plan);
+        fuse_lateral_chains(&mut plan);
+        fuse_project_unpack(&mut plan);
         self.ctes.truncate(cte_mark);
         // Strip qualifiers: a query's output is a fresh anonymous row shape.
         scope = Scope::from_names(None, &scope.names());
@@ -1641,78 +1641,68 @@ fn alias_column_names(alias: Option<&ast::TableAlias>, natural: &[String]) -> Re
 /// Fuse `x LEFT/CROSS JOIN LATERAL (single-expression Result) ON true`
 /// cascades into a single [`PlanNode::Extend`]: the compiled `let` chains of
 /// the PL/SQL compiler become one in-place row extension per iteration.
-fn fuse_lateral_chains(plan: PlanNode) -> PlanNode {
+fn fuse_lateral_chains(plan: &mut PlanNode) {
     // Rewrite children first (bottom-up), then try to fuse this node.
-    let plan = map_children(plan, fuse_lateral_chains);
-    if let PlanNode::NestLoop {
+    plan.for_each_child_mut(&mut fuse_lateral_chains);
+    let PlanNode::NestLoop {
         left,
         right,
         kind,
         lateral: true,
         on,
-        right_width,
+        ..
     } = plan
-    {
-        let on_is_trivial = match &on {
-            None => true,
-            Some(ExprIr::Const(v)) => v.is_true(),
-            _ => false,
-        };
-        if on_is_trivial && matches!(kind, JoinKind::Left | JoinKind::Cross | JoinKind::Inner) {
-            if let PlanNode::Result { exprs } = *right {
-                // A Result always yields exactly one row, so LEFT/INNER/CROSS
-                // coincide and the join can only extend the row.
-                return match *left {
-                    PlanNode::Extend {
-                        input,
-                        exprs: mut chain,
-                    } => {
-                        chain.extend(exprs);
-                        PlanNode::Extend {
-                            input,
-                            exprs: chain,
-                        }
-                    }
-                    other => PlanNode::Extend {
-                        input: Box::new(other),
-                        exprs,
-                    },
-                };
-            }
-            // Not fusable: rebuild unchanged.
-            return PlanNode::NestLoop {
-                left,
-                right,
-                kind,
-                lateral: true,
-                on,
-                right_width,
-            };
-        }
-        return PlanNode::NestLoop {
-            left,
-            right,
-            kind,
-            lateral: true,
-            on,
-            right_width,
-        };
+    else {
+        return;
+    };
+    let on_is_trivial = match on {
+        None => true,
+        Some(ExprIr::Const(v)) => v.is_true(),
+        _ => false,
+    };
+    if !on_is_trivial || !matches!(kind, JoinKind::Left | JoinKind::Cross | JoinKind::Inner) {
+        return;
     }
-    plan
+    // A Result always yields exactly one row, so LEFT/INNER/CROSS coincide
+    // and the join can only extend the row.
+    let PlanNode::Result { exprs } = right.as_mut() else {
+        return;
+    };
+    let exprs = std::mem::take(exprs);
+    *plan = match take_plan(left) {
+        PlanNode::Extend {
+            input,
+            exprs: mut chain,
+        } => {
+            chain.extend(exprs);
+            PlanNode::Extend {
+                input,
+                exprs: chain,
+            }
+        }
+        other => PlanNode::Extend {
+            input: Box::new(other),
+            exprs,
+        },
+    };
+}
+
+/// Move a plan out of its node, leaving an empty `Values` behind.
+fn take_plan(plan: &mut PlanNode) -> PlanNode {
+    std::mem::replace(plan, PlanNode::Values { rows: Vec::new() })
 }
 
 /// Fuse `SELECT row_field(x, 1), ..., row_field(x, n)` projections — the
 /// row-decoding shape of the compiler's recursive arm (Figure 8) — into a
 /// single [`PlanNode::ProjectUnpack`] that splats the record in place.
-fn fuse_project_unpack(plan: PlanNode) -> PlanNode {
-    let plan = map_children(plan, fuse_project_unpack);
+fn fuse_project_unpack(plan: &mut PlanNode) {
+    plan.for_each_child_mut(&mut fuse_project_unpack);
     if let PlanNode::Project { input, exprs } = plan {
-        if let Some((src, width)) = unpack_pattern(&exprs) {
-            return PlanNode::ProjectUnpack { input, src, width };
+        if let Some((src, width)) = unpack_pattern(exprs) {
+            let input = Box::new(take_plan(input));
+            *plan = PlanNode::ProjectUnpack { input, src, width };
         }
-        return PlanNode::Project { input, exprs };
     }
-    plan
 }
 
 /// Match `[row_field(slot k, 1), row_field(slot k, 2), ...]` (same depth-0
@@ -1741,118 +1731,6 @@ fn unpack_pattern(exprs: &[ExprIr]) -> Option<(usize, usize)> {
         }
     }
     src.map(|s| (s, exprs.len()))
-}
-
-/// Apply `f` to each direct child plan, rebuilding the node.
-fn map_children(plan: PlanNode, f: fn(PlanNode) -> PlanNode) -> PlanNode {
-    use crate::ir::CtePlan;
-    match plan {
-        PlanNode::Filter { input, pred } => PlanNode::Filter {
-            input: Box::new(f(*input)),
-            pred,
-        },
-        PlanNode::Project { input, exprs } => PlanNode::Project {
-            input: Box::new(f(*input)),
-            exprs,
-        },
-        PlanNode::ProjectUnpack { input, src, width } => PlanNode::ProjectUnpack {
-            input: Box::new(f(*input)),
-            src,
-            width,
-        },
-        PlanNode::Extend { input, exprs } => PlanNode::Extend {
-            input: Box::new(f(*input)),
-            exprs,
-        },
-        PlanNode::NestLoop {
-            left,
-            right,
-            kind,
-            lateral,
-            on,
-            right_width,
-        } => PlanNode::NestLoop {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            kind,
-            lateral,
-            on,
-            right_width,
-        },
-        PlanNode::Agg {
-            input,
-            keys,
-            aggs,
-            scalar,
-        } => PlanNode::Agg {
-            input: Box::new(f(*input)),
-            keys,
-            aggs,
-            scalar,
-        },
-        PlanNode::WindowAgg { input, windows } => PlanNode::WindowAgg {
-            input: Box::new(f(*input)),
-            windows,
-        },
-        PlanNode::Sort { input, keys } => PlanNode::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        PlanNode::Distinct { input } => PlanNode::Distinct {
-            input: Box::new(f(*input)),
-        },
-        PlanNode::Limit {
-            input,
-            limit,
-            offset,
-        } => PlanNode::Limit {
-            input: Box::new(f(*input)),
-            limit,
-            offset,
-        },
-        PlanNode::Append { inputs } => PlanNode::Append {
-            inputs: inputs.into_iter().map(f).collect(),
-        },
-        PlanNode::SetOpNode {
-            op,
-            all,
-            left,
-            right,
-        } => PlanNode::SetOpNode {
-            op,
-            all,
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-        },
-        PlanNode::With { ctes, body } => PlanNode::With {
-            ctes: ctes
-                .into_iter()
-                .map(|c| match c {
-                    CtePlan::Plain { index, plan } => CtePlan::Plain {
-                        index,
-                        plan: f(plan),
-                    },
-                    CtePlan::Recursive {
-                        index,
-                        base,
-                        recursive,
-                        mode,
-                        union_all,
-                        tier,
-                    } => CtePlan::Recursive {
-                        index,
-                        base: f(base),
-                        recursive: f(recursive),
-                        mode,
-                        union_all,
-                        tier,
-                    },
-                })
-                .collect(),
-            body: Box::new(f(*body)),
-        },
-        leaf => leaf,
-    }
 }
 
 /// Quick check used by the table-less fast path.

@@ -34,6 +34,7 @@
 //! (`second_row_error`, `take_record`). The tier evaluates in the VM's
 //! order, so it fails on the same row with the same error.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -43,6 +44,7 @@ use plaway_sql::ast::BinOp;
 use crate::catalog::{Catalog, Index, Row};
 use crate::exec::{
     and3, apply_bin, second_row_error, take_record, EvalEnv, Retention, Rotation, RuntimeStats,
+    Scopes,
 };
 use crate::functions::{eval_scalar, like_match};
 use crate::ir::{ExprIr, PlanNode};
@@ -64,27 +66,6 @@ fn planner_bug(what: &str) -> Box<Error> {
     Box::new(Error::exec(format!("{what} (planner bug)")))
 }
 
-/// Linked frame stack, mirroring [`crate::exec::Scopes`]: depth 0 is the
-/// innermost frame (the working row, a chain's registers or a probed
-/// base-table row). Outer scopes beyond the compiled stack never appear
-/// here — they are captured as constants at bind time.
-struct TFrames<'a> {
-    cur: &'a [Value],
-    parent: Option<&'a TFrames<'a>>,
-}
-
-impl<'a> TFrames<'a> {
-    fn at_depth(&self, depth: usize) -> TResult<&'a [Value]> {
-        let mut cur = self;
-        for _ in 0..depth {
-            cur = cur
-                .parent
-                .ok_or_else(|| planner_bug("scope stack underflow"))?;
-        }
-        Ok(cur.cur)
-    }
-}
-
 /// Iteration-local counters, flushed into [`RuntimeStats`] at the end of
 /// each iteration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -97,12 +78,15 @@ struct TierRowStats {
 // ---------------------------------------------------------------------------
 // Compiled closures
 
+/// A compiled operand. Its [`Scopes`] hold only the compiled frames: depth
+/// 0 is the innermost (the working row, a chain's registers or a probed
+/// base-table row), and outer scopes are captured as binds at promotion.
 type TExpr =
-    Box<dyn for<'a> Fn(&TFrames<'a>, &TierBound<'a>, &mut TierRowStats) -> TResult + Send + Sync>;
+    Box<dyn for<'a> Fn(&Scopes<'a>, &TierBound<'a>, &mut TierRowStats) -> TResult + Send + Sync>;
 
 /// Coerce a closure to the boxed HRTB signature in one place.
 fn texpr(
-    f: impl for<'a> Fn(&TFrames<'a>, &TierBound<'a>, &mut TierRowStats) -> TResult
+    f: impl for<'a> Fn(&Scopes<'a>, &TierBound<'a>, &mut TierRowStats) -> TResult
         + Send
         + Sync
         + 'static,
@@ -113,11 +97,9 @@ fn texpr(
 /// A leaf operand: a slot load, a constant, or a promotion-time bind.
 #[derive(Clone)]
 enum Leaf {
-    /// Column `index` of the innermost frame (the hot case: the current
-    /// working row or the enclosing chain registers).
-    Slot0(usize),
-    /// Column `index` of the frame `depth` levels up.
-    SlotN {
+    /// Column `index` of the frame `depth` levels up (0: the current
+    /// working row or the enclosing chain's registers).
+    Slot {
         depth: usize,
         index: usize,
     },
@@ -126,42 +108,17 @@ enum Leaf {
     Bind(usize),
 }
 
-/// A borrowed-or-owned cell: the borrow-based evaluation path hands out
-/// references into frames / consts / binds wherever the consumer only
-/// inspects the value (comparisons, scalar-arg conversion, CASE whens),
-/// avoiding a clone — which for `Text` cells is an atomic refcount
-/// round-trip — per operand touch.
-enum CellRef<'r> {
-    Ref(&'r Value),
-    Owned(Value),
-}
-
-impl CellRef<'_> {
-    #[inline(always)]
-    fn get(&self) -> &Value {
-        match self {
-            CellRef::Ref(r) => r,
-            CellRef::Owned(c) => c,
-        }
-    }
-
-    #[inline(always)]
-    fn into_owned(self) -> Value {
-        match self {
-            CellRef::Ref(r) => r.clone(),
-            CellRef::Owned(c) => c,
-        }
-    }
-}
-
-type TCResult<'r> = TResult<CellRef<'r>>;
+/// A cell as an operand returns it: borrowed from a frame, constant or
+/// bind wherever the consumer only inspects it (comparisons, scalar
+/// arguments, CASE whens), owned when an operator computed it. A borrow
+/// saves a clone, which for a `Text` cell is an atomic refcount round trip.
+type TCResult<'r> = TResult<Cow<'r, Value>>;
 
 impl Leaf {
     #[inline(always)]
-    fn eval_c<'r>(&'r self, f: &TFrames<'r>, b: &'r TierBound<'_>) -> TResult<&'r Value> {
+    fn eval_c<'r>(&'r self, f: &Scopes<'r>, b: &'r TierBound<'_>) -> TResult<&'r Value> {
         let cell = match self {
-            Leaf::Slot0(i) => f.cur.get(*i),
-            Leaf::SlotN { depth, index } => f.at_depth(*depth)?.get(*index),
+            Leaf::Slot { depth, index } => f.at_depth(*depth)?.get(*index),
             Leaf::Const(c) => Some(c),
             Leaf::Bind(i) => b.binds.get(*i),
         };
@@ -194,12 +151,12 @@ enum Node {
 
 impl Node {
     #[inline(always)]
-    fn eval_c<'r>(&'r self, f: &TFrames<'r>, b: &'r TierBound<'_>) -> TCResult<'r> {
+    fn eval_c<'r>(&'r self, f: &Scopes<'r>, b: &'r TierBound<'_>) -> TCResult<'r> {
         match self {
-            Node::Leaf(l) => Ok(CellRef::Ref(l.eval_c(f, b)?)),
+            Node::Leaf(l) => Ok(Cow::Borrowed(l.eval_c(f, b)?)),
             Node::Prim { op, l, r } => {
                 let v = binary(*op, l.eval_c(f, b)?, r.eval_c(f, b)?)?;
-                Ok(CellRef::Owned(v))
+                Ok(Cow::Owned(v))
             }
         }
     }
@@ -229,7 +186,7 @@ impl Atom {
     #[inline(always)]
     fn eval_c<'r>(
         &'r self,
-        f: &TFrames<'r>,
+        f: &Scopes<'r>,
         b: &'r TierBound<'_>,
         s: &mut TierRowStats,
     ) -> TCResult<'r> {
@@ -238,14 +195,14 @@ impl Atom {
             Atom::Prim2 { op, l, r } => {
                 let lv = l.eval_c(f, b)?;
                 let rv = r.eval_c(f, b)?;
-                Ok(CellRef::Owned(binary(*op, lv.get(), rv.get())?))
+                Ok(Cow::Owned(binary(*op, &lv, &rv)?))
             }
-            Atom::Expr(e) => Ok(CellRef::Owned(e(f, b, s)?)),
+            Atom::Expr(e) => Ok(Cow::Owned(e(f, b, s)?)),
         }
     }
 
     #[inline(always)]
-    fn eval(&self, f: &TFrames<'_>, b: &TierBound<'_>, s: &mut TierRowStats) -> TResult {
+    fn eval(&self, f: &Scopes<'_>, b: &TierBound<'_>, s: &mut TierRowStats) -> TResult {
         Ok(self.eval_c(f, b, s)?.into_owned())
     }
 }
@@ -296,8 +253,8 @@ type TRegs = [Value; MAX_CHAIN];
 /// dispatch over whole-row branches; `Chain` mirrors a flattened let-chain
 /// whose final expression builds the row.
 enum RowProducer {
-    /// The fast path: every output cell is a leaf (slot copy, constant,
-    /// bind) — one tight loop, no per-cell operand dispatch.
+    /// Every output cell is a leaf (slot copy, constant, bind): one tight
+    /// loop, no per-cell operand match.
     LeafRow(Vec<Leaf>),
     Row(Vec<Atom>),
     Cases {
@@ -318,9 +275,9 @@ enum RowProducer {
 /// Whether a CASE branch fires: the operand equals the `WHEN` value, or,
 /// without an operand, the `WHEN` condition is true.
 #[inline(always)]
-fn case_fires(operand: Option<&CellRef<'_>>, when: &Value) -> TResult<bool> {
+fn case_fires(operand: Option<&Cow<'_, Value>>, when: &Value) -> TResult<bool> {
     Ok(match operand {
-        Some(v) => v.get().sql_eq(when)? == Some(true),
+        Some(v) => v.sql_eq(when)? == Some(true),
         None => when.is_true(),
     })
 }
@@ -338,7 +295,7 @@ impl RowProducer {
     /// level.
     fn run(
         &self,
-        f: &TFrames<'_>,
+        f: &Scopes<'_>,
         b: &TierBound<'_>,
         s: &mut TierRowStats,
         out: &mut Row,
@@ -369,7 +326,7 @@ impl RowProducer {
                     None => None,
                 };
                 for (when, then) in branches {
-                    if case_fires(ov.as_ref(), when.eval_c(f, b, s)?.get())? {
+                    if case_fires(ov.as_ref(), &*when.eval_c(f, b, s)?)? {
                         return then.run(f, b, s, out, scratch);
                     }
                 }
@@ -391,8 +348,8 @@ impl RowProducer {
                     .split_first_mut()
                     .ok_or_else(|| planner_bug("let-chain registers missing"))?;
                 fill_chain(regs, *first_n, setters, f, b, s)?;
-                let cf = TFrames {
-                    cur: &regs[..setters.len()],
+                let cf = Scopes {
+                    row: &regs[..setters.len()],
                     parent: Some(f),
                 };
                 inner.run(&cf, b, s, out, rest)
@@ -425,7 +382,7 @@ fn fill_chain(
     regs: &mut TRegs,
     first_n: usize,
     setters: &[Atom],
-    f: &TFrames<'_>,
+    f: &Scopes<'_>,
     b: &TierBound<'_>,
     s: &mut TierRowStats,
 ) -> TResult<()> {
@@ -433,8 +390,8 @@ fn fill_chain(
         regs[i] = if i < first_n {
             setter.eval_c(f, b, s)?.into_owned()
         } else {
-            let cf = TFrames {
-                cur: &regs[..i],
+            let cf = Scopes {
+                row: &regs[..i],
                 parent: Some(f),
             };
             setter.eval_c(&cf, b, s)?.into_owned()
@@ -487,13 +444,9 @@ impl Compiler {
                         return None;
                     }
                 }
-                if *depth == 0 {
-                    Leaf::Slot0(*index)
-                } else {
-                    Leaf::SlotN {
-                        depth: *depth,
-                        index: *index,
-                    }
+                Leaf::Slot {
+                    depth: *depth,
+                    index: *index,
                 }
             }
             ExprIr::Slot { depth, index } => Leaf::Bind(self.bind(BindSpec::Outer {
@@ -551,35 +504,35 @@ impl Compiler {
         Some(match e {
             ExprIr::Neg(x) => {
                 let x = self.atom(x, frames)?;
-                texpr(move |f, b, s| Ok(x.eval_c(f, b, s)?.get().neg()?))
+                texpr(move |f, b, s| Ok(x.eval_c(f, b, s)?.neg()?))
             }
             ExprIr::Not(x) => {
                 let x = self.atom(x, frames)?;
-                texpr(move |f, b, s| Ok(bool_cell(x.eval_c(f, b, s)?.get().as_bool()?.map(|v| !v))))
+                texpr(move |f, b, s| Ok(bool_cell(x.eval_c(f, b, s)?.as_bool()?.map(|v| !v))))
             }
             ExprIr::IsNull { expr, negated } => {
                 let x = self.atom(expr, frames)?;
                 let negated = *negated;
-                texpr(move |f, b, s| Ok(Value::Bool(x.eval_c(f, b, s)?.get().is_null() != negated)))
+                texpr(move |f, b, s| Ok(Value::Bool(x.eval_c(f, b, s)?.is_null() != negated)))
             }
             ExprIr::Binary { op, left, right } => {
                 let l = self.atom(left, frames)?;
                 let r = self.atom(right, frames)?;
                 match *op {
                     BinOp::And => texpr(move |f, b, s| {
-                        let lv = l.eval_c(f, b, s)?.get().as_bool()?;
+                        let lv = l.eval_c(f, b, s)?.as_bool()?;
                         if lv == Some(false) {
                             return Ok(Value::Bool(false));
                         }
-                        let rv = r.eval_c(f, b, s)?.get().as_bool()?;
+                        let rv = r.eval_c(f, b, s)?.as_bool()?;
                         Ok(bool_cell(and3(lv, rv)))
                     }),
                     BinOp::Or => texpr(move |f, b, s| {
-                        let lv = l.eval_c(f, b, s)?.get().as_bool()?;
+                        let lv = l.eval_c(f, b, s)?.as_bool()?;
                         if lv == Some(true) {
                             return Ok(Value::Bool(true));
                         }
-                        let rv = r.eval_c(f, b, s)?.get().as_bool()?;
+                        let rv = r.eval_c(f, b, s)?.as_bool()?;
                         Ok(match (lv, rv) {
                             (_, Some(true)) => Value::Bool(true),
                             (Some(false), Some(false)) => Value::Bool(false),
@@ -589,7 +542,7 @@ impl Compiler {
                     op => texpr(move |f, b, s| {
                         let lv = l.eval_c(f, b, s)?;
                         let rv = r.eval_c(f, b, s)?;
-                        binary(op, lv.get(), rv.get())
+                        binary(op, &lv, &rv)
                     }),
                 }
             }
@@ -610,8 +563,8 @@ impl Compiler {
                     let v = x.eval_c(f, b, s)?;
                     let lo = lo.eval_c(f, b, s)?;
                     let hi = hi.eval_c(f, b, s)?;
-                    let ge = v.get().sql_cmp(lo.get())?.map(|o| o != O::Less);
-                    let le = v.get().sql_cmp(hi.get())?.map(|o| o != O::Greater);
+                    let ge = v.sql_cmp(&lo)?.map(|o| o != O::Less);
+                    let le = v.sql_cmp(&hi)?.map(|o| o != O::Greater);
                     Ok(bool_cell(and3(ge, le).map(|v| v != negated)))
                 })
             }
@@ -638,7 +591,7 @@ impl Compiler {
                         None => None,
                     };
                     for (when, then) in &br {
-                        if case_fires(ov.as_ref(), when.eval_c(f, b, s)?.get())? {
+                        if case_fires(ov.as_ref(), &*when.eval_c(f, b, s)?)? {
                             return then.eval(f, b, s);
                         }
                     }
@@ -678,7 +631,7 @@ impl Compiler {
                     let v = x.eval_c(f, b, s)?;
                     let mut any_null = false;
                     for item in &items {
-                        match v.get().sql_eq(item.eval_c(f, b, s)?.get())? {
+                        match v.sql_eq(&*item.eval_c(f, b, s)?)? {
                             Some(true) => return Ok(Value::Bool(!negated)),
                             Some(false) => {}
                             None => any_null = true,
@@ -702,7 +655,7 @@ impl Compiler {
                 texpr(move |f, b, s| {
                     let xv = x.eval_c(f, b, s)?;
                     let pv = p.eval_c(f, b, s)?;
-                    let (v, pat) = (xv.get(), pv.get());
+                    let (v, pat) = (&*xv, &*pv);
                     if v.is_null() || pat.is_null() {
                         return Ok(Value::Null);
                     }
@@ -714,7 +667,7 @@ impl Compiler {
             ExprIr::Cast { expr, ty } => {
                 let x = self.atom(expr, frames)?;
                 let ty = ty.clone();
-                texpr(move |f, b, s| Ok(x.eval_c(f, b, s)?.get().cast(&ty)?))
+                texpr(move |f, b, s| Ok(x.eval_c(f, b, s)?.cast(&ty)?))
             }
             ExprIr::Scalar { func, args } => {
                 // Volatile builtins (random, raise_error) must go through
@@ -778,8 +731,8 @@ impl Compiler {
                 }
                 let mut regs = new_regs();
                 fill_chain(&mut regs, first_n, &setters, f, b, s)?;
-                let cf = TFrames {
-                    cur: &regs[..setters.len()],
+                let cf = Scopes {
+                    row: &regs[..setters.len()],
                     parent: Some(f),
                 };
                 final_c.eval(&cf, b, s)
@@ -858,11 +811,11 @@ impl Compiler {
         Some(texpr(move |f, b, s| {
             s.subplan_evals += 1;
             let k = key_c.eval_c(f, b, s)?;
-            if k.get().is_null() {
+            if k.is_null() {
                 return Ok(Value::Null);
             }
             let probe = &b.probes[pi];
-            let positions = probe.index.lookup(k.get());
+            let positions = probe.index.lookup(&k);
             s.index_probes += 1;
             s.rows_scanned += positions.len() as u64;
             let mut hit: Option<Value> = None;
@@ -871,12 +824,12 @@ impl Compiler {
                     .rows
                     .get(pos)
                     .ok_or_else(|| planner_bug("index position out of range"))?;
-                let pf = TFrames {
-                    cur: row,
+                let pf = Scopes {
+                    row,
                     parent: Some(f),
                 };
                 let keep = match &pred_c {
-                    Some(pred) => pred.eval_c(&pf, b, s)?.get().is_true(),
+                    Some(pred) => pred.eval_c(&pf, b, s)?.is_true(),
                     None => true,
                 };
                 if keep {
@@ -895,21 +848,21 @@ impl Compiler {
     fn produce(&mut self, e: &ExprIr, frames: &[CFrame], width: usize) -> Option<RowProducer> {
         match e {
             ExprIr::Row(items) if items.len() == width => {
-                let mut cs = Vec::with_capacity(items.len());
-                for i in items {
-                    cs.push(self.atom(i, frames)?);
-                }
-                if cs.iter().all(|c| matches!(c, Atom::Node(Node::Leaf(_)))) {
-                    let leaves = cs
-                        .into_iter()
-                        .map(|c| match c {
-                            Atom::Node(Node::Leaf(l)) => l,
-                            _ => unreachable!("all-leaf checked above"),
-                        })
-                        .collect();
-                    return Some(RowProducer::LeafRow(leaves));
-                }
-                Some(RowProducer::Row(cs))
+                let cs: Vec<Atom> = items
+                    .iter()
+                    .map(|i| self.atom(i, frames))
+                    .collect::<Option<_>>()?;
+                let leaves: Option<Vec<Leaf>> = cs
+                    .iter()
+                    .map(|c| match c {
+                        Atom::Node(Node::Leaf(l)) => Some(l.clone()),
+                        _ => None,
+                    })
+                    .collect();
+                Some(match leaves {
+                    Some(leaves) => RowProducer::LeafRow(leaves),
+                    None => RowProducer::Row(cs),
+                })
             }
             ExprIr::Case {
                 operand,
@@ -963,7 +916,8 @@ pub struct TierProgram {
     width: usize,
     produce: RowProducer,
     pred: Atom,
-    pred_slot: Option<usize>,
+    /// The retire policy's flag ([`crate::exec::retire_flag`]).
+    flag: Option<usize>,
     binds: Vec<BindSpec>,
     probes: Vec<ProbeTarget>,
 }
@@ -972,7 +926,7 @@ impl fmt::Debug for TierProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TierProgram")
             .field("width", &self.width)
-            .field("pred_slot", &self.pred_slot)
+            .field("flag", &self.flag)
             .field("binds", &self.binds.len())
             .field("probes", &self.probes.len())
             .finish_non_exhaustive()
@@ -1021,15 +975,11 @@ pub fn recognize(index: usize, recursive: &PlanNode, union_all: bool) -> Option<
     let frames = [CFrame::Row(src)];
     let produce = c.produce(body, &frames, width)?;
     let pred_c = c.atom(pred, &frames)?;
-    let pred_slot = match pred {
-        ExprIr::Slot { depth: 0, index } => Some(*index),
-        _ => None,
-    };
     Some(TierProgram {
         width,
         produce,
         pred: pred_c,
-        pred_slot,
+        flag: crate::exec::retire_flag(pred),
         binds: c.binds,
         probes: c.probes,
     })
@@ -1116,7 +1066,7 @@ impl<'p, 'c> MonoRows<'p, 'c> {
         // The error stays boxed per row, so that a row's result is no
         // larger than the row.
         let kept = retention
-            .step_rows(bufs, prog.pred_slot, |row, pool| {
+            .step_rows(bufs, prog.flag, |row, pool| {
                 mono_row(prog, bound, row, pool, &mut local, scratch)
             })
             .map_err(|e| *e)?;
@@ -1138,19 +1088,12 @@ fn mono_row(
     local: &mut TierRowStats,
     scratch: &mut [TRegs],
 ) -> TResult<Option<Row>> {
-    let frames = TFrames {
-        cur: row,
-        parent: None,
-    };
+    let frames = Scopes { row, parent: None };
     // The producer clears the row before it fills it, so any pooled row
     // will do.
     let mut out = pool.pop().unwrap_or_else(|| Vec::with_capacity(prog.width));
     let filled = prog.produce.run(&frames, bound, local, &mut out, scratch)?;
-    let keep = match prog.pred_slot {
-        Some(i) => row[i].is_true(),
-        None => prog.pred.eval_c(&frames, bound, local)?.get().is_true(),
-    };
-    if !keep {
+    if !prog.pred.eval_c(&frames, bound, local)?.is_true() {
         // Filter drops the row before the unpack — a CASE fallthrough on a
         // dropped row is not an error, exactly as in the VM.
         pool.push(out);

@@ -84,11 +84,6 @@ pub enum Op {
         l: Operand,
         r: Operand,
     },
-    /// Binary operator: left on the stack, right addressed directly.
-    BinMix {
-        op: BinOp,
-        r: Operand,
-    },
     /// Fused compare-and-branch: jump unless `l op r` is `true` (NULL and
     /// `false` both jump — the `CASE WHEN`/filter rule).
     CmpNotJump {
@@ -245,7 +240,7 @@ impl ExprProgram {
         }
         for op in &self.ops {
             match op {
-                Op::Push(o) | Op::BinMix { r: o, .. } => read(o, f),
+                Op::Push(o) => read(o, f),
                 Op::PushN(os) => {
                     for o in os.iter() {
                         read(o, f);
@@ -450,16 +445,8 @@ impl Compiler {
                         self.ops.push(Op::Bin2 { op: *other, l, r });
                         self.depth += 1;
                     }
-                    (None, Some(r)) => {
+                    _ => {
                         self.emit(left);
-                        self.ops.push(Op::BinMix { op: *other, r });
-                    }
-                    (l_op, _) => {
-                        // Preserve left-then-right evaluation order.
-                        match l_op {
-                            Some(l) => self.emit_push(l),
-                            None => self.emit(left),
-                        }
                         self.emit(right);
                         self.ops.push(Op::Bin(*other));
                         self.depth -= 1;
@@ -1106,9 +1093,10 @@ fn try_memoize(plan: &mut PlanNode) -> bool {
 // ---------------------------------------------------------------------------
 // Execution
 
-/// Fast path for `int ⊕ int` in the fused binary ops. `None` falls back to
-/// [`apply_bin`], which also produces the overflow / division-by-zero
-/// errors (so returning `None` on overflow is correct, not just safe).
+/// Fast path for `int ⊕ int` in the binary ops of both tiers. `None` falls
+/// back to [`apply_bin`], which also produces the overflow /
+/// division-by-zero errors (so returning `None` on overflow is correct, not
+/// just safe).
 #[inline(always)]
 pub(crate) fn fast_int_bin(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
     let (Value::Int(a), Value::Int(b)) = (l, r) else {
@@ -1237,29 +1225,6 @@ pub(crate) fn splat_transform(mut prog: ExprProgram, width: usize) -> ExprProgra
             prog.ops[pc] = Op::Jump(pc as u32 + 1);
         }
     }
-    // Jump threading: retarget jump-to-jump chains (the elision above and
-    // CASE branch ends produce them) so each taken branch dispatches once.
-    for pc in 0..prog.ops.len() {
-        let retarget = |mut t: u32, ops: &[Op]| {
-            while let Some(Op::Jump(t2)) = ops.get(t as usize) {
-                if *t2 <= t {
-                    break; // only forward chains (loops are impossible anyway)
-                }
-                t = *t2;
-            }
-            t
-        };
-        match &prog.ops[pc] {
-            Op::Jump(t) => prog.ops[pc] = Op::Jump(retarget(*t, &prog.ops)),
-            Op::JumpIfNotTrue(t) => prog.ops[pc] = Op::JumpIfNotTrue(retarget(*t, &prog.ops)),
-            Op::CmpNotJump { op, l, r, target } => {
-                let (op, l, r) = (*op, l.clone(), r.clone());
-                let target = retarget(*target, &prog.ops);
-                prog.ops[pc] = Op::CmpNotJump { op, l, r, target };
-            }
-            _ => {}
-        }
-    }
     prog
 }
 
@@ -1329,15 +1294,6 @@ fn exec_ops_loop(
             Op::Bin2 { op, l, r } => {
                 let lv = operand_value(l, base, env, rt)?;
                 let rv = operand_value(r, base, env, rt)?;
-                let v = match fast_int_bin(*op, &lv, &rv) {
-                    Some(v) => v,
-                    None => apply_bin(*op, &lv, &rv)?,
-                };
-                rt.vm_stack.push(v);
-            }
-            Op::BinMix { op, r } => {
-                let rv = operand_value(r, base, env, rt)?;
-                let lv = rt.vm_stack.pop().unwrap();
                 let v = match fast_int_bin(*op, &lv, &rv) {
                     Some(v) => v,
                     None => apply_bin(*op, &lv, &rv)?,
@@ -1808,8 +1764,8 @@ mod tests {
     /// Every binary operator over every pair of operand types (int, float,
     /// text, bool, NULL) and every pair of operand forms, against the
     /// `Value` operators: the VM's integer fast path, its fused binary ops
-    /// (`Bin2`, `BinMix`, `CmpNotJump`) and the generic `Bin` each carry a
-    /// check of their own.
+    /// (`Bin2`, `CmpNotJump`) and the generic `Bin` each carry a check of
+    /// their own.
     #[test]
     fn binary_operator_table_matches_value_semantics() {
         let values = [
@@ -1827,7 +1783,7 @@ mod tests {
             Null,
         ];
         let mut s = Session::default();
-        let mut seen = [false; 4]; // Bin, Bin2, BinMix, CmpNotJump
+        let mut seen = [false; 3]; // Bin, Bin2, CmpNotJump
         for op in OPS {
             let comparison = !matches!(
                 op,
@@ -1858,8 +1814,7 @@ mod tests {
                                     match op {
                                         Op::Bin(_) => seen[0] = true,
                                         Op::Bin2 { .. } => seen[1] = true,
-                                        Op::BinMix { .. } => seen[2] = true,
-                                        Op::CmpNotJump { .. } => seen[3] = true,
+                                        Op::CmpNotJump { .. } => seen[2] = true,
                                         _ => {}
                                     }
                                 }
@@ -1869,7 +1824,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(seen, [true; 4], "every binary op shape was exercised");
+        assert_eq!(seen, [true; 3], "every binary op shape was exercised");
     }
 
     /// The integer edge cases, written out: overflow, division by zero and
