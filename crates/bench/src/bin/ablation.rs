@@ -7,7 +7,8 @@
 //! 3. SSA optimization passes on/off,
 //!
 //! and closes with the per-iteration cost of each kernel's fixpoint in each
-//! tier (the slopes DESIGN.md's fast-path table cites).
+//! tier and of its loop in the interpreter (the slopes DESIGN.md's
+//! fast-path table cites).
 //!
 //! Usage: `cargo run --release -p plaway-bench --bin ablation [-- udf | slopes [batches]]`
 
@@ -211,6 +212,23 @@ fn setup_settle_rows(config: EngineConfig, rows: i64) -> BenchSetup {
     b
 }
 
+/// Best time of one `call` over `batches` batches of at least ~2 ms each,
+/// so timer resolution does not matter.
+fn best_ns(batches: usize, mut call: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    call();
+    let reps = (2_000_000 / t0.elapsed().as_nanos().max(1)).clamp(1, 1_000) as u32;
+    let mut best = f64::MAX;
+    for _ in 0..batches {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            call();
+        }
+        best = best.min(t0.elapsed().as_nanos() as f64 / reps as f64);
+    }
+    best
+}
+
 /// Best time of one `execute_prepared` on `args` over `batches` batches,
 /// and the iterations it runs.
 fn best_call_ns(b: &mut BenchSetup, size: i64, case: &SlopeCase, batches: usize) -> (f64, u64) {
@@ -220,24 +238,14 @@ fn best_call_ns(b: &mut BenchSetup, size: i64, case: &SlopeCase, batches: usize)
         .prepare(&mut b.session)
         .unwrap();
     let args = (case.args)(size);
-    let call = |b: &mut BenchSetup| {
+    let before = b.session.stats.recursive_iterations;
+    b.session.set_seed(1);
+    b.session.execute_prepared(&plan, args.clone()).unwrap();
+    let iters = b.session.stats.recursive_iterations - before;
+    let best = best_ns(batches, || {
         b.session.set_seed(1);
-        let before = b.session.stats.recursive_iterations;
-        let t0 = Instant::now();
         b.session.execute_prepared(&plan, args.clone()).unwrap();
-        (t0.elapsed(), b.session.stats.recursive_iterations - before)
-    };
-    let (first, iters) = call(b);
-    // Batches of at least ~2 ms, so timer resolution does not matter.
-    let reps = (2_000_000 / first.as_nanos().max(1)).clamp(1, 1_000) as u32;
-    let mut best = f64::MAX;
-    for _ in 0..batches {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            call(b);
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / reps as f64);
-    }
+    });
     (best, iters)
 }
 
@@ -245,7 +253,9 @@ fn best_call_ns(b: &mut BenchSetup, size: i64, case: &SlopeCase, batches: usize)
 /// modeled executor cost), as the slope of the best call time between two
 /// sizes: a whole call divided by its iterations would fold the fixed cost
 /// of a call into every iteration. Every kernel runs `WITH ITERATE`; the
-/// three the mono tier recognizes run in both tiers.
+/// three the mono tier recognizes run in both tiers. The same three then
+/// run in the interpreter, whose simple expressions the VM evaluates: one
+/// loop iteration per unit of size, with the VM ops each one executes.
 ///
 /// Usage: `cargo run --release -p plaway-bench --bin ablation -- slopes [batches]`
 fn slopes() {
@@ -325,5 +335,27 @@ fn slopes() {
                 (large - small) / (i1 - i0) as f64
             );
         }
+    }
+    for case in cases.iter().filter(|c| c.modes == BOTH_TIERS) {
+        let mut points = [(0.0, 0u64); 2];
+        for (point, &size) in points.iter_mut().zip(&case.sizes) {
+            let mut b = (case.setup)(EngineConfig::raw(), size);
+            let args = (case.args)(size);
+            let before = b.session.stats.vm_ops_executed;
+            b.run_interp(&args).unwrap();
+            let ops = b.session.stats.vm_ops_executed - before;
+            let best = best_ns(batches, || {
+                b.run_interp(&args).unwrap();
+            });
+            *point = (best, ops);
+        }
+        let [(small, o0), (large, o1)] = points;
+        let iters = (case.sizes[1] - case.sizes[0]) as f64;
+        println!(
+            "  {:<12} interp {:>8.1} ns/iter   ({:.1} vm ops/iter)",
+            case.name,
+            (large - small) / iters,
+            (o1 - o0) as f64 / iters
+        );
     }
 }

@@ -875,7 +875,7 @@ fn holds(pred: &ExprIr, row: &[Value], env: &EvalEnv<'_>, rt: &mut Runtime<'_>) 
 /// A filter predicate that is a bare depth-0 column (`Some((i, true))`) or
 /// its negation (`Some((i, false))`), which [`keeps`] tests on the row
 /// without running the evaluator.
-fn bool_slot_test(pred: &ExprIr) -> Option<(usize, bool)> {
+pub(crate) fn bool_slot_test(pred: &ExprIr) -> Option<(usize, bool)> {
     match pred {
         ExprIr::Slot { depth: 0, index } => Some((*index, true)),
         ExprIr::Vm(prog) => prog.negated_slot().map(|i| (i, false)),
@@ -883,13 +883,10 @@ fn bool_slot_test(pred: &ExprIr) -> Option<(usize, bool)> {
     }
 }
 
-/// The `call?` flag of a fused transition: its filter's bare depth-0
-/// column ([`bool_slot_test`]), which the retire policy reads.
-pub(crate) fn retire_flag(pred: &ExprIr) -> Option<usize> {
-    match bool_slot_test(pred) {
-        Some((i, true)) => Some(i),
-        _ => None,
-    }
+/// The `call?` flag of a fused transition, which the retire policy reads:
+/// the bare depth-0 column of its filter's [`bool_slot_test`].
+pub(crate) fn retire_flag(test: Option<(usize, bool)>) -> Option<usize> {
+    test.and_then(|(i, plain)| plain.then_some(i))
 }
 
 /// Does the filter predicate keep `row`? `slot` is its
@@ -1851,7 +1848,7 @@ impl<'p> Arm<'p> {
                 let keep_last = matches!(retention, Retention::IterateOnly);
                 let copy_input = !matches!(retention, Retention::Accumulate(_));
                 let trans = trans.as_ref();
-                let flag = trans.and_then(|t| retire_flag(t.pred));
+                let flag = trans.and_then(|t| retire_flag(t.test));
                 let kept = retention.step_rows(bufs, flag, |row, pool| match trans {
                     Some(t) if row.len() == t.src => {
                         let Some(base) = run_transition_row(t, row, env, rt)? else {

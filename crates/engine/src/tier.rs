@@ -979,7 +979,7 @@ pub fn recognize(index: usize, recursive: &PlanNode, union_all: bool) -> Option<
         width,
         produce,
         pred: pred_c,
-        flag: crate::exec::retire_flag(pred),
+        flag: crate::exec::retire_flag(crate::exec::bool_slot_test(pred)),
         binds: c.binds,
         probes: c.probes,
     })
