@@ -5,9 +5,12 @@
 //! depend on the machine. This suite runs the six paper kernels under both
 //! fixpoint constructs on fixed arguments, plus one `fibonacci` and one
 //! `checked_sum` batch through `run_batch`, each on a fresh session, and
-//! pins every counter of every run. A change that is meant to leave the
-//! engine's work alone must leave this file alone; one that moves a counter
-//! regenerates it and names each changed line.
+//! pins every counter of every run. Three hand-written fixpoints of the
+//! form `SELECT x + 1 FROM c WHERE x < n`, one per construct (`WITH
+//! RECURSIVE`, `ITERATE` and `RETIRE`), pin the recursive arms that are not
+//! a fused transition. A change that is meant to leave the engine's work
+//! alone must leave this file alone; one that moves a counter regenerates
+//! it and names each changed line.
 //!
 //! Under the default tier policy, `Auto`, the eight sections that run a
 //! recognized transition (`parse`, `fibonacci` and `checked_sum` in both
@@ -99,6 +102,19 @@ fn kernels() -> Vec<Kernel> {
     ]
 }
 
+/// A hand-written fixpoint per construct, counting to 100 in an arm that
+/// is not a fused transition.
+fn counters() -> [(&'static str, String); 3] {
+    ["recursive", "iterate", "retire"].map(|mode| {
+        let sql = format!(
+            "WITH {} c(x) AS (SELECT 0 UNION ALL SELECT x + 1 FROM c WHERE x < 100) \
+             SELECT count(*), max(x) FROM c",
+            mode.to_uppercase()
+        );
+        (mode, sql)
+    })
+}
+
 /// One section of the snapshot: the run's label, its result, and the
 /// counters it added, one field per line.
 fn section(out: &mut String, label: &str, result: &str, stats: &RuntimeStats) {
@@ -153,12 +169,27 @@ fn snapshot() -> String {
             &stats,
         );
     }
+    for (mode, sql) in counters() {
+        let mut session = Session::new(EngineConfig::raw());
+        let before = session.stats;
+        let got = session
+            .run(&sql)
+            .unwrap_or_else(|e| panic!("counter {mode}: {e}"));
+        let stats = session.stats.delta_since(&before);
+        section(
+            &mut out,
+            &format!("counter {mode}"),
+            &format!("{:?}", got.rows),
+            &stats,
+        );
+    }
     allocation_block(&mut out);
     out
 }
 
 /// The allocations of one warm `execute_prepared` (after one untimed
-/// execute of the same plan) for every kernel × construct × tier mode.
+/// execute of the same plan) for every kernel × construct × tier mode, and
+/// for each hand-written fixpoint.
 fn allocation_block(out: &mut String) {
     writeln!(out, "== allocations").unwrap();
     for (name, setup, args) in kernels() {
@@ -183,6 +214,16 @@ fn allocation_block(out: &mut String) {
                 writeln!(out, "{name} {mode} {tier}: {n}").unwrap();
             }
         }
+    }
+    for (mode, sql) in counters() {
+        let mut session = Session::new(EngineConfig::raw());
+        let plan = session.prepare(&sql, &ParamScope::default()).unwrap();
+        session.execute_prepared(&plan, Vec::new()).unwrap();
+        let before = allocations();
+        let got = session.execute_prepared(&plan, Vec::new());
+        let n = allocations() - before;
+        got.unwrap_or_else(|e| panic!("counter {mode}: {e}"));
+        writeln!(out, "counter {mode}: {n}").unwrap();
     }
 }
 
