@@ -17,7 +17,7 @@ use std::time::Instant;
 use plaway_bench::*;
 use plaway_common::Value;
 use plaway_core::{ArgsLayout, CompileOptions, CteMode};
-use plaway_engine::{EngineConfig, TierMode};
+use plaway_engine::{EngineConfig, ParamScope, Session, TierMode};
 
 fn time_ms(f: impl FnMut()) -> f64 {
     let mut f = f;
@@ -256,6 +256,9 @@ fn best_call_ns(b: &mut BenchSetup, size: i64, case: &SlopeCase, batches: usize)
 /// three the mono tier recognizes run in both tiers. The same three then
 /// run in the interpreter, whose simple expressions the VM evaluates: one
 /// loop iteration per unit of size, with the VM ops each one executes.
+/// Last come two hand-written fixpoints, `SELECT x + 1 FROM c WHERE x < n`
+/// under `WITH ITERATE` and `WITH RETIRE`, whose arm is not a fused
+/// transition.
 ///
 /// Usage: `cargo run --release -p plaway-bench --bin ablation -- slopes [batches]`
 fn slopes() {
@@ -356,6 +359,30 @@ fn slopes() {
             case.name,
             (large - small) / iters,
             (o1 - o0) as f64 / iters
+        );
+    }
+    for construct in ["ITERATE", "RETIRE"] {
+        let mut points = [(0.0, 0u64); 2];
+        for (point, n) in points.iter_mut().zip([50, 1_050]) {
+            let mut s = Session::new(EngineConfig::raw());
+            let sql = format!(
+                "WITH {construct} c(x) AS (SELECT 0 UNION ALL \
+                 SELECT x + 1 FROM c WHERE x < {n}) SELECT x FROM c"
+            );
+            let plan = s.prepare(&sql, &ParamScope::default()).unwrap();
+            let before = s.stats.recursive_iterations;
+            s.execute_prepared(&plan, Vec::new()).unwrap();
+            let iters = s.stats.recursive_iterations - before;
+            let best = best_ns(batches, || {
+                s.execute_prepared(&plan, Vec::new()).unwrap();
+            });
+            *point = (best, iters);
+        }
+        let [(small, i0), (large, i1)] = points;
+        println!(
+            "  {:<12} vm    {:>9.1} ns/iter   ({i0}..{i1} iterations)",
+            format!("x+1 {}", construct.to_lowercase()),
+            (large - small) / (i1 - i0) as f64
         );
     }
 }
