@@ -84,6 +84,14 @@ pub enum Op {
         l: Operand,
         r: Operand,
     },
+    /// Fused compare-and-branch: jump unless `l op r` is `true` (NULL and
+    /// `false` both jump — the `CASE WHEN`/filter rule).
+    CmpNotJump {
+        op: BinOp,
+        l: Operand,
+        r: Operand,
+        target: u32,
+    },
     /// `AND`: left value is on top. `false` short-circuits (jump), anything
     /// else stays for [`Op::AndCombine`] after the right operand runs.
     AndProbe(u32),
@@ -238,7 +246,7 @@ impl ExprProgram {
                         read(o, f);
                     }
                 }
-                Op::Bin2 { l, r, .. } => {
+                Op::Bin2 { l, r, .. } | Op::CmpNotJump { l, r, .. } => {
                     read(l, f);
                     read(r, f);
                 }
@@ -361,6 +369,42 @@ impl Compiler {
         self.depth += 1;
     }
 
+    /// Emit a condition followed by "jump unless true", fusing simple
+    /// comparisons into one [`Op::CmpNotJump`]. Returns the placeholder
+    /// index to patch with the target.
+    fn emit_cond_not_jump(&mut self, cond: &ExprIr) -> usize {
+        if let ExprIr::Binary { op, left, right } = cond {
+            if matches!(
+                op,
+                BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
+            ) {
+                if let (Some(l), Some(r)) = (self.as_operand(left), self.as_operand(right)) {
+                    let at = self.ops.len();
+                    self.ops.push(Op::CmpNotJump {
+                        op: *op,
+                        l,
+                        r,
+                        target: u32::MAX,
+                    });
+                    return at;
+                }
+            }
+        }
+        self.emit(cond);
+        self.depth -= 1;
+        let at = self.ops.len();
+        self.ops.push(Op::JumpIfNotTrue(u32::MAX));
+        at
+    }
+
+    fn patch_cond(&mut self, at: usize, target: u32) {
+        match &mut self.ops[at] {
+            Op::CmpNotJump { target: t, .. } => *t = target,
+            Op::JumpIfNotTrue(t) => *t = target,
+            other => unreachable!("patch_cond on {other:?}"),
+        }
+    }
+
     /// Emit one expression; leaves exactly one value on the stack (+1 depth).
     fn emit(&mut self, e: &ExprIr) {
         let entry = self.depth;
@@ -438,9 +482,15 @@ impl Compiler {
                 let mut end_jumps = Vec::with_capacity(branches.len());
                 for (when, then) in branches {
                     self.depth = branch_entry;
-                    self.emit(when);
-                    self.depth -= 1;
-                    let miss = self.placeholder();
+                    let miss = if has_operand {
+                        self.emit(when);
+                        self.depth -= 1;
+                        let at = self.ops.len();
+                        self.ops.push(Op::CaseCmpJump(u32::MAX));
+                        at
+                    } else {
+                        self.emit_cond_not_jump(when)
+                    };
                     if has_operand {
                         self.ops.push(Op::Pop); // drop the operand
                         self.depth -= 1;
@@ -451,7 +501,7 @@ impl Compiler {
                     if has_operand {
                         self.patch(miss, Op::CaseCmpJump(next));
                     } else {
-                        self.patch(miss, Op::JumpIfNotTrue(next));
+                        self.patch_cond(miss, next);
                     }
                 }
                 self.depth = branch_entry;
@@ -1250,6 +1300,18 @@ fn exec_ops_loop(
                 };
                 rt.vm_stack.push(v);
             }
+            Op::CmpNotJump { op, l, r, target } => {
+                let lv = operand_value(l, base, env, rt)?;
+                let rv = operand_value(r, base, env, rt)?;
+                let hit = match fast_int_bin(*op, &lv, &rv) {
+                    Some(v) => v.is_true(),
+                    None => apply_bin(*op, &lv, &rv)?.is_true(),
+                };
+                if !hit {
+                    pc = *target as usize;
+                    continue;
+                }
+            }
             Op::AndProbe(end) => {
                 let l = rt.vm_stack.last().unwrap().as_bool()?;
                 if l == Some(false) {
@@ -1701,9 +1763,9 @@ mod tests {
 
     /// Every binary operator over every pair of operand types (int, float,
     /// text, bool, NULL) and every pair of operand forms, against the
-    /// `Value` operators: the VM's integer fast path, its fused `Bin2` and
-    /// the generic `Bin` each carry a check of their own, as values and as
-    /// `CASE WHEN` branch conditions.
+    /// `Value` operators: the VM's integer fast path, its fused binary ops
+    /// (`Bin2`, `CmpNotJump`) and the generic `Bin` each carry a check of
+    /// their own.
     #[test]
     fn binary_operator_table_matches_value_semantics() {
         let values = [
@@ -1721,7 +1783,7 @@ mod tests {
             Null,
         ];
         let mut s = Session::default();
-        let mut seen = [false; 2]; // Bin, Bin2
+        let mut seen = [false; 3]; // Bin, Bin2, CmpNotJump
         for op in OPS {
             let comparison = !matches!(
                 op,
@@ -1752,6 +1814,7 @@ mod tests {
                                     match op {
                                         Op::Bin(_) => seen[0] = true,
                                         Op::Bin2 { .. } => seen[1] = true,
+                                        Op::CmpNotJump { .. } => seen[2] = true,
                                         _ => {}
                                     }
                                 }
@@ -1761,7 +1824,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(seen, [true; 2], "every binary op shape was exercised");
+        assert_eq!(seen, [true; 3], "every binary op shape was exercised");
     }
 
     /// The integer edge cases, written out: overflow, division by zero and
