@@ -24,7 +24,9 @@ use plaway_sql::ast::{BinOp, JoinKind, Language, SetOp};
 
 use crate::catalog::{Catalog, Row};
 use crate::config::{EngineConfig, TierMode};
-use crate::ir::{AggFn, AggSpec, CtePlan, ExprIr, PlanNode, RecursionMode, SnapshotOp, SortKey};
+use crate::ir::{
+    AggFn, AggSpec, CtePlan, ExprIr, FusedTransition, PlanNode, RecursionMode, SnapshotOp, SortKey,
+};
 use crate::memo::{MemoCache, MemoKey};
 use crate::planner::{plan_udf_body, PreparedPlan};
 use crate::tier::MonoRows;
@@ -1408,63 +1410,6 @@ fn exec_with(
     result
 }
 
-/// One stage of a fused fixpoint pipeline (borrowed from the recursive plan).
-enum Step<'p> {
-    Filter(&'p ExprIr),
-    Extend(&'p [ExprIr]),
-    Project(&'p [ExprIr]),
-    Unpack { src: usize, width: usize },
-}
-
-/// Try to decompose the recursive arm into a row-at-a-time pipeline over the
-/// working table of `index`. The PL/SQL compiler's fixpoint arms are always
-/// `Project/Unpack ∘ Filter ∘ Extend ∘ WorkingScan`; running that shape
-/// directly lets the driver hand each working row through by value — no
-/// working-table map insert, no `Arc` churn, no per-iteration row clones.
-fn pipeline_steps(plan: &PlanNode, index: usize) -> Option<Vec<Step<'_>>> {
-    let mut steps = Vec::new();
-    let mut cur = plan;
-    loop {
-        match cur {
-            PlanNode::Filter { input, pred } => {
-                steps.push(Step::Filter(pred));
-                cur = input;
-            }
-            PlanNode::Extend { input, exprs } => {
-                steps.push(Step::Extend(exprs));
-                cur = input;
-            }
-            PlanNode::Project { input, exprs } => {
-                steps.push(Step::Project(exprs));
-                cur = input;
-            }
-            PlanNode::ProjectUnpack { input, src, width } => {
-                steps.push(Step::Unpack {
-                    src: *src,
-                    width: *width,
-                });
-                cur = input;
-            }
-            PlanNode::WorkingScan { index: i } if *i == index => break,
-            _ => return None,
-        }
-    }
-    steps.reverse();
-    // A self-reference nested in a sub-query (rare, but legal) still needs
-    // the working table materialized in the runtime map — fall back.
-    for step in &steps {
-        let exprs: &[ExprIr] = match step {
-            Step::Filter(e) => std::slice::from_ref(*e),
-            Step::Extend(es) | Step::Project(es) => es,
-            Step::Unpack { .. } => &[],
-        };
-        if exprs.iter().any(|e| expr_uses_working(e, index)) {
-            return None;
-        }
-    }
-    Some(steps)
-}
-
 /// Does the expression (or any plan nested inside it) read the working table
 /// of the given CTE index?
 pub(crate) fn expr_uses_working(e: &ExprIr, index: usize) -> bool {
@@ -1506,47 +1451,10 @@ pub(crate) fn walk_expr_plans(e: &ExprIr, f: &mut impl FnMut(&PlanNode)) {
     e.for_each_child(&mut |c| walk_expr_plans(c, f));
 }
 
-/// Fully fused fixpoint transition: `Extend([body]) → Filter(pred) →
-/// Unpack{src,width}` with the body run in splat mode ([`crate::vm`]) —
-/// each iteration's new row values are computed on the VM stack and moved
-/// into the working row, with no record allocation and no per-column clone.
-struct Transition<'p> {
-    prog: crate::vm::ExprProgram,
-    pred: &'p ExprIr,
-    /// The predicate's [`bool_slot_test`]: the `call?` flag of Figure 8.
-    test: Option<(usize, bool)>,
-    src: usize,
-    width: usize,
-}
-
-fn try_transition<'p>(steps: &[Step<'p>]) -> Option<Transition<'p>> {
-    let [Step::Extend(exprs), Step::Filter(pred), Step::Unpack { src, width }] = steps else {
-        return None;
-    };
-    let [body] = exprs else {
-        return None;
-    };
-    // width 1 would make "one splatted value" and "one record to unpack"
-    // indistinguishable; compiled fixpoints are always wider.
-    if *width < 2 || !pred_reads_below(pred, *src) {
-        return None;
-    }
-    let base_prog = match body {
-        ExprIr::Vm(p) => (**p).clone(),
-        tree => crate::vm::compile(tree),
-    };
-    Some(Transition {
-        prog: crate::vm::splat_transform(base_prog, *width),
-        pred,
-        test: bool_slot_test(pred),
-        src: *src,
-        width: *width,
-    })
-}
-
-/// Does the predicate only read row columns below `limit` (plus outer
+/// Does the predicate tree only read row columns below `limit` (plus outer
 /// scopes and parameters)? Sub-plans and UDFs are rejected — they could
-/// reach the appended column indirectly.
+/// reach the appended column indirectly — and so is a lowered program: the
+/// fused transition is recognized before its arm is lowered.
 pub(crate) fn pred_reads_below(e: &ExprIr, limit: usize) -> bool {
     match e {
         ExprIr::Slot { depth, index } => *depth > 0 || *index < limit,
@@ -1555,22 +1463,8 @@ pub(crate) fn pred_reads_below(e: &ExprIr, limit: usize) -> bool {
         | ExprIr::Exists { .. }
         | ExprIr::InPlan { .. }
         | ExprIr::Materialize { .. }
-        | ExprIr::SnapshotFn { .. } => false,
-        ExprIr::Vm(prog) => {
-            let mut below = true;
-            prog.for_each_access(&mut |a| {
-                below &= match a {
-                    Access::Slot { depth, index } => depth > 0 || index < limit,
-                    Access::Param(_) | Access::Volatile => true,
-                    Access::Plan(_)
-                    | Access::Materialize(_)
-                    | Access::Udf
-                    | Access::Snapshot
-                    | Access::Chain => false,
-                }
-            });
-            below
-        }
+        | ExprIr::SnapshotFn { .. }
+        | ExprIr::Vm(_) => false,
         _ => e.all_children(|c| pred_reads_below(c, limit)),
     }
 }
@@ -1580,7 +1474,7 @@ pub(crate) fn pred_reads_below(e: &ExprIr, limit: usize) -> bool {
 /// on the VM stack above the returned mark for [`write_successor`]; `None`
 /// when the filter drops the row.
 fn run_transition_row(
-    t: &Transition<'_>,
+    t: &FusedTransition,
     row: &Row,
     env: &EvalEnv<'_>,
     rt: &mut Runtime<'_>,
@@ -1593,8 +1487,8 @@ fn run_transition_row(
     let inner = env.with_row(&scopes);
     // Body first (matching Extend-then-Filter evaluation order), values
     // parked on the VM stack.
-    crate::vm::run_splat(&t.prog, &inner, rt)?;
-    match keeps(t.pred, t.test, row, env, rt) {
+    crate::vm::run_splat(&t.body, &inner, rt)?;
+    match keeps(&t.pred, t.test, row, env, rt) {
         Ok(true) => Ok(Some(base)),
         Ok(false) => {
             rt.vm_stack.truncate(base);
@@ -1610,7 +1504,7 @@ fn run_transition_row(
 /// Replace `out` with the successor [`run_transition_row`] left on the VM
 /// stack above `base`: `width` splatted values, or one record to unpack.
 fn write_successor(
-    t: &Transition<'_>,
+    t: &FusedTransition,
     base: usize,
     out: &mut Row,
     rt: &mut Runtime<'_>,
@@ -1626,28 +1520,6 @@ fn write_successor(
         out.extend(rec.iter().take(t.width).cloned());
     }
     Ok(())
-}
-
-/// Push one working row through the pipeline. `None` when a filter drops it.
-fn run_pipeline_row(
-    steps: &[Step<'_>],
-    mut row: Row,
-    env: &EvalEnv<'_>,
-    rt: &mut Runtime<'_>,
-) -> Result<Option<Row>> {
-    for step in steps {
-        match step {
-            Step::Filter(pred) => {
-                if !holds(pred, &row, env, rt)? {
-                    return Ok(None);
-                }
-            }
-            Step::Extend(exprs) => extend_row(&mut row, exprs, env, rt)?,
-            Step::Project(exprs) => row = project_row(exprs, &row, env, rt)?,
-            Step::Unpack { src, width } => row = unpack_row(Cow::Owned(row), *src, *width)?,
-        }
-    }
-    Ok(Some(row))
 }
 
 fn iteration_limit_error(mode: RecursionMode, limit: u64) -> Error {
@@ -1795,121 +1667,109 @@ impl Retention {
     }
 }
 
-/// The recursive arm as the VM runs it, chosen once per fixpoint.
-enum Arm<'p> {
-    /// A row-at-a-time pipeline over the working table, with the fused
-    /// transition as its fast path.
-    Rows {
-        steps: Vec<Step<'p>>,
-        trans: Option<Transition<'p>>,
-    },
-    /// The general plan over the whole working table (joins, sub-query
-    /// self-references, ...): PostgreSQL's algorithm.
-    Plan { plan: &'p PlanNode, index: usize },
+/// Run one iteration of the fused transition on the VM, from `bufs.cur`
+/// into `bufs.next`, and return the rows it kept. `WITH ITERATE` keeps
+/// every input row as its last iteration, so a successor goes to a
+/// recycled buffer; otherwise it overwrites its input in place.
+fn fused_step(
+    t: &FusedTransition,
+    bufs: &mut Rotation,
+    retention: &mut Retention,
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+) -> Result<u64> {
+    let keep_last = matches!(retention, Retention::IterateOnly);
+    retention.step_rows(bufs, retire_flag(t.test), |row, pool| {
+        let Some(base) = run_transition_row(t, row, env, rt)? else {
+            return Ok(None);
+        };
+        if !keep_last {
+            write_successor(t, base, row, rt)?;
+            return Ok(Some(std::mem::take(row)));
+        }
+        let mut out = pool.pop().unwrap_or_default();
+        write_successor(t, base, &mut out, rt)?;
+        Ok(Some(out))
+    })
 }
 
-impl<'p> Arm<'p> {
-    /// Choose how the VM runs `recursive`. `WITH RETIRE` needs the
-    /// row-at-a-time shape.
-    fn new(recursive: &'p PlanNode, index: usize, mode: RecursionMode) -> Result<Self> {
-        match pipeline_steps(recursive, index) {
-            Some(steps) => Ok(Arm::Rows {
-                trans: try_transition(&steps),
-                steps,
-            }),
-            None if mode == RecursionMode::Retire => Err(Error::exec(
-                "WITH RETIRE requires a pipeline-shaped recursive arm \
-                 (a single scan of the working table; joins and sub-query \
-                 self-references cannot retire individual rows)",
-            )),
-            None => Ok(Arm::Plan {
-                plan: recursive,
-                index,
-            }),
+/// Run one iteration of the general plan `arm` over working table `index`,
+/// from `bufs.cur` into `bufs.next`: PostgreSQL's algorithm, for every arm
+/// that is not a fused transition. `table` is the working table's buffer,
+/// reused by every iteration. Under `WITH RETIRE` the plan runs once per
+/// working row, so that a row it maps to nothing retires; the planner
+/// admits only arms that map each row on its own there.
+fn plan_step(
+    arm: &PlanNode,
+    index: usize,
+    table: &mut Arc<Vec<Row>>,
+    bufs: &mut Rotation,
+    retention: &mut Retention,
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+) -> Result<()> {
+    let Retention::Retire { retired, .. } = retention else {
+        // The consumed rows come back: ITERATE keeps them as its last
+        // iteration.
+        std::mem::swap(Arc::make_mut(table), &mut bufs.cur);
+        let run = scan_working(arm, index, table, &mut bufs.next, env, rt);
+        std::mem::swap(Arc::make_mut(table), &mut bufs.cur);
+        return run;
+    };
+    for row in bufs.cur.drain(..) {
+        Arc::make_mut(table).push(row);
+        let before = bufs.next.len();
+        let run = scan_working(arm, index, table, &mut bufs.next, env, rt);
+        let row = Arc::make_mut(table).pop().expect("the working row");
+        run?;
+        if bufs.next.len() == before {
+            retired.push(row);
         }
     }
-
-    /// Run one VM iteration from `bufs.cur` into `bufs.next`. Returns the
-    /// rows the fused transition kept.
-    fn step(
-        &mut self,
-        bufs: &mut Rotation,
-        retention: &mut Retention,
-        env: &EvalEnv<'_>,
-        rt: &mut Runtime<'_>,
-    ) -> Result<u64> {
-        match self {
-            Arm::Rows { steps, trans } => {
-                // ITERATE keeps every input row as its last iteration, so a
-                // successor goes to a recycled buffer; otherwise the fused
-                // transition overwrites its input in place. The row pipeline
-                // consumes its input, so RETIRE, which may retire that
-                // input, needs a copy too.
-                let keep_last = matches!(retention, Retention::IterateOnly);
-                let copy_input = !matches!(retention, Retention::Accumulate(_));
-                let trans = trans.as_ref();
-                let flag = trans.and_then(|t| retire_flag(t.test));
-                let kept = retention.step_rows(bufs, flag, |row, pool| match trans {
-                    Some(t) if row.len() == t.src => {
-                        let Some(base) = run_transition_row(t, row, env, rt)? else {
-                            return Ok(None);
-                        };
-                        if !keep_last {
-                            write_successor(t, base, row, rt)?;
-                            return Ok(Some(std::mem::take(row)));
-                        }
-                        let mut out = pool.pop().unwrap_or_default();
-                        write_successor(t, base, &mut out, rt)?;
-                        Ok(Some(out))
-                    }
-                    _ => {
-                        let input = if copy_input {
-                            let mut input = pool.pop().unwrap_or_default();
-                            input.clone_from(row);
-                            input
-                        } else {
-                            std::mem::take(row)
-                        };
-                        run_pipeline_row(steps, input, env, rt)
-                    }
-                })?;
-                // Only the fused transition counts the rows it kept.
-                Ok(if trans.is_some() { kept } else { 0 })
-            }
-            Arm::Plan { plan, index } => {
-                let table = Arc::new(std::mem::take(&mut bufs.cur));
-                rt.working.insert(*index, Arc::clone(&table));
-                let next = exec(plan, env, rt);
-                rt.working.remove(index);
-                bufs.next = next?;
-                if matches!(retention, Retention::IterateOnly) {
-                    // ITERATE keeps the consumed working table as its last
-                    // iteration. Nothing here draws on the row pool.
-                    bufs.cur = Arc::unwrap_or_clone(table);
-                    bufs.pool.clear();
-                }
-                Ok(0)
-            }
-        }
-    }
+    Ok(())
 }
 
-/// The tier running a fixpoint.
+/// Run `arm` with `table` as working table `index`, appending its rows to
+/// `out`.
+fn scan_working(
+    arm: &PlanNode,
+    index: usize,
+    table: &Arc<Vec<Row>>,
+    out: &mut Vec<Row>,
+    env: &EvalEnv<'_>,
+    rt: &mut Runtime<'_>,
+) -> Result<()> {
+    rt.working.insert(index, Arc::clone(table));
+    let run = exec_into(arm, env, rt, &mut |row, _| {
+        out.push(row.into_owned());
+        Ok(Flow::More)
+    });
+    rt.working.remove(&index);
+    run.map(drop)
+}
+
+/// How a fixpoint runs its recursive arm: one of three ways, chosen once,
+/// at entry, from what prepare recognized.
 enum Running<'p, 'c> {
+    /// The fused transition in the mono tier.
     Mono(MonoRows<'p, 'c>),
-    Vm(Arm<'p>),
+    /// The fused transition on the VM.
+    Fused(&'p FusedTransition),
+    /// The general plan, with its working table's buffer.
+    Plan(Arc<Vec<Row>>),
 }
 
 /// Run a recursive CTE to its fixpoint, one loop for every recursion mode
-/// and tier. The tier is chosen once, before the loop: a recognized
-/// transition runs in the mono tier from its first iteration unless
-/// `tier_mode` is `ForceOff` or its captures or probe targets do not bind,
-/// and the VM's [`Arm`] is built only when the VM runs. The tier runs the
-/// fixpoint to its end or to its error. Each iteration stops on an empty
-/// working set, counts itself against `max_recursive_iterations`, tracks
-/// the working-set peak, runs one step of its tier over the shared
-/// [`Rotation`], deduplicates under UNION, and hands its output to the
-/// [`Retention`] policy.
+/// and every way of running the arm. The way is chosen once, before the
+/// loop: a fused transition runs in the mono tier from its first iteration
+/// unless `tier_mode` is `ForceOff`, prepare found it outside the closure
+/// grammar, or its captures or probe targets do not bind, and on the VM
+/// otherwise; every other arm runs as the general plan. Nothing is built
+/// here: prepare recognized the transition and compiled its programs. Each
+/// iteration stops on an empty working set, counts itself against
+/// `max_recursive_iterations`, tracks the working-set peak, runs one step
+/// over the shared [`Rotation`], deduplicates under UNION, and hands its
+/// output to the [`Retention`] policy.
 fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Vec<Row>> {
     let CtePlan::Recursive {
         index,
@@ -1917,7 +1777,7 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
         recursive,
         mode,
         union_all,
-        tier,
+        fused,
     } = cte
     else {
         unreachable!("only recursive CTEs reach the fixpoint driver");
@@ -1938,15 +1798,16 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
     // reference is copied out so the bound probes' borrows stay disjoint
     // from the runtime's mutable state.
     let catalog = rt.catalog;
-    let mono = match tier.as_deref() {
-        Some(prog) if rt.config.tier_mode == TierMode::Auto && !bufs.cur.is_empty() => {
-            MonoRows::enter(prog, env, catalog, &bufs.cur, rt.stats)
-        }
-        _ => None,
-    };
-    let mut running = match mono {
-        Some(m) => Running::Mono(m),
-        None => Running::Vm(Arm::new(recursive, index, mode)?),
+    let mut running = match fused {
+        Some(t) => t
+            .mono
+            .as_deref()
+            .filter(|_| rt.config.tier_mode == TierMode::Auto && !bufs.cur.is_empty())
+            .and_then(|prog| {
+                MonoRows::enter(prog, retire_flag(t.test), env, catalog, &bufs.cur, rt.stats)
+            })
+            .map_or(Running::Fused(t), Running::Mono),
+        None => Running::Plan(Arc::default()),
     };
     let mut iters: u64 = 0;
     loop {
@@ -1961,7 +1822,11 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
         peak = peak.max(len);
         let kept = match &mut running {
             Running::Mono(m) => m.step(&mut bufs, &mut retention, rt.stats)?,
-            Running::Vm(arm) => arm.step(&mut bufs, &mut retention, env, rt)?,
+            Running::Fused(t) => fused_step(t, &mut bufs, &mut retention, env, rt)?,
+            Running::Plan(table) => {
+                plan_step(recursive, index, table, &mut bufs, &mut retention, env, rt)?;
+                0
+            }
         };
         if !union_all {
             bufs.next.retain(|r| seen.insert(r.clone()));
@@ -1970,14 +1835,14 @@ fn exec_recursive_cte(cte: &CtePlan, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) ->
         // Rows the transition kept, counted once for whichever tier ran it.
         let counter = match running {
             Running::Mono(_) => &mut rt.stats.tier.tier_mono_rows,
-            Running::Vm(_) => &mut rt.stats.fused_transition_rows,
+            _ => &mut rt.stats.fused_transition_rows,
         };
         *counter += kept;
     }
     // The tier that ran this fixpoint.
     let tier_label = match running {
         Running::Mono(_) => "mono",
-        Running::Vm(_) => "vm",
+        _ => "vm",
     };
     let result = retention.finish(std::mem::take(&mut bufs.prev), peak, rt);
     rt.stats.recursive_iterations += iters;

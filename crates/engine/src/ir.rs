@@ -466,12 +466,34 @@ pub enum CtePlan {
         mode: RecursionMode,
         /// `UNION ALL` (true) vs deduplicating `UNION` (false).
         union_all: bool,
-        /// Monomorphized transition compiled by [`crate::tier::recognize`]
-        /// during plan pre-compilation, whatever the `tier_mode` (`None`
-        /// when the shape is outside the tier grammar). `Arc`-shared so
-        /// plan clones do not copy its closures.
-        tier: Option<Arc<crate::tier::TierProgram>>,
+        /// The recursive arm as a fused transition, recognized once at
+        /// prepare by [`crate::vm::precompile_plan`]; `None` runs the
+        /// general plan.
+        fused: Option<Box<FusedTransition>>,
     },
+}
+
+/// A recursive arm of the shape every compiled fixpoint has (Figure 8's
+/// `run`): `ProjectUnpack ∘ Filter ∘ Extend[body] ∘ WorkingScan`, with
+/// `src == width ≥ 2`, a filter that reads only columns below `src`, and
+/// no other read of the working table. The fixpoint driver runs it row by
+/// row from these parts, never through the arm's plan.
+#[derive(Debug, Clone)]
+pub struct FusedTransition {
+    /// The body, lowered and splat-transformed ([`crate::vm`]) in place:
+    /// the program the arm's `Extend` node holds, shared, not copied.
+    pub(crate) body: Arc<crate::vm::ExprProgram>,
+    /// The filter, lowered, as the arm's `Filter` node holds it.
+    pub(crate) pred: ExprIr,
+    /// The filter's slot test ([`crate::exec::bool_slot_test`]): a plain
+    /// column is the retire flag.
+    pub(crate) test: Option<(usize, bool)>,
+    /// Columns of a working row and of its successor.
+    pub(crate) width: usize,
+    /// The transition compiled for the mono tier, when the arms are joined
+    /// by `UNION ALL` and the closure grammar admits it, whatever the
+    /// `tier_mode`. `Arc`-shared so plan clones do not copy its closures.
+    pub(crate) mono: Option<Arc<crate::tier::TierProgram>>,
 }
 
 impl CtePlan {

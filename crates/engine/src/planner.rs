@@ -323,6 +323,9 @@ impl<'a> Planner<'a> {
         }
         fuse_lateral_chains(&mut plan);
         fuse_project_unpack(&mut plan);
+        if let PlanNode::With { ctes, .. } = &plan {
+            check_retire_arms(ctes)?;
+        }
         self.ctes.truncate(cte_mark);
         // Strip qualifiers: a query's output is a fresh anonymous row shape.
         scope = Scope::from_names(None, &scope.names());
@@ -396,7 +399,7 @@ impl<'a> Planner<'a> {
                 recursive: rec_plan,
                 mode,
                 union_all: *all,
-                tier: None,
+                fused: None,
             })
         } else {
             if self_ref {
@@ -1685,6 +1688,45 @@ fn fuse_lateral_chains(plan: &mut PlanNode) {
             exprs,
         },
     };
+}
+
+/// A `WITH RETIRE` fixpoint retires a working row when its recursive arm
+/// maps that row to nothing, so the arm must map each row on its own:
+/// filters, extensions and projections over one scan of the working table,
+/// which no expression reads again. Checked after the fusion passes, which
+/// give the compiled arms that shape; the error is the fixpoint's.
+fn check_retire_arms(ctes: &[CtePlan]) -> Result<()> {
+    fn row_by_row(plan: &PlanNode, index: usize) -> bool {
+        let input = match plan {
+            PlanNode::WorkingScan { index: i } => return *i == index,
+            PlanNode::Filter { input, .. }
+            | PlanNode::Extend { input, .. }
+            | PlanNode::Project { input, .. }
+            | PlanNode::ProjectUnpack { input, .. } => input,
+            _ => return false,
+        };
+        let mut reads = false;
+        plan.for_each_expr(&mut |e| reads = reads || crate::exec::expr_uses_working(e, index));
+        !reads && row_by_row(input, index)
+    }
+    for cte in ctes {
+        if let CtePlan::Recursive {
+            index,
+            recursive,
+            mode: RecursionMode::Retire,
+            ..
+        } = cte
+        {
+            if !row_by_row(recursive, *index) {
+                return Err(Error::exec(
+                    "WITH RETIRE requires a pipeline-shaped recursive arm \
+                     (a single scan of the working table; joins and sub-query \
+                     self-references cannot retire individual rows)",
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Move a plan out of its node, leaving an empty `Values` behind.

@@ -909,15 +909,13 @@ impl Compiler {
 // ---------------------------------------------------------------------------
 // The compiled program, recognition, and binding
 
-/// A monomorphized fixpoint transition, attached to
-/// [`crate::ir::CtePlan::Recursive`] at prepare time and shared through
-/// the plan cache. It holds no execution state: every run binds its own.
+/// A monomorphized fixpoint transition, attached to a
+/// [`crate::ir::FusedTransition`] at prepare time and shared through the
+/// plan cache. It holds no execution state: every run binds its own.
 pub struct TierProgram {
     width: usize,
     produce: RowProducer,
     pred: Atom,
-    /// The retire policy's flag ([`crate::exec::retire_flag`]).
-    flag: Option<usize>,
     binds: Vec<BindSpec>,
     probes: Vec<ProbeTarget>,
 }
@@ -926,60 +924,25 @@ impl fmt::Debug for TierProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TierProgram")
             .field("width", &self.width)
-            .field("flag", &self.flag)
             .field("binds", &self.binds.len())
             .field("probes", &self.probes.len())
             .finish_non_exhaustive()
     }
 }
 
-/// Recognize a fused fixpoint transition and compile it for the mono tier.
-/// The shape is the one `try_transition` fuses — a single-scan
-/// `Extend[1] → Filter → Unpack` over the working table with `src == width`
-/// — restricted further to expressions the closure grammar covers.
-pub fn recognize(index: usize, recursive: &PlanNode, union_all: bool) -> Option<TierProgram> {
-    // UNION dedup hashes whole rows between iterations; keep that in the
-    // VM driver.
-    if !union_all {
-        return None;
-    }
-    let PlanNode::ProjectUnpack { input, src, width } = recursive else {
-        return None;
-    };
-    let (src, width) = (*src, *width);
-    if width < 2 || src != width {
-        return None;
-    }
-    let PlanNode::Filter { input: f_in, pred } = input.as_ref() else {
-        return None;
-    };
-    let PlanNode::Extend { input: e_in, exprs } = f_in.as_ref() else {
-        return None;
-    };
-    let PlanNode::WorkingScan { index: wi } = e_in.as_ref() else {
-        return None;
-    };
-    if *wi != index {
-        return None;
-    }
-    let [body] = exprs.as_slice() else {
-        return None;
-    };
-    if !crate::exec::pred_reads_below(pred, src)
-        || crate::exec::expr_uses_working(body, index)
-        || crate::exec::expr_uses_working(pred, index)
-    {
-        return None;
-    }
+/// Compile a fused transition's body and filter, as expression trees over
+/// a working row of `width` columns, for the mono tier. `None` when an
+/// expression is outside the closure grammar. The shape itself is
+/// recognized by the caller, `vm::precompile_plan`.
+pub(crate) fn compile(body: &ExprIr, pred: &ExprIr, width: usize) -> Option<TierProgram> {
     let mut c = Compiler::default();
-    let frames = [CFrame::Row(src)];
+    let frames = [CFrame::Row(width)];
     let produce = c.produce(body, &frames, width)?;
     let pred_c = c.atom(pred, &frames)?;
     Some(TierProgram {
         width,
         produce,
         pred: pred_c,
-        flag: crate::exec::retire_flag(crate::exec::bool_slot_test(pred)),
         binds: c.binds,
         probes: c.probes,
     })
@@ -1023,6 +986,8 @@ fn bind<'c>(prog: &TierProgram, env: &EvalEnv<'_>, catalog: &'c Catalog) -> Opti
 /// scratch. The rows stay in the driver's [`Rotation`].
 pub(crate) struct MonoRows<'p, 'c> {
     prog: &'p TierProgram,
+    /// The retire policy's flag ([`crate::exec::retire_flag`]).
+    flag: Option<usize>,
     bound: TierBound<'c>,
     scratch: Vec<TRegs>,
 }
@@ -1034,6 +999,7 @@ impl<'p, 'c> MonoRows<'p, 'c> {
     /// statement.
     pub(crate) fn enter(
         prog: &'p TierProgram,
+        flag: Option<usize>,
         env: &EvalEnv<'_>,
         catalog: &'c Catalog,
         base: &[Row],
@@ -1046,6 +1012,7 @@ impl<'p, 'c> MonoRows<'p, 'c> {
         stats.tier.tier_promotions += 1;
         Some(MonoRows {
             prog,
+            flag,
             bound,
             scratch: (0..prog.produce.chain_depth())
                 .map(|_| new_regs())
@@ -1066,7 +1033,7 @@ impl<'p, 'c> MonoRows<'p, 'c> {
         // The error stays boxed per row, so that a row's result is no
         // larger than the row.
         let kept = retention
-            .step_rows(bufs, prog.flag, |row, pool| {
+            .step_rows(bufs, self.flag, |row, pool| {
                 mono_row(prog, bound, row, pool, &mut local, scratch)
             })
             .map_err(|e| *e)?;
@@ -1111,8 +1078,13 @@ fn mono_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::retire_flag;
+    use crate::ir::FusedTransition;
+    use crate::vm::fuse_transition;
 
-    fn transition_plan(body: ExprIr, pred: ExprIr) -> PlanNode {
+    /// `ProjectUnpack{src, width} ∘ Filter(pred) ∘ Extend[body] ∘
+    /// WorkingScan` over working table 0.
+    fn arm(body: ExprIr, pred: ExprIr, src: usize, width: usize) -> PlanNode {
         PlanNode::ProjectUnpack {
             input: Box::new(PlanNode::Filter {
                 input: Box::new(PlanNode::Extend {
@@ -1121,9 +1093,25 @@ mod tests {
                 }),
                 pred,
             }),
-            src: 2,
-            width: 2,
+            src,
+            width,
         }
+    }
+
+    fn transition_plan(body: ExprIr, pred: ExprIr) -> PlanNode {
+        arm(body, pred, 2, 2)
+    }
+
+    /// Recognize the transition of working table 0 as prepare does.
+    fn fuse(body: ExprIr, pred: ExprIr, union_all: bool) -> Option<Box<FusedTransition>> {
+        fuse_transition(0, &mut transition_plan(body, pred), union_all)
+    }
+
+    /// The fused transition with a mono program, filtered on column 1.
+    fn fused_with_mono(body: ExprIr) -> Box<FusedTransition> {
+        let t = fuse(body, ExprIr::slot(1), true).expect("the transition fuses");
+        assert!(t.mono.is_some(), "the body is in the tier grammar");
+        t
     }
 
     fn counter_body() -> ExprIr {
@@ -1142,17 +1130,12 @@ mod tests {
         ])
     }
 
-    fn recognized() -> TierProgram {
-        recognize(0, &transition_plan(counter_body(), ExprIr::slot(1)), true)
-            .expect("counter transition is in the tier grammar")
-    }
-
     /// Drive the mono step under `WITH ITERATE` the way the fixpoint
     /// driver does (one step per iteration, kept rows counted as
     /// `tier_mono_rows`) until the working set drains or a row fails.
     /// Returns how the run ended and the last iteration it consumed.
     fn drive_iterate(
-        prog: &TierProgram,
+        t: &FusedTransition,
         working: Vec<Row>,
         iters: &mut u64,
         stats: &mut RuntimeStats,
@@ -1160,7 +1143,9 @@ mod tests {
         let catalog = Catalog::new();
         let mut bufs = Rotation::new(working);
         let mut retention = Retention::IterateOnly;
-        let mut mono = MonoRows::enter(prog, &EvalEnv::EMPTY, &catalog, &bufs.cur, stats)
+        let prog = t.mono.as_deref().expect("a mono program");
+        let flag = retire_flag(t.test);
+        let mut mono = MonoRows::enter(prog, flag, &EvalEnv::EMPTY, &catalog, &bufs.cur, stats)
             .expect("the test programs bind");
         while !bufs.cur.is_empty() {
             let kept = match mono.step(&mut bufs, &mut retention, stats) {
@@ -1174,15 +1159,42 @@ mod tests {
         (Ok(()), bufs.prev)
     }
 
+    /// The one recognizer, `vm::fuse_transition`, has three outcomes: a
+    /// fused transition with a mono program, one without, and an arm left
+    /// to the general plan.
     #[test]
     fn recognizes_only_the_fused_transition_shape() {
-        let plan = transition_plan(counter_body(), ExprIr::slot(1));
-        assert!(recognize(0, &plan, true).is_some());
-        // UNION dedup stays in the VM.
-        assert!(recognize(0, &plan, false).is_none());
-        // Wrong working-table index.
-        assert!(recognize(1, &plan, true).is_none());
-        // A volatile call in the body keeps the whole transition in the VM.
+        // Fused, with a mono program: the counter, and a float constant,
+        // which is an ordinary cell. The body is lowered and splat in
+        // place: the plan holds the transition's one program.
+        let mut plan = transition_plan(counter_body(), ExprIr::slot(1));
+        let t = fuse_transition(0, &mut plan, true).expect("the counter fuses");
+        assert!(t.mono.is_some());
+        assert_eq!((t.width, t.test), (2, Some((1, true))));
+        let PlanNode::ProjectUnpack { input, .. } = &plan else {
+            unreachable!()
+        };
+        let PlanNode::Filter { input, .. } = input.as_ref() else {
+            unreachable!()
+        };
+        let PlanNode::Extend { exprs, .. } = input.as_ref() else {
+            unreachable!()
+        };
+        assert!(matches!(&exprs[..], [ExprIr::Vm(p)] if Arc::ptr_eq(p, &t.body)));
+        let floaty = ExprIr::Row(vec![
+            ExprIr::Const(Value::Float(1.5)),
+            ExprIr::Const(Value::Bool(false)),
+        ]);
+        fused_with_mono(floaty);
+
+        // Fused, on the VM only: UNION dedup stays in the driver, and a
+        // volatile call or a body row narrower than the working row is
+        // outside the closure grammar.
+        let no_mono = |body: ExprIr, union_all: bool| {
+            let t = fuse(body, ExprIr::slot(1), union_all).expect("the arm fuses");
+            assert!(t.mono.is_none());
+        };
+        no_mono(counter_body(), false);
         let raise = ExprIr::Row(vec![
             ExprIr::Scalar {
                 func: crate::ir::ScalarFn::RaiseError,
@@ -1193,21 +1205,36 @@ mod tests {
             },
             ExprIr::Const(Value::Bool(false)),
         ]);
-        assert!(recognize(0, &transition_plan(raise, ExprIr::slot(1)), true).is_none());
-        // A body row narrower than the working row.
-        let narrow = ExprIr::Row(vec![ExprIr::Const(Value::Bool(false))]);
-        assert!(recognize(0, &transition_plan(narrow, ExprIr::slot(1)), true).is_none());
-        // A float constant is an ordinary cell.
-        let floaty = ExprIr::Row(vec![
-            ExprIr::Const(Value::Float(1.5)),
+        no_mono(raise, true);
+        no_mono(ExprIr::Row(vec![ExprIr::Const(Value::Bool(false))]), true);
+
+        // Not fused: another working table, a one-column row, a body that
+        // reads the working table again, and `src != width`.
+        let mut plan = transition_plan(counter_body(), ExprIr::slot(1));
+        assert!(fuse_transition(1, &mut plan, true).is_none());
+        let narrow = ExprIr::Row(vec![ExprIr::Binary {
+            op: BinOp::Add,
+            left: Box::new(ExprIr::slot(0)),
+            right: Box::new(ExprIr::Const(Value::Int(1))),
+        }]);
+        let mut plan = arm(narrow, ExprIr::Const(Value::Bool(true)), 1, 1);
+        assert!(fuse_transition(0, &mut plan, true).is_none());
+        let rescan = PlanNode::Project {
+            input: Box::new(PlanNode::WorkingScan { index: 0 }),
+            exprs: vec![ExprIr::slot(0)],
+        };
+        let reads_working = ExprIr::Row(vec![
+            ExprIr::Subplan(Arc::new(rescan)),
             ExprIr::Const(Value::Bool(false)),
         ]);
-        assert!(recognize(0, &transition_plan(floaty, ExprIr::slot(1)), true).is_some());
+        assert!(fuse(reads_working, ExprIr::slot(1), true).is_none());
+        let mut plan = arm(counter_body(), ExprIr::slot(1), 3, 2);
+        assert!(fuse_transition(0, &mut plan, true).is_none());
     }
 
     #[test]
     fn mono_iterate_runs_the_counter_to_its_fixpoint() {
-        let prog = recognized();
+        let prog = fused_with_mono(counter_body());
         let (mut iters, mut stats) = (0u64, RuntimeStats::default());
         let (end, prev) = drive_iterate(
             &prog,
@@ -1252,12 +1279,7 @@ mod tests {
 
     #[test]
     fn a_zero_divisor_raises_the_vms_error() {
-        let prog = recognize(
-            0,
-            &transition_plan(zero_divisor_body(), ExprIr::slot(1)),
-            true,
-        )
-        .expect("division is in the tier grammar");
+        let prog = fused_with_mono(zero_divisor_body());
         let (mut iters, mut stats) = (0u64, RuntimeStats::default());
         let (end, _) = drive_iterate(
             &prog,
@@ -1284,7 +1306,7 @@ mod tests {
             },
             ExprIr::Const(Value::Bool(true)),
         ]);
-        let prog = recognize(0, &transition_plan(body, ExprIr::slot(1)), true).unwrap();
+        let prog = fused_with_mono(body);
         let (mut iters, mut stats) = (0u64, RuntimeStats::default());
         let (end, _) = drive_iterate(
             &prog,
@@ -1311,7 +1333,7 @@ mod tests {
             }),
             right: Box::new(ExprIr::slot(1)),
         };
-        let prog = recognize(0, &transition_plan(counter_body(), pred), true).unwrap();
+        let prog = fuse(counter_body(), pred, true).unwrap();
         let (mut iters, mut stats) = (0u64, RuntimeStats::default());
         let (end, prev) = drive_iterate(
             &prog,
@@ -1346,7 +1368,7 @@ mod tests {
                 recursive: transition_plan(body, ExprIr::slot(1)),
                 mode: crate::ir::RecursionMode::Accumulate,
                 union_all: true,
-                tier: None,
+                fused: None,
             }],
             body: Box::new(PlanNode::CteScan { index: 0 }),
         };
@@ -1435,7 +1457,7 @@ mod tests {
                 else_: Some(Box::new(below(10))),
             },
         ]);
-        assert!(recognize(0, &transition_plan(vanished.clone(), ExprIr::slot(1)), true).is_some());
+        fused_with_mono(vanished.clone());
         let (rows, stats) = run_fixpoint(vanished, start(), &[], TierMode::Auto);
         assert_eq!(rows.unwrap().len(), 12);
         assert_eq!(stats.tier.tier_promotions, 0);

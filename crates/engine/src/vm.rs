@@ -29,9 +29,11 @@
 //! per distinct key. Closed sub-plans are the empty-key case of the same
 //! per-execution memo ([`crate::memo::MemoCache`]).
 //!
-//! The plan analyses (hoisting, memo keys, fused-transition eligibility,
-//! working-table detection) see through a lowered expression with
-//! [`ExprProgram::for_each_access`] and answer as on the tree it came from.
+//! The plan analyses that run on lowered plans (hoisting, memo keys) see
+//! through a lowered expression with [`ExprProgram::for_each_access`] and
+//! answer as on the tree it came from. A fixpoint's fused transition is
+//! recognized on the trees, before its arm is lowered
+//! ([`precompile_plan`]).
 
 use std::sync::Arc;
 
@@ -43,7 +45,7 @@ use crate::exec::{
     materialize_snapshot, EvalEnv, Flow, Runtime,
 };
 use crate::functions::{eval_scalar, like_match};
-use crate::ir::{CtePlan, ExprIr, PlanNode, ScalarFn, SnapshotOp};
+use crate::ir::{CtePlan, ExprIr, FusedTransition, PlanNode, ScalarFn, SnapshotOp};
 use crate::memo::MemoKey;
 
 /// A directly addressable operand: resolved inline by superinstructions so
@@ -841,15 +843,11 @@ pub fn precompile_plan(plan: &mut PlanNode, repeated: bool) {
                         base,
                         recursive,
                         union_all,
-                        tier,
+                        fused,
                         ..
                     } => {
                         precompile_plan(base, repeated);
-                        // Recognize for the mono tier BEFORE lowering
-                        // rewrites the transition's expression trees into VM
-                        // programs — the tier compiler reads the trees. The
-                        // execution-time gate decides whether it ever runs.
-                        *tier = crate::tier::recognize(*index, recursive, *union_all).map(Arc::new);
+                        *fused = fuse_transition(*index, recursive, *union_all);
                         precompile_plan(recursive, true);
                     }
                 }
@@ -858,6 +856,61 @@ pub fn precompile_plan(plan: &mut PlanNode, repeated: bool) {
         }
     }
     plan.for_each_expr_mut(&mut lower);
+}
+
+/// Recognize a recursive arm as a [`FusedTransition`], the one place that
+/// decides how its fixpoint will run, and prepare its parts. The shape is
+/// matched on the expression trees, which the mono tier's compiler reads
+/// too; then the body is lowered and splat-transformed in place, and the
+/// filter lowered, so that the plan and the transition share one program.
+/// `None` leaves the arm to the general plan.
+pub(crate) fn fuse_transition(
+    index: usize,
+    recursive: &mut PlanNode,
+    union_all: bool,
+) -> Option<Box<FusedTransition>> {
+    let PlanNode::ProjectUnpack { input, src, width } = recursive else {
+        return None;
+    };
+    let width = *width;
+    let PlanNode::Filter { input, pred } = input.as_mut() else {
+        return None;
+    };
+    let PlanNode::Extend { input, exprs } = input.as_mut() else {
+        return None;
+    };
+    let (PlanNode::WorkingScan { index: scanned }, [body]) = (input.as_ref(), exprs.as_mut_slice())
+    else {
+        return None;
+    };
+    // Width 1 would make "one splatted value" and "one record to unpack"
+    // indistinguishable; compiled fixpoints are always wider. The filter
+    // holds no sub-plan, so only the body can read the working table again.
+    if *scanned != index
+        || *src != width
+        || width < 2
+        || !crate::exec::pred_reads_below(pred, *src)
+        || crate::exec::expr_uses_working(body, index)
+    {
+        return None;
+    }
+    // UNION dedup hashes whole rows between iterations; that stays in the
+    // VM driver.
+    let mono = union_all
+        .then(|| crate::tier::compile(body, pred, width))
+        .flatten()
+        .map(Arc::new);
+    precompile_nested_plans(body);
+    let program = Arc::new(splat_transform(compile(body), width));
+    *body = ExprIr::Vm(Arc::clone(&program));
+    lower(pred);
+    Some(Box::new(FusedTransition {
+        body: program,
+        test: crate::exec::bool_slot_test(pred),
+        pred: pred.clone(),
+        width,
+        mono,
+    }))
 }
 
 /// Lower one planned expression in place: the plans it holds first, then
@@ -1217,7 +1270,7 @@ fn terminal_at(ops: &[Op], mut p: usize) -> bool {
 /// would flow unchanged to the program result is elided, leaving its fields
 /// on the stack. Frame collapses keep working because they address stack
 /// cells statically.
-pub(crate) fn splat_transform(mut prog: ExprProgram, width: usize) -> ExprProgram {
+fn splat_transform(mut prog: ExprProgram, width: usize) -> ExprProgram {
     for pc in 0..prog.ops.len() {
         if matches!(prog.ops[pc], Op::Row(n) if n as usize == width)
             && terminal_at(&prog.ops, pc + 1)
