@@ -24,6 +24,7 @@ use plaway_sql::ast::{BinOp, JoinKind, Language, SetOp};
 
 use crate::catalog::{Catalog, Row};
 use crate::config::{EngineConfig, TierMode};
+use crate::functions::like_match;
 use crate::ir::{
     AggFn, AggSpec, CtePlan, ExprIr, FusedTransition, PlanNode, RecursionMode, SnapshotOp, SortKey,
 };
@@ -390,13 +391,77 @@ pub(crate) fn eval_snapshot_op(
     }
 }
 
+// The three-valued operator rules, one copy each: the VM's ops and the
+// mono tier's closures both call them, and differ only in control flow.
+
+/// A three-valued boolean as a value: unknown is NULL.
+#[inline]
+pub(crate) fn bool_value(b: Option<bool>) -> Value {
+    b.map_or(Value::Null, Value::Bool)
+}
+
 /// Three-valued AND over already-evaluated operands.
+#[inline]
 pub(crate) fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match (a, b) {
         (Some(false), _) | (_, Some(false)) => Some(false),
         (Some(true), Some(true)) => Some(true),
         _ => None,
     }
+}
+
+/// Three-valued OR over already-evaluated operands.
+#[inline]
+pub(crate) fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match (a, b) {
+        (Some(true), _) | (_, Some(true)) => Some(true),
+        (Some(false), Some(false)) => Some(false),
+        _ => None,
+    }
+}
+
+/// `NOT v`: NULL stays NULL, and a value that is not a boolean errors.
+#[inline]
+pub(crate) fn not3(v: &Value) -> Result<Value> {
+    Ok(bool_value(v.as_bool()?.map(|b| !b)))
+}
+
+/// `v [NOT] BETWEEN lo AND hi`: both comparisons, then their AND.
+#[inline]
+pub(crate) fn between3(v: &Value, lo: &Value, hi: &Value, negated: bool) -> Result<Value> {
+    use std::cmp::Ordering;
+    let ge = v.sql_cmp(lo)?.map(|o| o != Ordering::Less);
+    let le = v.sql_cmp(hi)?.map(|o| o != Ordering::Greater);
+    Ok(bool_value(and3(ge, le).map(|b| b != negated)))
+}
+
+/// `v [NOT] LIKE pattern`: NULL when either side is NULL.
+#[inline]
+pub(crate) fn like3(v: &Value, pattern: &Value, negated: bool) -> Result<Value> {
+    if v.is_null() || pattern.is_null() {
+        return Ok(Value::Null);
+    }
+    Ok(Value::Bool(
+        like_match(v.as_text()?, pattern.as_text()?) != negated,
+    ))
+}
+
+/// Fold one candidate of `v [NOT] IN (...)` into `found`, which starts as
+/// `Some(false)`: `Some(true)` on a match, where the candidates stop;
+/// unknown once a comparison was NULL.
+#[inline]
+pub(crate) fn in_step(found: Option<bool>, v: &Value, item: &Value) -> Result<Option<bool>> {
+    Ok(match v.sql_eq(item)? {
+        Some(true) => Some(true),
+        Some(false) => found,
+        None => None,
+    })
+}
+
+/// The `[NOT] IN` verdict once the candidates are folded into `found`.
+#[inline]
+pub(crate) fn in_verdict(found: Option<bool>, negated: bool) -> Value {
+    bool_value(found.map(|f| f != negated))
 }
 
 /// Apply a non-short-circuit binary operator to evaluated operands (the
@@ -1413,22 +1478,16 @@ fn exec_with(
 /// Does the expression (or any plan nested inside it) read the working table
 /// of the given CTE index?
 pub(crate) fn expr_uses_working(e: &ExprIr, index: usize) -> bool {
-    expr_holds_node(
-        e,
-        &|p| matches!(p, PlanNode::WorkingScan { index: i } if *i == index),
-    )
+    let mut found = false;
+    walk_expr_plans(e, &mut |p| found = found || plan_uses_working(p, index));
+    found
 }
 
-/// Does any plan held inside the expression contain a node matching `is`?
-fn expr_holds_node(e: &ExprIr, is: &impl Fn(&PlanNode) -> bool) -> bool {
-    fn plan_holds(p: &PlanNode, is: &impl Fn(&PlanNode) -> bool) -> bool {
-        let mut found = is(p);
-        p.for_each_child(&mut |c| found = found || plan_holds(c, is));
-        p.for_each_expr(&mut |e| found = found || expr_holds_node(e, is));
-        found
-    }
-    let mut found = false;
-    walk_expr_plans(e, &mut |p| found = found || plan_holds(p, is));
+/// Does the plan (or an expression inside it) read working table `index`?
+fn plan_uses_working(p: &PlanNode, index: usize) -> bool {
+    let mut found = matches!(p, PlanNode::WorkingScan { index: i } if *i == index);
+    p.for_each_child(&mut |c| found = found || plan_uses_working(c, index));
+    p.for_each_expr(&mut |e| found = found || expr_uses_working(e, index));
     found
 }
 
@@ -1708,18 +1767,27 @@ fn plan_step(
     env: &EvalEnv<'_>,
     rt: &mut Runtime<'_>,
 ) -> Result<()> {
+    let scan = |table: &Arc<Vec<Row>>, out: &mut Vec<Row>, rt: &mut Runtime<'_>| {
+        rt.working.insert(index, Arc::clone(table));
+        let run = exec_into(arm, env, rt, &mut |row, _| {
+            out.push(row.into_owned());
+            Ok(Flow::More)
+        });
+        rt.working.remove(&index);
+        run.map(drop)
+    };
     let Retention::Retire { retired, .. } = retention else {
         // The consumed rows come back: ITERATE keeps them as its last
         // iteration.
         std::mem::swap(Arc::make_mut(table), &mut bufs.cur);
-        let run = scan_working(arm, index, table, &mut bufs.next, env, rt);
+        let run = scan(table, &mut bufs.next, rt);
         std::mem::swap(Arc::make_mut(table), &mut bufs.cur);
         return run;
     };
     for row in bufs.cur.drain(..) {
         Arc::make_mut(table).push(row);
         let before = bufs.next.len();
-        let run = scan_working(arm, index, table, &mut bufs.next, env, rt);
+        let run = scan(table, &mut bufs.next, rt);
         let row = Arc::make_mut(table).pop().expect("the working row");
         run?;
         if bufs.next.len() == before {
@@ -1727,25 +1795,6 @@ fn plan_step(
         }
     }
     Ok(())
-}
-
-/// Run `arm` with `table` as working table `index`, appending its rows to
-/// `out`.
-fn scan_working(
-    arm: &PlanNode,
-    index: usize,
-    table: &Arc<Vec<Row>>,
-    out: &mut Vec<Row>,
-    env: &EvalEnv<'_>,
-    rt: &mut Runtime<'_>,
-) -> Result<()> {
-    rt.working.insert(index, Arc::clone(table));
-    let run = exec_into(arm, env, rt, &mut |row, _| {
-        out.push(row.into_owned());
-        Ok(Flow::More)
-    });
-    rt.working.remove(&index);
-    run.map(drop)
 }
 
 /// How a fixpoint runs its recursive arm: one of three ways, chosen once,

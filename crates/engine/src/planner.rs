@@ -25,6 +25,7 @@ use plaway_sql::ast::{
 
 use crate::catalog::{Catalog, FunctionDef};
 use crate::config::IndexMode;
+use crate::exec::expr_uses_working;
 use crate::ir::{
     AggFn, AggSpec, CtePlan, ExprIr, FrameIr, PlanNode, RecursionMode, ScalarFn, SortKey, WinFn,
     WindowExprIr,
@@ -323,8 +324,18 @@ impl<'a> Planner<'a> {
         }
         fuse_lateral_chains(&mut plan);
         fuse_project_unpack(&mut plan);
+        // After the fusion passes, which give the compiled arms that shape.
         if let PlanNode::With { ctes, .. } = &plan {
-            check_retire_arms(ctes)?;
+            if ctes.iter().any(|c| {
+                matches!(c, CtePlan::Recursive { index, recursive, mode: RecursionMode::Retire, .. }
+                    if !retires_row_by_row(recursive, *index))
+            }) {
+                return Err(Error::exec(
+                    "WITH RETIRE requires a pipeline-shaped recursive arm \
+                     (a single scan of the working table; joins and sub-query \
+                     self-references cannot retire individual rows)",
+                ));
+            }
         }
         self.ctes.truncate(cte_mark);
         // Strip qualifiers: a query's output is a fresh anonymous row shape.
@@ -1690,43 +1701,22 @@ fn fuse_lateral_chains(plan: &mut PlanNode) {
     };
 }
 
-/// A `WITH RETIRE` fixpoint retires a working row when its recursive arm
-/// maps that row to nothing, so the arm must map each row on its own:
-/// filters, extensions and projections over one scan of the working table,
-/// which no expression reads again. Checked after the fusion passes, which
-/// give the compiled arms that shape; the error is the fixpoint's.
-fn check_retire_arms(ctes: &[CtePlan]) -> Result<()> {
-    fn row_by_row(plan: &PlanNode, index: usize) -> bool {
-        let input = match plan {
-            PlanNode::WorkingScan { index: i } => return *i == index,
-            PlanNode::Filter { input, .. }
-            | PlanNode::Extend { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::ProjectUnpack { input, .. } => input,
-            _ => return false,
-        };
-        let mut reads = false;
-        plan.for_each_expr(&mut |e| reads = reads || crate::exec::expr_uses_working(e, index));
-        !reads && row_by_row(input, index)
-    }
-    for cte in ctes {
-        if let CtePlan::Recursive {
-            index,
-            recursive,
-            mode: RecursionMode::Retire,
-            ..
-        } = cte
-        {
-            if !row_by_row(recursive, *index) {
-                return Err(Error::exec(
-                    "WITH RETIRE requires a pipeline-shaped recursive arm \
-                     (a single scan of the working table; joins and sub-query \
-                     self-references cannot retire individual rows)",
-                ));
-            }
+/// A `WITH RETIRE` arm retires a working row that it maps to nothing, so
+/// it must map each row on its own: filters, extensions and projections
+/// over one scan of the working table, which no expression reads again.
+fn retires_row_by_row(plan: &PlanNode, index: usize) -> bool {
+    match plan {
+        PlanNode::WorkingScan { index: i } => *i == index,
+        PlanNode::Filter { input, .. }
+        | PlanNode::Extend { input, .. }
+        | PlanNode::Project { input, .. }
+        | PlanNode::ProjectUnpack { input, .. } => {
+            let mut reads = false;
+            plan.for_each_expr(&mut |e| reads = reads || expr_uses_working(e, index));
+            !reads && retires_row_by_row(input, index)
         }
+        _ => false,
     }
-    Ok(())
 }
 
 /// Move a plan out of its node, leaving an empty `Values` behind.

@@ -43,10 +43,10 @@ use plaway_sql::ast::BinOp;
 
 use crate::catalog::{Catalog, Index, Row};
 use crate::exec::{
-    and3, apply_bin, second_row_error, take_record, EvalEnv, Retention, Rotation, RuntimeStats,
-    Scopes,
+    and3, apply_bin, between3, bool_value, in_step, in_verdict, like3, not3, or3, second_row_error,
+    take_record, EvalEnv, Retention, Rotation, RuntimeStats, Scopes,
 };
-use crate::functions::{eval_scalar, like_match};
+use crate::functions::eval_scalar;
 use crate::ir::{ExprIr, PlanNode};
 use crate::vm::{chain_flattenable, chain_shape, fast_int_bin, plan_free_scopes};
 
@@ -205,11 +205,6 @@ impl Atom {
     fn eval(&self, f: &Scopes<'_>, b: &TierBound<'_>, s: &mut TierRowStats) -> TResult {
         Ok(self.eval_c(f, b, s)?.into_owned())
     }
-}
-
-/// A three-valued boolean as a cell.
-fn bool_cell(b: Option<bool>) -> Value {
-    b.map_or(Value::Null, Value::Bool)
 }
 
 /// A value captured at promotion time: statement parameters and outer-scope
@@ -508,7 +503,7 @@ impl Compiler {
             }
             ExprIr::Not(x) => {
                 let x = self.atom(x, frames)?;
-                texpr(move |f, b, s| Ok(bool_cell(x.eval_c(f, b, s)?.as_bool()?.map(|v| !v))))
+                texpr(move |f, b, s| Ok(not3(&*x.eval_c(f, b, s)?)?))
             }
             ExprIr::IsNull { expr, negated } => {
                 let x = self.atom(expr, frames)?;
@@ -525,7 +520,7 @@ impl Compiler {
                             return Ok(Value::Bool(false));
                         }
                         let rv = r.eval_c(f, b, s)?.as_bool()?;
-                        Ok(bool_cell(and3(lv, rv)))
+                        Ok(bool_value(and3(lv, rv)))
                     }),
                     BinOp::Or => texpr(move |f, b, s| {
                         let lv = l.eval_c(f, b, s)?.as_bool()?;
@@ -533,11 +528,7 @@ impl Compiler {
                             return Ok(Value::Bool(true));
                         }
                         let rv = r.eval_c(f, b, s)?.as_bool()?;
-                        Ok(match (lv, rv) {
-                            (_, Some(true)) => Value::Bool(true),
-                            (Some(false), Some(false)) => Value::Bool(false),
-                            _ => Value::Null,
-                        })
+                        Ok(bool_value(or3(lv, rv)))
                     }),
                     op => texpr(move |f, b, s| {
                         let lv = l.eval_c(f, b, s)?;
@@ -557,15 +548,12 @@ impl Compiler {
                 let hi = self.atom(high, frames)?;
                 let negated = *negated;
                 texpr(move |f, b, s| {
-                    use std::cmp::Ordering as O;
                     // All three operands first, then both comparisons, in
                     // the VM's order.
                     let v = x.eval_c(f, b, s)?;
                     let lo = lo.eval_c(f, b, s)?;
                     let hi = hi.eval_c(f, b, s)?;
-                    let ge = v.sql_cmp(&lo)?.map(|o| o != O::Less);
-                    let le = v.sql_cmp(&hi)?.map(|o| o != O::Greater);
-                    Ok(bool_cell(and3(ge, le).map(|v| v != negated)))
+                    Ok(between3(&v, &lo, &hi, negated)?)
                 })
             }
             ExprIr::Case {
@@ -629,19 +617,14 @@ impl Compiler {
                 let negated = *negated;
                 texpr(move |f, b, s| {
                     let v = x.eval_c(f, b, s)?;
-                    let mut any_null = false;
+                    let mut found = Some(false);
                     for item in &items {
-                        match v.sql_eq(&*item.eval_c(f, b, s)?)? {
-                            Some(true) => return Ok(Value::Bool(!negated)),
-                            Some(false) => {}
-                            None => any_null = true,
+                        found = in_step(found, &v, &*item.eval_c(f, b, s)?)?;
+                        if found == Some(true) {
+                            break;
                         }
                     }
-                    Ok(if any_null {
-                        Value::Null
-                    } else {
-                        Value::Bool(negated)
-                    })
+                    Ok(in_verdict(found, negated))
                 })
             }
             ExprIr::Like {
@@ -653,15 +636,9 @@ impl Compiler {
                 let p = self.atom(pattern, frames)?;
                 let negated = *negated;
                 texpr(move |f, b, s| {
-                    let xv = x.eval_c(f, b, s)?;
-                    let pv = p.eval_c(f, b, s)?;
-                    let (v, pat) = (&*xv, &*pv);
-                    if v.is_null() || pat.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    Ok(Value::Bool(
-                        like_match(v.as_text()?, pat.as_text()?) != negated,
-                    ))
+                    let v = x.eval_c(f, b, s)?;
+                    let pattern = p.eval_c(f, b, s)?;
+                    Ok(like3(&v, &pattern, negated)?)
                 })
             }
             ExprIr::Cast { expr, ty } => {

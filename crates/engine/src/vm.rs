@@ -41,10 +41,11 @@ use plaway_common::{Error, Result, Type, Value};
 use plaway_sql::ast::BinOp;
 
 use crate::exec::{
-    and3, apply_bin, call_sql_udf, eval_snapshot_op, exec_exists, exec_into, exec_scalar,
-    materialize_snapshot, EvalEnv, Flow, Runtime,
+    and3, apply_bin, between3, bool_value, call_sql_udf, eval_snapshot_op, exec_exists, exec_into,
+    exec_scalar, in_step, in_verdict, like3, materialize_snapshot, not3, or3, EvalEnv, Flow,
+    Runtime,
 };
-use crate::functions::{eval_scalar, like_match};
+use crate::functions::eval_scalar;
 use crate::ir::{CtePlan, ExprIr, FusedTransition, PlanNode, ScalarFn, SnapshotOp};
 use crate::memo::MemoKey;
 
@@ -858,12 +859,11 @@ pub fn precompile_plan(plan: &mut PlanNode, repeated: bool) {
     plan.for_each_expr_mut(&mut lower);
 }
 
-/// Recognize a recursive arm as a [`FusedTransition`], the one place that
-/// decides how its fixpoint will run, and prepare its parts. The shape is
-/// matched on the expression trees, which the mono tier's compiler reads
-/// too; then the body is lowered and splat-transformed in place, and the
-/// filter lowered, so that the plan and the transition share one program.
-/// `None` leaves the arm to the general plan.
+/// Recognize a recursive arm as a [`FusedTransition`]: the one place that
+/// decides how its fixpoint runs. The shape is matched on the expression
+/// trees, which the mono tier's compiler reads too; then the body is
+/// lowered and splat-transformed in place and the filter lowered, so the
+/// plan and the transition share one program. `None`: the general plan.
 pub(crate) fn fuse_transition(
     index: usize,
     recursive: &mut PlanNode,
@@ -872,7 +872,6 @@ pub(crate) fn fuse_transition(
     let PlanNode::ProjectUnpack { input, src, width } = recursive else {
         return None;
     };
-    let width = *width;
     let PlanNode::Filter { input, pred } = input.as_mut() else {
         return None;
     };
@@ -886,20 +885,17 @@ pub(crate) fn fuse_transition(
     // Width 1 would make "one splatted value" and "one record to unpack"
     // indistinguishable; compiled fixpoints are always wider. The filter
     // holds no sub-plan, so only the body can read the working table again.
-    if *scanned != index
-        || *src != width
+    let width = *width;
+    if (*scanned, *src) != (index, width)
         || width < 2
-        || !crate::exec::pred_reads_below(pred, *src)
+        || !crate::exec::pred_reads_below(pred, width)
         || crate::exec::expr_uses_working(body, index)
     {
         return None;
     }
-    // UNION dedup hashes whole rows between iterations; that stays in the
-    // VM driver.
-    let mono = union_all
-        .then(|| crate::tier::compile(body, pred, width))
-        .flatten()
-        .map(Arc::new);
+    // UNION dedup hashes whole rows between iterations, in the VM driver.
+    let mono = union_all.then(|| crate::tier::compile(body, pred, width));
+    let mono = mono.flatten().map(Arc::new);
     precompile_nested_plans(body);
     let program = Arc::new(splat_transform(compile(body), width));
     *body = ExprIr::Vm(Arc::clone(&program));
@@ -1325,10 +1321,7 @@ fn exec_ops_loop(
                 rt.vm_stack.push(v);
             }
             Op::Not => {
-                let v = match rt.vm_stack.pop().unwrap().as_bool()? {
-                    Some(b) => Value::Bool(!b),
-                    None => Value::Null,
-                };
+                let v = not3(&rt.vm_stack.pop().unwrap())?;
                 rt.vm_stack.push(v);
             }
             Op::IsNull { negated } => {
@@ -1376,10 +1369,7 @@ fn exec_ops_loop(
             Op::AndCombine => {
                 let r = rt.vm_stack.pop().unwrap().as_bool()?;
                 let l = rt.vm_stack.pop().unwrap().as_bool()?;
-                rt.vm_stack.push(match and3(l, r) {
-                    Some(b) => Value::Bool(b),
-                    None => Value::Null,
-                });
+                rt.vm_stack.push(bool_value(and3(l, r)));
             }
             Op::OrProbe(end) => {
                 let l = rt.vm_stack.last().unwrap().as_bool()?;
@@ -1392,32 +1382,19 @@ fn exec_ops_loop(
             Op::OrCombine => {
                 let r = rt.vm_stack.pop().unwrap().as_bool()?;
                 let l = rt.vm_stack.pop().unwrap().as_bool()?;
-                rt.vm_stack.push(match (l, r) {
-                    (_, Some(true)) => Value::Bool(true),
-                    (Some(false), Some(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                });
+                rt.vm_stack.push(bool_value(or3(l, r)));
             }
             Op::Between { negated } => {
                 let hi = rt.vm_stack.pop().unwrap();
                 let lo = rt.vm_stack.pop().unwrap();
                 let v = rt.vm_stack.pop().unwrap();
-                let ge = v.sql_cmp(&lo)?.map(|o| o != std::cmp::Ordering::Less);
-                let le = v.sql_cmp(&hi)?.map(|o| o != std::cmp::Ordering::Greater);
-                rt.vm_stack.push(match and3(ge, le) {
-                    Some(b) => Value::Bool(b != *negated),
-                    None => Value::Null,
-                });
+                let verdict = between3(&v, &lo, &hi, *negated)?;
+                rt.vm_stack.push(verdict);
             }
             Op::Like { negated } => {
                 let p = rt.vm_stack.pop().unwrap();
                 let v = rt.vm_stack.pop().unwrap();
-                if v.is_null() || p.is_null() {
-                    rt.vm_stack.push(Value::Null);
-                } else {
-                    let m = like_match(v.as_text()?, p.as_text()?);
-                    rt.vm_stack.push(Value::Bool(m != *negated));
-                }
+                rt.vm_stack.push(like3(&v, &p, *negated)?);
             }
             Op::Row(n) => {
                 // Drain straight into the shared buffer: `Arc<[T]>` collects
@@ -1496,25 +1473,17 @@ fn exec_ops_loop(
             Op::InStep(finish) => {
                 let item = rt.vm_stack.pop().unwrap();
                 let n = rt.vm_stack.len();
-                let v = &rt.vm_stack[n - 2];
-                match v.sql_eq(&item)? {
-                    Some(true) => {
-                        rt.vm_stack[n - 1] = Value::Bool(true);
-                        pc = *finish as usize;
-                        continue;
-                    }
-                    Some(false) => {}
-                    None => rt.vm_stack[n - 1] = Value::Null,
+                let found = in_step(rt.vm_stack[n - 1].as_bool()?, &rt.vm_stack[n - 2], &item)?;
+                rt.vm_stack[n - 1] = bool_value(found);
+                if found == Some(true) {
+                    pc = *finish as usize;
+                    continue;
                 }
             }
             Op::InFinish { negated } => {
-                let acc = rt.vm_stack.pop().unwrap();
+                let found = rt.vm_stack.pop().unwrap().as_bool()?;
                 rt.vm_stack.pop(); // the probed expression
-                rt.vm_stack.push(match acc {
-                    Value::Bool(true) => Value::Bool(!*negated),
-                    Value::Null => Value::Null,
-                    _ => Value::Bool(*negated),
-                });
+                rt.vm_stack.push(in_verdict(found, *negated));
             }
             Op::Subplan { .. }
             | Op::Exists { .. }
@@ -1546,21 +1515,16 @@ fn run_plan_op(op: &Op, env: &EvalEnv<'_>, rt: &mut Runtime<'_>) -> Result<Value
         }),
         Op::InPlan { plan, negated } => {
             let v = rt.vm_stack.pop().expect("IN probe value on the stack");
-            let mut verdict = Value::Bool(*negated);
+            let mut found = Some(false);
             exec_into(plan, env, rt, &mut |row, _| {
-                Ok(match v.sql_eq(&row[0])? {
-                    Some(true) => {
-                        verdict = Value::Bool(!*negated);
-                        Flow::Stop
-                    }
-                    Some(false) => Flow::More,
-                    None => {
-                        verdict = Value::Null;
-                        Flow::More
-                    }
+                found = in_step(found, &v, &row[0])?;
+                Ok(if found == Some(true) {
+                    Flow::Stop
+                } else {
+                    Flow::More
                 })
             })?;
-            Ok(verdict)
+            Ok(in_verdict(found, *negated))
         }
         Op::UdfCall { name, argc } => {
             let args = rt.vm_stack.split_off(rt.vm_stack.len() - *argc as usize);
