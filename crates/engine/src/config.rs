@@ -20,9 +20,10 @@ pub enum IndexMode {
 
 /// Execution-tier policy for fused fixpoint transitions.
 ///
-/// Every plan carries the transitions [`crate::tier::recognize`] compiled
-/// at prepare time, whatever the mode; only the fixpoint driver reads it.
-/// `Auto` is the production setting: a recognized transition whose
+/// Every plan carries the mono programs prepare compiled for its fused
+/// transitions ([`crate::ir::FusedTransition`]), whatever the mode; only
+/// the fixpoint driver reads it. `Auto` is the production setting: a
+/// recognized transition whose
 /// captures bind runs in the monomorphized tier ([`crate::tier`])
 /// from its first iteration. `ForceOff` keeps every fixpoint in the
 /// expression VM; it exists for the differential test harness and the

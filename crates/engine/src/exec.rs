@@ -1813,8 +1813,8 @@ enum Running<'p, 'c> {
 /// loop: a fused transition runs in the mono tier from its first iteration
 /// unless `tier_mode` is `ForceOff`, prepare found it outside the closure
 /// grammar, or its captures or probe targets do not bind, and on the VM
-/// otherwise; every other arm runs as the general plan. Nothing is built
-/// here: prepare recognized the transition and compiled its programs. Each
+/// otherwise; every other arm runs as the general plan. Nothing is
+/// recognized, compiled or cloned here: prepare did that once. Each
 /// iteration stops on an empty working set, counts itself against
 /// `max_recursive_iterations`, tracks the working-set peak, runs one step
 /// over the shared [`Rotation`], deduplicates under UNION, and hands its

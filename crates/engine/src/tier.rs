@@ -4,20 +4,22 @@
 //! The expression VM, the engine's one evaluator, runs the fused
 //! `Extend → Filter → Unpack` transition as bytecode: every operand goes
 //! through its value stack and every opcode pays one dispatch branch. This
-//! module removes both for the common shape: at prepare time [`recognize`]
-//! inspects the recursive arm and, when it matches, compiles the whole
-//! per-row transition into Rust closures that read their operands in place
-//! and write the successor row directly.
+//! module removes both for the common shape. At prepare time the one
+//! recognizer, `vm::fuse_transition`, finds the fused transition and hands
+//! its body and filter trees to `compile`, which turns the whole per-row
+//! transition into Rust closures that read their operands in place and
+//! write the successor row directly.
 //!
 //! The tier has no value type and no operator semantics of its own. Its
 //! cells are the VM's [`Value`]s, and it computes every operator with the
-//! functions the VM calls: `fast_int_bin`, then `apply_bin`, plus `and3`,
-//! `Value::sql_cmp`, `sql_eq`, `as_bool` and `cast`, [`like_match`] and
+//! functions the VM calls: `fast_int_bin`, then `apply_bin`, the
+//! three-valued rules beside `and3` (`or3`, `not3`, `between3`, `like3`,
+//! `in_step`, `in_verdict`), `Value::sql_eq`, `as_bool` and `cast`, and
 //! [`eval_scalar`]. The two tiers can differ only in control flow.
 //!
-//! Promotion happens once, at fixpoint entry (see `DESIGN.md` §7).
-//! Recognition, the costly compile, already ran at prepare time, so a
-//! later promotion would defer only a bind. Under `tier_mode = Auto` a
+//! Promotion happens once, at fixpoint entry (see `DESIGN.md` §7). The
+//! costly compile already ran at prepare time, so a later promotion would
+//! defer only a bind. Under `tier_mode = Auto` a
 //! recognized transition whose captures and probe targets bind runs in the
 //! mono tier from its first iteration; `ForceOff` keeps it in the VM for
 //! the differential harness and the benchmarks.
