@@ -22,7 +22,7 @@ pub enum IndexMode {
 ///
 /// Every plan carries the mono programs prepare compiled for its fused
 /// transitions ([`crate::ir::FusedTransition`]), whatever the mode; only
-/// the fixpoint driver reads it. `Auto` is the production setting: a
+/// `exec_recursive_cte` reads it. `Auto` is the production setting: a
 /// recognized transition whose
 /// captures bind runs in the monomorphized tier ([`crate::tier`])
 /// from its first iteration. `ForceOff` keeps every fixpoint in the

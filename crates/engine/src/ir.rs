@@ -476,7 +476,7 @@ pub enum CtePlan {
 /// A recursive arm of the shape every compiled fixpoint has (Figure 8's
 /// `run`): `ProjectUnpack ∘ Filter ∘ Extend[body] ∘ WorkingScan`, with
 /// `src == width ≥ 2`, a filter that reads only columns below `src`, and
-/// no other read of the working table. The fixpoint driver runs it row by
+/// no other read of the working table. `exec_recursive_cte` runs it row by
 /// row from these parts, never through the arm's plan.
 #[derive(Debug, Clone)]
 pub struct FusedTransition {

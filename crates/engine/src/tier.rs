@@ -1166,7 +1166,7 @@ mod tests {
         ]);
         fused_with_mono(floaty);
 
-        // Fused, on the VM only: UNION dedup stays in the driver, and a
+        // Fused, on the VM only: UNION dedup stays on the VM, and a
         // volatile call or a body row narrower than the working row is
         // outside the closure grammar.
         let no_mono = |body: ExprIr, union_all: bool| {

@@ -893,7 +893,7 @@ pub(crate) fn fuse_transition(
     {
         return None;
     }
-    // UNION dedup hashes whole rows between iterations, in the VM driver.
+    // UNION dedup hashes whole rows between iterations, on the VM only.
     let mono = union_all.then(|| crate::tier::compile(body, pred, width));
     let mono = mono.flatten().map(Arc::new);
     precompile_nested_plans(body);

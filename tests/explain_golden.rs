@@ -252,7 +252,7 @@ fn golden_explain_analyze_compiled_outer_query() {
     // The outer query of every compiled kernel: keep the one trace row
     // whose `call?` flag is off. Every node renders as executed: this
     // recursive arm is not a fused transition, so it runs as the general
-    // plan. Only a fused arm, which the fixpoint driver runs from its parts,
+    // plan. Only a fused arm, which `exec_recursive_cte` runs from its parts,
     // renders as never executed.
     let mut s = big_session();
     let out = run_explain(
